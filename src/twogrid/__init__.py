@@ -4,12 +4,11 @@ Fourth-order compact schemes on a coarse background lattice, second-order
 fitted schemes on a locally refined tube around the interface, and exact
 rational transition stencils gluing the two together.
 """
-from .assembly import (SparseSystem, apply_dirichlet, apply_neumann_1d,
-                       assemble)
+from .assembly import SparseSystem, apply_dirichlet, assemble
 from .errors import (BadParams, DegenerateDenominator, EmptyTube,
-                     InconsistentSystem, MultipleCrossings, NoConvergence,
-                     NoExactSolution, NonConvergence, SignViolation,
-                     SingularMatrix, TubeTooWide, TwoGridError,
+                     InconsistentSystem, MissingNeighbor, MultipleCrossings,
+                     NoConvergence, NoExactSolution, NonConvergence,
+                     SignViolation, SingularMatrix, TubeTooWide, TwoGridError,
                      UnknownProblem, UnsupportedRatio)
 from .geometry import InterfaceFrame, LevelSet, project_to_interface
 from .grid import (Grid1D, Grid2DLine, Grid2DTube, GridParams, NodeTag,

@@ -1,8 +1,8 @@
 """System assembly: one discrete equation per node, dispatched on node tag.
 
 The assembled matrix is full-size with identity rows at Dirichlet nodes, so
-node ids and matrix rows coincide (``rowmap`` is the identity permutation)
-and structural checks can look at interior rows without reindexing.
+node ids and matrix rows coincide and structural checks can look at
+interior rows without reindexing.
 ``assemble`` leaves the boundary right-hand side at zero;
 :func:`apply_dirichlet` fills it in.
 """
@@ -14,9 +14,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import stencils
-from .errors import BadParams, UnsupportedRatio
+from .errors import BadParams, MissingNeighbor, UnsupportedRatio
 from .grid import Grid1D, Grid2DLine, Grid2DTube, NodeTag
-from .iim import (IrregularNode, iim_1d_irregular,
+from .iim import (_RING2, IrregularNode, iim_1d_irregular,
                   iim_discontinuous_stencil_2d, singular_source_stencil_2d)
 
 
@@ -24,7 +24,6 @@ from .iim import (IrregularNode, iim_1d_irregular,
 class SparseSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    rowmap: np.ndarray          # node id -> matrix row (identity layout)
     boundary: np.ndarray        # bool mask over rows
     tags: np.ndarray
     x: np.ndarray
@@ -48,12 +47,11 @@ class _Builder:
         rows = np.concatenate(self.rows)
         cols = np.concatenate(self.cols)
         if rows.min() < 0 or cols.min() < 0:
-            raise AssertionError("stencil referenced a node outside the grid")
+            raise MissingNeighbor("stencil referenced a node outside the grid")
         vals = np.concatenate(self.vals)
         mat = sp.coo_matrix((vals, (rows, cols)),
                             shape=(self.n, self.n)).tocsr()
         return SparseSystem(matrix=mat, rhs=self.rhs,
-                            rowmap=np.arange(self.n),
                             boundary=np.asarray(grid.tags) == NodeTag.BOUNDARY,
                             tags=np.asarray(grid.tags),
                             x=np.asarray(grid.x), y=np.asarray(grid.y))
@@ -63,36 +61,6 @@ def apply_dirichlet(system: SparseSystem, g) -> SparseSystem:
     """Fill boundary rows of the right side with ``g(x, y)``."""
     idx = np.nonzero(system.boundary)[0]
     system.rhs[idx] = g(system.x[idx], system.y[idx])
-    return system
-
-
-def apply_neumann_1d(system: SparseSystem, end: str,
-                     flux: float) -> SparseSystem:
-    """Replace one 1D boundary row with a flux condition u' = flux.
-
-    Untested extension point; every shipped benchmark is Dirichlet. The row
-    discretizes the derivative at the chosen ``end`` ('left' or 'right') to
-    second order on the three nearest nodes, spacing-agnostic, so it works
-    whether or not the refined patch touches that end. The opposite end must
-    stay Dirichlet for solvability.
-    """
-    if end not in ("left", "right"):
-        raise BadParams(f"end must be 'left' or 'right', not {end!r}")
-    order = np.argsort(system.x, kind="stable")
-    ids = order[:3] if end == "left" else order[-3:][::-1]
-    row = int(ids[0])
-    if not system.boundary[row]:
-        raise BadParams(f"{end} end of the grid is not a boundary node")
-    x0, x1, x2 = system.x[ids]
-    w = (1.0 / (x0 - x1) + 1.0 / (x0 - x2),
-         (x0 - x2) / ((x1 - x0) * (x1 - x2)),
-         (x0 - x1) / ((x2 - x0) * (x2 - x1)))
-    mat = system.matrix.tolil()
-    mat[row, :] = 0.0
-    for i, wi in zip(ids, w):
-        mat[row, int(i)] = wi
-    system.matrix = mat.tocsr()
-    system.rhs[row] = flux
     return system
 
 
@@ -110,6 +78,18 @@ def _kappa_of(problem, side: int) -> float:
     return problem.kappa_minus if side < 0 else problem.kappa_plus
 
 
+def _interface_pair(grid: Grid1D, problem) -> dict:
+    """Fitted stencils of the two irregular nodes flanking the interface
+    point, keyed by node index; empty when the grid has no such pair."""
+    pair = np.nonzero(grid.tags == NodeTag.FINE_IRREGULAR)[0]
+    if not len(pair):
+        return {}
+    st_lo, st_hi = iim_1d_irregular(
+        problem.kappa_minus, problem.kappa_plus, grid.alpha,
+        float(grid.x[pair[0]]), grid.h_f, problem.jumps)
+    return {int(pair[0]): st_lo, int(pair[1]): st_hi}
+
+
 # ---------------------------------------------------------------------------
 # 1D
 # ---------------------------------------------------------------------------
@@ -120,14 +100,7 @@ def _assemble_1d(grid: Grid1D, problem) -> SparseSystem:
     side = grid.sides()
     b = _Builder(n)
     h_f = grid.h_f
-
-    pair = np.nonzero(tags == NodeTag.FINE_IRREGULAR)[0]
-    pair_st = {}
-    if len(pair):
-        st_lo, st_hi = iim_1d_irregular(
-            problem.kappa_minus, problem.kappa_plus, grid.alpha,
-            float(x[pair[0]]), h_f, problem.jumps)
-        pair_st = {int(pair[0]): st_lo, int(pair[1]): st_hi}
+    pair_st = _interface_pair(grid, problem)
 
     for i in range(n):
         t = tags[i]
@@ -179,13 +152,7 @@ def _assemble_line(grid: Grid2DLine, problem) -> SparseSystem:
     b = _Builder(grid.n)
 
     side_col = np.where(cols.x <= grid.alpha, -1, 1)
-    pair = np.nonzero(cols.tags == NodeTag.FINE_IRREGULAR)[0]
-    pair_st = {}
-    if len(pair):
-        st_lo, st_hi = iim_1d_irregular(
-            problem.kappa_minus, problem.kappa_plus, grid.alpha,
-            float(cols.x[pair[0]]), grid.h_f, problem.jumps)
-        pair_st = {int(pair[0]): st_lo, int(pair[1]): st_hi}
+    pair_st = _interface_pair(cols, problem)
 
     bnd = np.nonzero(grid.tags == NodeTag.BOUNDARY)[0]
     b.add(bnd, bnd, np.ones(len(bnd)))
@@ -226,21 +193,53 @@ def _assemble_line(grid: Grid2DLine, problem) -> SparseSystem:
 # 2D tube around a level-set interface
 # ---------------------------------------------------------------------------
 
-_IRREGULAR_CANDIDATES = [
-    (dx, dy) for dx in (-2, -1, 0, 1, 2) for dy in (-2, -1, 0, 1, 2)
-    if (dx, dy) != (0, 0)]
+_IRREGULAR_CANDIDATES = tuple(off for off in _RING2 if off != (0, 0))
+_FIVE_POINT = {(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0, (0, -1): 1.0,
+               (0, 0): -4.0}
+
+
+def _deltas(keys, W: int, step: int = 1, flip: bool = False) -> dict:
+    """Fine-lattice code delta of each ``(dx, dy)`` stencil key, whose unit
+    is ``step`` fine steps; ``flip`` swaps the axes."""
+    return {(kx, ky): ((kx * W + ky) if flip else (ky * W + kx)) * step
+            for kx, ky in keys}
+
+
+def _neighbors(grid, rows, offsets) -> np.ndarray:
+    """``(len(rows), len(offsets))`` ids of the nodes at the code deltas
+    ``offsets`` from each row's node; -1 where the grid has no node."""
+    return grid.id_of(grid.codes[rows][:, None]
+                      + np.array(list(offsets.values())))
+
+
+def _emit(b, grid, rows, offsets, alphas, betas, scale, fvec) -> None:
+    """Add the equations of ``rows``, which share one stencil, to ``b``.
+
+    ``offsets`` maps every key of ``alphas`` and ``betas`` to its code
+    delta. Each row gets ``alpha * scale`` in the column of the node at
+    that delta (``scale`` is a scalar or one value per row) and the right
+    side ``sum beta * f`` over the same nodes.
+    """
+    if not len(rows):
+        return
+    col = dict(zip(offsets, _neighbors(grid, rows, offsets).T))
+    for k, a in alphas.items():
+        b.add(rows, col[k], float(a) * scale)
+    acc = np.zeros(len(rows))
+    for k, bw in betas.items():
+        acc += float(bw) * fvec(col[k])
+    b.rhs[rows] = acc
 
 
 def _assemble_tube(grid: Grid2DTube, problem) -> SparseSystem:
     if problem.K:
         raise BadParams("2D assembly supports only K == 0")
-    n = grid.n
     tags, side = grid.tags, grid.side
     km, kp = problem.kappa_minus, problem.kappa_plus
     kap = np.where(side < 0, km, kp).astype(float)
     W, r = grid.W, grid.r
     h, h_f = grid.h, grid.h_f
-    b = _Builder(n)
+    b = _Builder(grid.n)
 
     def fvec(ids):
         return problem.f(grid.x[ids], grid.y[ids], side[ids].astype(int))
@@ -249,81 +248,54 @@ def _assemble_tube(grid: Grid2DTube, problem) -> SparseSystem:
     b.add(bnd, bnd, np.ones(len(bnd)))
 
     coarse = np.nonzero(tags == NodeTag.COARSE_REGULAR)[0]
-    if len(coarse):
-        proto = stencils.nine_point_compact_2d(h, 0.0, 1.0)
-        cc = grid.codes[coarse]
-        for (dx, dy), w in proto.alphas.items():
-            nb = grid.id_of(cc + (dy * W + dx) * r)
-            b.add(coarse, nb, w * kap[coarse])
-        for (dx, dy), bw in proto.betas.items():
-            nb = grid.id_of(cc + (dy * W + dx) * r)
-            b.rhs[coarse] += bw * fvec(nb)
+    proto = stencils.nine_point_compact_2d(h, 0.0, 1.0)
+    _emit(b, grid, coarse, _deltas(proto.alphas, W, r), proto.alphas,
+          proto.betas, kap[coarse], fvec)
 
     plain = problem.jumps is None
     if plain:
         # Without an interface the side classification is vacuous, so nodes
         # straddling the level set's zero curve are ordinary fine nodes.
+        # The solution is smooth in the tube and the compact fourth order
+        # scheme applies on the fine lattice as well.  A concave corner of
+        # the patch union can lack one diagonal neighbour; those nodes keep
+        # the five point scheme.
         fine = np.nonzero((tags == NodeTag.FINE_REGULAR)
                           | (tags == NodeTag.FINE_IRREGULAR))[0]
+        proto = stencils.nine_point_compact_2d(h_f, 0.0, 1.0)
+        offs = _deltas(proto.alphas, W)
+        ok = (_neighbors(grid, fine, offs) >= 0).all(axis=1)
+        _emit(b, grid, fine[ok], offs, proto.alphas, proto.betas,
+              kap[fine[ok]], fvec)
+        fine = fine[~ok]
     else:
         fine = np.nonzero(tags == NodeTag.FINE_REGULAR)[0]
-    if len(fine):
-        fc = grid.codes[fine]
-        if plain:
-            # No interface crosses the tube, so the solution is smooth there
-            # and the compact fourth order scheme applies on the fine lattice
-            # as well.  A concave corner of the patch union can lack one
-            # diagonal neighbour; those nodes keep the five point scheme.
-            proto = stencils.nine_point_compact_2d(h_f, 0.0, 1.0)
-            nb = {off: grid.id_of(fc + off[1] * W + off[0])
-                  for off in proto.alphas if off != (0, 0)}
-            ok = np.ones(len(fine), dtype=bool)
-            for ids in nb.values():
-                ok &= ids >= 0
-            rows = fine[ok]
-            for off, w in proto.alphas.items():
-                tgt = rows if off == (0, 0) else nb[off][ok]
-                b.add(rows, tgt, w * kap[rows])
-            for off, bw in proto.betas.items():
-                tgt = rows if off == (0, 0) else nb[off][ok]
-                b.rhs[rows] += bw * fvec(tgt)
-            fine, fc = fine[~ok], fc[~ok]
-        for delta, w in ((1, 1.0), (-1, 1.0), (W, 1.0), (-W, 1.0), (0, -4.0)):
-            nbi = grid.id_of(fc + delta)
-            b.add(fine, nbi, w * kap[fine] / h_f**2)
-        b.rhs[fine] = fvec(fine)
+    _emit(b, grid, fine, _deltas(_FIVE_POINT, W), _FIVE_POINT, {(0, 0): 1.0},
+          kap[fine] / h_f**2, fvec)
 
-    cache = {}
-    for i in np.nonzero(tags == NodeTag.HANGING)[0]:
-        key = (r, int(grid.hang_j[i]))
-        st = cache.get(key)
-        if st is None:
-            try:
-                st = stencils.hanging_coeffs(*key)
-            except UnsupportedRatio:
-                st = stencils.derive_hanging_coeffs(*key)
-            cache[key] = st
-        flip = grid.hang_axis[i] == 1
-        scal = kap[i] / h**2
-        code = grid.codes[i]
-        for (kx, ky), a in st.alphas.items():
-            dx, dy = (ky, kx) if flip else (kx, ky)
-            b.add(i, grid.id_of(code + dy * W + dx), float(a) * scal)
-        acc = 0.0
-        for (kx, ky), bw in st.betas.items():
-            dx, dy = (ky, kx) if flip else (kx, ky)
-            j = int(grid.id_of(code + dy * W + dx)[0])
-            acc += float(bw) * problem.f(
-                float(grid.x[j]), float(grid.y[j]), int(side[j]))
-        b.rhs[i] = acc
+    hanging = tags == NodeTag.HANGING
+    for j in np.unique(grid.hang_j[hanging]):
+        try:
+            st = stencils.hanging_coeffs(r, int(j))
+        except UnsupportedRatio:
+            st = stencils.derive_hanging_coeffs(r, int(j))
+        for axis in (0, 1):
+            rows = np.nonzero(hanging & (grid.hang_j == j)
+                              & (grid.hang_axis == axis))[0]
+            offs = _deltas({**st.alphas, **st.betas}, W, flip=axis == 1)
+            _emit(b, grid, rows, offs, st.alphas, st.betas, kap[rows] / h**2,
+                  fvec)
 
-    irr = np.nonzero(tags == NodeTag.FINE_IRREGULAR)[0] if not plain else []
-    for i in irr:
-        amap = {(0, 0): int(i)}
-        for off in _IRREGULAR_CANDIDATES:
-            j = int(grid.id_of(grid.codes[i] + off[1] * W + off[0])[0])
-            if j >= 0:
-                amap[off] = j
+    irr = np.nonzero(tags == NodeTag.FINE_IRREGULAR)[0]
+    if plain or not len(irr):
+        return b.finish(grid)
+    offs = _deltas(_IRREGULAR_CANDIDATES, W)
+    nbrs = _neighbors(grid, irr, offs)
+    rows, cols, vals = [], [], []
+    corr = np.zeros(len(irr))
+    for k, (i, nbr) in enumerate(zip(irr.tolist(), nbrs.tolist())):
+        amap = {(0, 0): i}
+        amap.update((off, j) for off, j in zip(offs, nbr) if j >= 0)
         node = IrregularNode(x=float(grid.x[i]), y=float(grid.y[i]), h_f=h_f,
                              side=int(side[i]),
                              available=set(amap) - {(0, 0)},
@@ -334,9 +306,10 @@ def _assemble_tube(grid: Grid2DTube, problem) -> SparseSystem:
         else:
             st = iim_discontinuous_stencil_2d(node, grid.ls, km, kp,
                                               problem.jumps)
-        for off, a in st.alphas.items():
-            b.add(i, amap[off], float(a))
-        b.rhs[i] = (problem.f(float(grid.x[i]), float(grid.y[i]),
-                              int(side[i]))
-                    + st.correction)
+        rows += [i] * len(st.alphas)
+        cols += [amap[off] for off in st.alphas]
+        vals += [float(a) for a in st.alphas.values()]
+        corr[k] = st.correction
+    b.add(rows, cols, vals)
+    b.rhs[irr] = fvec(irr) + corr
     return b.finish(grid)

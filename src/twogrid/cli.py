@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--dump-grid", metavar="PATH",
                        help="write the node list as JSON")
     run_p.add_argument("--dump-matrix", metavar="PATH",
-                       help="write the assembled sparse matrix (.npz)")
+                       help="write the assembled sparse matrix (MatrixMarket)")
 
     study_p = sub.add_parser("study", help="run a refinement schedule")
     _add_case_args(study_p)

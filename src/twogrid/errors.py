@@ -37,6 +37,10 @@ class MultipleCrossings(TwoGridError):
     """A single stencil arm crosses the interface more than once."""
 
 
+class MissingNeighbor(TwoGridError):
+    """A stencil needs a node that the composite grid does not have."""
+
+
 class SingularMatrix(TwoGridError):
     """The assembled linear system is singular."""
 

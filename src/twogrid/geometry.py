@@ -52,11 +52,6 @@ class LevelSet:
             self.samples = np.asarray(self.samples, dtype=float)
 
 
-def eval(ls: LevelSet, p: Point) -> float:
-    """Evaluate the level-set field at a point."""
-    return float(ls.phi(p[0], p[1]))
-
-
 @dataclass(frozen=True)
 class InterfaceFrame:
     """Local frame of the interface at a projection foot.

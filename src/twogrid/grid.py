@@ -25,7 +25,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import BadParams, EmptyTube, TubeTooWide
+from .errors import BadParams, EmptyTube, MissingNeighbor, TubeTooWide
 from .geometry import LevelSet
 
 
@@ -365,7 +365,8 @@ def build_tube_two_grid_2d(params: GridParams, ls: LevelSet) -> Grid2DTube:
     on_yline = px % r == 0
     bad = hanging & ~on_xline & ~on_yline
     if bad.any():
-        raise AssertionError("tube rim left the coarse lattice lines")
+        raise MissingNeighbor("tube rim left the coarse lattice lines, so a "
+                              "hanging node has no coarse neighbours")
     hx = hanging & on_xline
     hy = hanging & on_yline & ~on_xline
     tags[hanging] = NodeTag.HANGING

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-import sympy
 
 from .errors import BadParams, NoExactSolution, UnknownProblem
 from .geometry import LevelSet
@@ -206,6 +205,8 @@ def _flower(params) -> ProblemSpec:
 def _flower_jumps(km: float, kp: float) -> JumpData:
     """Interface data for the flower benchmark, differentiated along the
     curve with sympy and evaluated through the polar angle of the foot."""
+    import sympy  # only user; importing it costs more than the rest of twogrid
+
     th = sympy.Symbol("theta", real=True)
     rho = sympy.Rational(1, 2) + sympy.Rational(1, 10) * sympy.sin(8 * th)
     Tx = sympy.diff(rho * sympy.cos(th), th)

@@ -16,7 +16,7 @@ from .grid import (Grid1D, Grid2DLine, Grid2DTube, GridParams, NodeTag,
                    build_two_grid_1d, dump_grid_json)
 from .harness import (CaseReport, build_grid, convergence_study,
                       reference_errors, run_case, to_csv, to_json)
-from .iim import (IrregularNode, JumpData, iim_1d_irregular,
+from .iim import (IrregularNode, IrregularNodes, JumpData, iim_1d_irregular,
                   iim_discontinuous_stencil_2d, singular_source_stencil_2d)
 from .linsolve import reduce_dirichlet, solve, verify_m_matrix
 from .problems import (ProblemSpec, exact_error, make_problem,

@@ -8,6 +8,7 @@ interior rows without reindexing.
 """
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,7 @@ import scipy.sparse as sp
 from . import stencils
 from .errors import BadParams, MissingNeighbor, UnsupportedRatio
 from .grid import Grid1D, Grid2DLine, Grid2DTube, NodeTag
-from .iim import (_RING2, IrregularNode, iim_1d_irregular,
+from .iim import (_RING2, IrregularNodes, iim_1d_irregular,
                   iim_discontinuous_stencil_2d, singular_source_stencil_2d)
 
 
@@ -66,12 +67,30 @@ def apply_dirichlet(system: SparseSystem, g) -> SparseSystem:
 
 def assemble(grid, problem) -> SparseSystem:
     if isinstance(grid, Grid1D):
-        return _assemble_1d(grid, problem)
-    if isinstance(grid, Grid2DLine):
-        return _assemble_line(grid, problem)
-    if isinstance(grid, Grid2DTube):
-        return _assemble_tube(grid, problem)
-    raise BadParams(f"unknown grid type {type(grid).__name__}")
+        system = _assemble_1d(grid, problem)
+    elif isinstance(grid, Grid2DLine):
+        system = _assemble_line(grid, problem)
+    elif isinstance(grid, Grid2DTube):
+        system = _assemble_tube(grid, problem)
+    else:
+        raise BadParams(f"unknown grid type {type(grid).__name__}")
+    _release_free_heap()
+    return system
+
+
+def _release_free_heap() -> None:
+    """Return the C heap's free pages to the operating system.
+
+    Assembly frees tens of MB of scratch, most of it the fitted stencils'
+    linear program inside HiGHS, which glibc keeps mapped. The LU
+    factorisation that follows maps its large arrays afresh, so without
+    this the peak memory of a solve carries both. Does nothing where the C
+    library has no ``malloc_trim``.
+    """
+    try:
+        ctypes.CDLL(None).malloc_trim(0)
+    except (AttributeError, OSError, TypeError):
+        pass
 
 
 def _kappa_of(problem, side: int) -> float:
@@ -193,7 +212,6 @@ def _assemble_line(grid: Grid2DLine, problem) -> SparseSystem:
 # 2D tube around a level-set interface
 # ---------------------------------------------------------------------------
 
-_IRREGULAR_CANDIDATES = tuple(off for off in _RING2 if off != (0, 0))
 _FIVE_POINT = {(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0, (0, -1): 1.0,
                (0, 0): -4.0}
 
@@ -289,27 +307,16 @@ def _assemble_tube(grid: Grid2DTube, problem) -> SparseSystem:
     irr = np.nonzero(tags == NodeTag.FINE_IRREGULAR)[0]
     if plain or not len(irr):
         return b.finish(grid)
-    offs = _deltas(_IRREGULAR_CANDIDATES, W)
-    nbrs = _neighbors(grid, irr, offs)
-    rows, cols, vals = [], [], []
-    corr = np.zeros(len(irr))
-    for k, (i, nbr) in enumerate(zip(irr.tolist(), nbrs.tolist())):
-        amap = {(0, 0): i}
-        amap.update((off, j) for off, j in zip(offs, nbr) if j >= 0)
-        node = IrregularNode(x=float(grid.x[i]), y=float(grid.y[i]), h_f=h_f,
-                             side=int(side[i]),
-                             available=set(amap) - {(0, 0)},
-                             arm_side={off: int(side[j])
-                                       for off, j in amap.items()})
-        if km == kp:
-            st = singular_source_stencil_2d(node, grid.ls, km, problem.jumps)
-        else:
-            st = iim_discontinuous_stencil_2d(node, grid.ls, km, kp,
-                                              problem.jumps)
-        rows += [i] * len(st.alphas)
-        cols += [amap[off] for off in st.alphas]
-        vals += [float(a) for a in st.alphas.values()]
-        corr[k] = st.correction
-    b.add(rows, cols, vals)
+    nbrs = _neighbors(grid, irr, _deltas(_RING2, W))
+    nodes = IrregularNodes(x=grid.x[irr], y=grid.y[irr], h_f=h_f,
+                           ring_side=np.where(nbrs >= 0, side[nbrs], 0))
+    if km == kp:
+        weights, corr = singular_source_stencil_2d(nodes, grid.ls, km,
+                                                   problem.jumps)
+    else:
+        weights, corr = iim_discontinuous_stencil_2d(nodes, grid.ls, km, kp,
+                                                     problem.jumps)
+    nz = weights != 0.0
+    b.add(np.broadcast_to(irr[:, None], nz.shape)[nz], nbrs[nz], weights[nz])
     b.rhs[irr] = fvec(irr) + corr
     return b.finish(grid)

@@ -10,18 +10,24 @@ Conventions used throughout the package:
   enclosed region;
 * curvature is ``div(grad phi / |grad phi|)`` at the foot point, which is
   positive for a circle enclosing the minus side (``1/R``).
+
+Every query takes a batch of points: an ``(m, 2)`` array gives results with
+a leading axis of length ``m``, and a single point of shape ``(2,)`` is a
+batch of one whose results drop that axis. Each point's result depends on
+that point alone, bit for bit, whatever else is in the batch.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NonConvergence
 
-Point = Sequence[float]
+# Sample distances computed at once when seeding a projection: 4 MB per
+# temporary, so the seeding never holds an (m, n_samples) array.
+_SEED_CHUNK = 1 << 19
 
 
 @dataclass
@@ -33,7 +39,8 @@ class LevelSet:
     phi : callable
         ``phi(x, y) -> float``; must also accept numpy arrays elementwise.
     grad : callable, optional
-        ``grad(x, y) -> (gx, gy)``. Finite differences are used when absent.
+        ``grad(x, y) -> (gx, gy)``; like ``phi``, must also accept numpy
+        arrays elementwise. Finite differences are used when absent.
     samples : array_like, optional
         Points on (or near) the interface used as initial guesses for
         projection; shape ``(m, 2)``.
@@ -58,7 +65,8 @@ class InterfaceFrame:
 
     ``normal`` points toward ``phi > 0``; ``tangent`` is the normal rotated
     90 degrees counterclockwise; ``curvature`` is the divergence of the unit
-    normal field at the foot.
+    normal field at the foot. For a batch, ``foot``, ``normal`` and
+    ``tangent`` have shape ``(m, 2)`` and ``curvature`` shape ``(m,)``.
     """
 
     foot: np.ndarray
@@ -67,111 +75,208 @@ class InterfaceFrame:
     curvature: float
 
 
-def _grad(ls: LevelSet, x: float, y: float) -> np.ndarray:
+def _xy(p) -> tuple:
+    """Contiguous coordinate arrays of a point batch, and whether ``p`` was
+    a single point. Contiguous copies keep every elementwise kernel on the
+    same code path whatever the batch size."""
+    P = np.asarray(p, dtype=float)
+    single = P.ndim == 1
+    P = P.reshape(-1, 2)
+    return (np.ascontiguousarray(P[:, 0]), np.ascontiguousarray(P[:, 1]),
+            single)
+
+
+def _pts(x: np.ndarray, y: np.ndarray, single: bool) -> np.ndarray:
+    P = np.column_stack([x, y])
+    return P[0] if single else P
+
+
+def _grad(ls: LevelSet, x: np.ndarray, y: np.ndarray) -> tuple:
     if ls.grad is not None:
         gx, gy = ls.grad(x, y)
-        return np.array([float(gx), float(gy)])
+        return (np.broadcast_to(np.asarray(gx, dtype=float), np.shape(x)),
+                np.broadcast_to(np.asarray(gy, dtype=float), np.shape(x)))
     d = 1e-4 * ls.scale
     f = ls.phi
     gx = (-f(x + 2 * d, y) + 8 * f(x + d, y) - 8 * f(x - d, y) + f(x - 2 * d, y)) / (12 * d)
     gy = (-f(x, y + 2 * d) + 8 * f(x, y + d) - 8 * f(x, y - d) + f(x, y - 2 * d)) / (12 * d)
-    return np.array([float(gx), float(gy)])
+    return np.asarray(gx, dtype=float), np.asarray(gy, dtype=float)
 
 
-def _d2_central(f: Callable[[float], float], d: float) -> float:
+def _d2_central(f: Callable, d: float):
     # fourth-order five-point second derivative at 0
     return (-f(2 * d) + 16 * f(d) - 30 * f(0.0) + 16 * f(-d) - f(-2 * d)) / (12 * d * d)
 
 
-def _d1_central(f: Callable[[float], float], d: float) -> float:
+def _d1_central(f: Callable, d: float):
     return (-f(2 * d) + 8 * f(d) - 8 * f(-d) + f(-2 * d)) / (12 * d)
 
 
-def curvature_at(ls: LevelSet, p: Point) -> float:
-    """Divergence of the unit normal at ``p`` via fourth-order differences."""
-    x, y = float(p[0]), float(p[1])
+def _curvature(ls: LevelSet, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     d = 1e-3 * ls.scale
     f = ls.phi
     fxx = _d2_central(lambda t: f(x + t, y), d)
     fyy = _d2_central(lambda t: f(x, y + t), d)
     fxy = _d1_central(lambda s: _d1_central(lambda t: f(x + s, y + t), d), d)
-    g = _grad(ls, x, y)
-    gn = float(np.hypot(g[0], g[1]))
-    return float((fxx * g[1] ** 2 - 2.0 * g[0] * g[1] * fxy + fyy * g[0] ** 2) / gn**3)
+    gx, gy = _grad(ls, x, y)
+    gn = np.hypot(gx, gy)
+    return np.asarray((fxx * gy**2 - 2.0 * gx * gy * fxy + fyy * gx**2) / gn**3,
+                      dtype=float)
 
 
-def project_to_interface(ls: LevelSet, p: Point, max_iter: int = 50) -> InterfaceFrame:
+def curvature_at(ls: LevelSet, p):
+    """Divergence of the unit normal at ``p`` via fourth-order differences:
+    a float for one point, an ``(m,)`` array for a batch."""
+    x, y, single = _xy(p)
+    kappa = _curvature(ls, x, y)
+    return float(kappa[0]) if single else kappa
+
+
+def _nearest_samples(ls: LevelSet, x: np.ndarray, y: np.ndarray) -> tuple:
+    """The interface sample nearest to each point (first on ties), or the
+    points themselves when the level set has no samples."""
+    if ls.samples is None or not len(ls.samples):
+        return x.copy(), y.copy()
+    sx = np.ascontiguousarray(ls.samples[:, 0])
+    sy = np.ascontiguousarray(ls.samples[:, 1])
+    idx = np.empty(len(x), dtype=np.intp)
+    rows = max(1, _SEED_CHUNK // len(sx))
+    for lo in range(0, len(x), rows):
+        hi = lo + rows
+        d2 = (sx - x[lo:hi, None]) ** 2 + (sy - y[lo:hi, None]) ** 2
+        idx[lo:hi] = np.argmin(d2, axis=1)
+    return sx[idx], sy[idx]
+
+
+def _point(x: np.ndarray, y: np.ndarray, k: int) -> str:
+    return f"point {k} ({x[k]:.6g}, {y[k]:.6g})"
+
+
+def project_to_interface(ls: LevelSet, p, max_iter: int = 50) -> InterfaceFrame:
     """Orthogonal projection of ``p`` onto the zero set of ``ls``.
 
     Damped Newton iteration on the coupled conditions ``phi(X) = 0`` and
-    ``(X - p) . tangent(X) = 0``. Raises :class:`NonConvergence` if the
-    residual does not drop below ``1e-12 * scale`` within ``max_iter`` steps.
+    ``(X - p) . tangent(X) = 0``, run for all points of the batch at once;
+    a point leaves the iteration once its residual is below
+    ``1e-12 * scale``, and each point halves its own step until the residual
+    drops. Raises :class:`NonConvergence`, naming the first point that
+    failed, if a point's gradient vanishes, its line search stalls, or it
+    does not converge within ``max_iter`` steps.
     """
-    p = np.asarray(p, dtype=float)
+    px, py, single = _xy(p)
     tol = 1e-12 * ls.scale
+    X, Y = _nearest_samples(ls, px, py)
 
-    X = p.copy()
-    if ls.samples is not None and len(ls.samples):
-        d2 = np.sum((ls.samples - p) ** 2, axis=1)
-        X = ls.samples[int(np.argmin(d2))].copy()
-
-    # a few gradient-descent steps onto the curve before the coupled solve
+    # a few gradient-descent steps onto the curve before the coupled solve;
+    # a point whose gradient vanishes stops descending
+    live = np.arange(len(X))
     for _ in range(3):
-        g = _grad(ls, X[0], X[1])
-        gn2 = float(g @ g)
-        if gn2 == 0.0:
-            break
-        X = X - float(ls.phi(X[0], X[1])) / gn2 * g
+        gx, gy = _grad(ls, X[live], Y[live])
+        gn2 = gx * gx + gy * gy
+        keep = gn2 != 0.0
+        live, gx, gy, gn2 = live[keep], gx[keep], gy[keep], gn2[keep]
+        step = np.asarray(ls.phi(X[live], Y[live]), dtype=float) / gn2
+        X[live] = X[live] - step * gx
+        Y[live] = Y[live] - step * gy
 
-    def residual(X: np.ndarray) -> tuple:
-        g = _grad(ls, X[0], X[1])
-        gn = float(np.hypot(g[0], g[1]))
-        if gn == 0.0:
-            raise NonConvergence("level-set gradient vanished during projection")
-        n = g / gn
-        t = np.array([-n[1], n[0]])
-        F = np.array([float(ls.phi(X[0], X[1])) / gn, float((X - p) @ t)])
-        return F, n, t
+    def residual(idx, Xk, Yk):
+        """``max |F|``, ``F`` and the unit normal at ``(Xk, Yk)`` for the
+        points ``idx`` of the batch."""
+        gx, gy = _grad(ls, Xk, Yk)
+        gn = np.hypot(gx, gy)
+        if (gn == 0.0).any():
+            k = idx[np.argmax(gn == 0.0)]
+            raise NonConvergence("level-set gradient vanished during "
+                                 f"projection of {_point(px, py, k)}")
+        nx, ny = gx / gn, gy / gn
+        F0 = np.asarray(ls.phi(Xk, Yk), dtype=float) / gn
+        F1 = (Xk - px[idx]) * -ny + (Yk - py[idx]) * nx
+        return np.maximum(np.abs(F0), np.abs(F1)), F0, F1, nx, ny
 
-    F, n, t = residual(X)
+    m = len(X)
+    NX, NY = np.empty(m), np.empty(m)
+    done = np.zeros(m, dtype=bool)
+    act = np.arange(m)
+    res, F0, F1, nx, ny = residual(act, X, Y)
     for _ in range(max_iter):
-        if float(np.abs(F).max()) < tol:
-            kappa = curvature_at(ls, X)
-            return InterfaceFrame(foot=X, normal=n, tangent=t, curvature=kappa)
-        # rows: grad(phi)/|g| ~ n ; tangency condition ~ t (curvature terms dropped)
-        J = np.vstack([n, t])
-        try:
-            step = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergence("singular projection Jacobian") from exc
-        lam = 1.0
-        best = float(np.abs(F).max())
+        conv = res < tol
+        cidx = act[conv]
+        NX[cidx], NY[cidx] = nx[conv], ny[conv]
+        done[cidx] = True
+        keep = ~conv
+        act, res, F0, F1, nx, ny = (a[keep] for a in (act, res, F0, F1, nx, ny))
+        if not len(act):
+            break
+        # the Jacobian has the orthonormal rows n and t = (-n_y, n_x), so
+        # its inverse is its transpose
+        sx = -(F0 * nx - F1 * ny)
+        sy = -(F0 * ny + F1 * nx)
+        pend = np.arange(len(act))
+        lam = np.ones(len(act))
         for _ in range(30):
-            Xn = X + lam * step
-            Fn, nn, tn = residual(Xn)
-            if float(np.abs(Fn).max()) < best:
-                X, F, n, t = Xn, Fn, nn, tn
+            k = act[pend]
+            Xn = X[k] + lam[pend] * sx[pend]
+            Yn = Y[k] + lam[pend] * sy[pend]
+            rn, G0, G1, mx, my = residual(k, Xn, Yn)
+            ok = rn < res[pend]
+            acc = pend[ok]
+            X[act[acc]], Y[act[acc]] = Xn[ok], Yn[ok]
+            res[acc], F0[acc], F1[acc] = rn[ok], G0[ok], G1[ok]
+            nx[acc], ny[acc] = mx[ok], my[ok]
+            pend = pend[~ok]
+            if not len(pend):
                 break
-            lam *= 0.5  # damping
+            lam[pend] *= 0.5  # damping
         else:
-            raise NonConvergence("projection line search stalled")
-    raise NonConvergence(f"projection did not converge in {max_iter} iterations")
+            raise NonConvergence("projection line search stalled at "
+                                 f"{_point(px, py, act[pend[0]])}")
+    if not done.all():
+        raise NonConvergence(
+            f"projection of {_point(px, py, int(np.argmin(done)))} did not "
+            f"converge in {max_iter} iterations")
+    kappa = _curvature(ls, X, Y)
+    return InterfaceFrame(foot=_pts(X, Y, single), normal=_pts(NX, NY, single),
+                          tangent=_pts(-NY, NX, single),
+                          curvature=float(kappa[0]) if single else kappa)
 
 
-def segment_crossing(ls: LevelSet, a: Point, b: Point) -> np.ndarray:
-    """Root of ``phi`` along the segment from ``a`` to ``b``.
+def segment_crossing(ls: LevelSet, a, b) -> np.ndarray:
+    """Root of ``phi`` along each segment from ``a`` to ``b``.
 
-    The endpoints must straddle the zero set. Returns the crossing point.
+    The endpoints of every segment must straddle the zero set; a segment
+    whose endpoints do not raises ``ValueError``. An endpoint where ``phi``
+    is exactly zero is returned as is; otherwise a bisection on the
+    segment parameter runs for all segments at once until the bracket is
+    narrower than ``1e-15``. Returns the crossing points.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    fa = float(ls.phi(a[0], a[1]))
-    fb = float(ls.phi(b[0], b[1]))
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
-        raise ValueError("segment endpoints do not straddle the interface")
-    tstar = brentq(lambda t: float(ls.phi(*(a + t * (b - a)))), 0.0, 1.0, xtol=1e-15)
-    return a + tstar * (b - a)
+    ax, ay, single = _xy(a)
+    bx, by, _ = _xy(b)
+    fa = np.asarray(ls.phi(ax, ay), dtype=float)
+    fb = np.asarray(ls.phi(bx, by), dtype=float)
+    if (fa * fb > 0.0).any():
+        k = int(np.argmax(fa * fb > 0.0))
+        raise ValueError(f"segment {k} from ({ax[k]:.6g}, {ay[k]:.6g}) to "
+                         f"({bx[k]:.6g}, {by[k]:.6g}) does not straddle "
+                         "the interface")
+    dx, dy = bx - ax, by - ay
+    t = np.zeros(len(ax))
+    act = np.flatnonzero((fa != 0.0) & (fb != 0.0))
+    lo, hi = np.zeros(len(act)), np.ones(len(act))
+    flo, fhi = fa[act], fb[act]
+    while len(act):
+        mid = 0.5 * (lo + hi)
+        fm = np.asarray(ls.phi(ax[act] + mid * dx[act],
+                               ay[act] + mid * dy[act]), dtype=float)
+        left = (fm * flo) > 0.0
+        lo = np.where(left, mid, lo)
+        flo = np.where(left, fm, flo)
+        hi = np.where(left, hi, mid)
+        fhi = np.where(left, fhi, fm)
+        # an exact root becomes the end hi, where phi is zero
+        fin = (fm == 0.0) | (hi - lo <= 1e-15)
+        t[act[fin]] = np.where(np.abs(flo) <= np.abs(fhi), lo, hi)[fin]
+        keep = ~fin
+        act, lo, hi, flo, fhi = act[keep], lo[keep], hi[keep], flo[keep], fhi[keep]
+    X = np.where(fa == 0.0, ax, np.where(fb == 0.0, bx, ax + t * dx))
+    Y = np.where(fa == 0.0, ay, np.where(fb == 0.0, by, ay + t * dy))
+    return _pts(X, Y, single)

@@ -21,11 +21,13 @@ locally the graph ``xi = chi/2 * eta**2`` with ``chi = -curvature``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Optional, Set, Tuple, Union
 
 import numpy as np
+import scipy.sparse as sp
 
-from .errors import BadParams, DegenerateDenominator, MultipleCrossings, SignViolation
+from .errors import (BadParams, DegenerateDenominator, MissingNeighbor,
+                     MultipleCrossings, SignViolation)
 from .geometry import InterfaceFrame, LevelSet, project_to_interface, segment_crossing
 from .stencils import Stencil
 
@@ -46,7 +48,9 @@ class JumpData:
     counterparts (flux and value respectively). ``wp``, ``wpp``, ``vp`` are
     optional arclength derivatives along the canonical tangent; when absent
     they are computed by differencing along the curve. ``fjump`` is the jump
-    of the right-hand side across the interface.
+    of the right-hand side across the interface. A field is called with
+    coordinate arrays, all feet of a batch at once, and must evaluate
+    elementwise.
     """
 
     w: ScalarOrField = 0.0
@@ -106,21 +110,36 @@ def iim_1d_irregular(kminus: float, kplus: float, alpha: float, xj: float,
 # jump-data evaluation on the curve
 # ---------------------------------------------------------------------------
 
-def _ev(q: ScalarOrField, x: float, y: float) -> float:
-    return float(q(x, y)) if callable(q) else float(q)
+def _ev(q: ScalarOrField, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    val = q(x, y) if callable(q) else q
+    return np.broadcast_to(np.asarray(val, dtype=float), np.shape(x))
 
 
 def _curve_samples(ls: LevelSet, frame: InterfaceFrame, eps: float):
-    pp = project_to_interface(ls, frame.foot + eps * frame.tangent)
-    pm = project_to_interface(ls, frame.foot - eps * frame.tangent)
-    sp = float((pp.foot - frame.foot) @ frame.tangent)
-    sm = float((pm.foot - frame.foot) @ frame.tangent)
-    return pp.foot, sp, pm.foot, sm
+    """Feet of the points ``eps`` ahead of and behind each foot along its
+    tangent, and their arclength coordinates along it; one projection."""
+    foot = np.reshape(frame.foot, (-1, 2))
+    tan = np.reshape(frame.tangent, (-1, 2))
+    P = project_to_interface(
+        ls, np.concatenate([foot + eps * tan, foot - eps * tan])).foot
+    shape = np.shape(frame.foot)[:-1]
+    out = []
+    for Q in (P[:len(foot)], P[len(foot):]):
+        s = (Q[:, 0] - foot[:, 0]) * tan[:, 0] + (Q[:, 1] - foot[:, 1]) * tan[:, 1]
+        out += [(np.reshape(np.ascontiguousarray(Q[:, 0]), shape),
+                 np.reshape(np.ascontiguousarray(Q[:, 1]), shape)),
+                np.reshape(s, shape)]
+    return out
 
 
 def jump_scalars(ls: LevelSet, jumps: JumpData, frame: InterfaceFrame) -> dict:
-    """Evaluate w, v, [f] and the tangential derivatives at a frame's foot."""
-    x, y = frame.foot
+    """Evaluate w, v, [f] and the tangential derivatives at a frame's feet.
+
+    Every value has the shape of ``frame.foot[..., 0]``: one per foot of a
+    batch, a 0-d array for a single frame.
+    """
+    x = np.ascontiguousarray(frame.foot[..., 0])
+    y = np.ascontiguousarray(frame.foot[..., 1])
     out = {
         "w": _ev(jumps.w, x, y),
         "v": _ev(jumps.v, x, y),
@@ -130,23 +149,22 @@ def jump_scalars(ls: LevelSet, jumps: JumpData, frame: InterfaceFrame) -> dict:
     need_vd = callable(jumps.v) and jumps.vp is None
     if need_wd or need_vd:
         eps = 1e-4 * ls.scale
-        Pp, sp, Pm, sm = _curve_samples(ls, frame, eps)
+        ahead, s_a, behind, s_b = _curve_samples(ls, frame, eps)
         if need_wd:
-            wv = np.array([_ev(jumps.w, *Pm), out["w"], _ev(jumps.w, *Pp)])
-            coef = np.polyfit([sm, 0.0, sp], wv, 2)
-            out["wp"] = float(coef[1])
-            out["wpp"] = 2.0 * float(coef[0])
+            # the quadratic through (s_b, w_b), (0, w), (s_a, w_a), Newton form
+            w = out["w"]
+            d_b = (w - _ev(jumps.w, *behind)) / (0.0 - s_b)
+            c2 = ((_ev(jumps.w, *ahead) - w) / s_a - d_b) / (s_a - s_b)
+            out["wp"] = d_b - c2 * s_b
+            out["wpp"] = 2.0 * c2
         if need_vd:
-            out["vp"] = float((_ev(jumps.v, *Pp) - _ev(jumps.v, *Pm)) / (sp - sm))
-    if jumps.wp is not None:
-        out["wp"] = float(jumps.wp(x, y))
-    if jumps.wpp is not None:
-        out["wpp"] = float(jumps.wpp(x, y))
-    if jumps.vp is not None:
-        out["vp"] = float(jumps.vp(x, y))
-    out.setdefault("wp", 0.0)
-    out.setdefault("wpp", 0.0)
-    out.setdefault("vp", 0.0)
+            out["vp"] = ((_ev(jumps.v, *ahead) - _ev(jumps.v, *behind))
+                         / (s_a - s_b))
+    for name in ("wp", "wpp", "vp"):
+        given = getattr(jumps, name)
+        if given is not None:
+            out[name] = _ev(given, x, y)
+        out.setdefault(name, _ev(0.0, x, y))
     return out
 
 
@@ -154,60 +172,85 @@ def jump_scalars(ls: LevelSet, jumps: JumpData, frame: InterfaceFrame) -> dict:
 # Taylor-data transfer across the interface
 # ---------------------------------------------------------------------------
 
-def transfer_minus_to_plus(km: float, kp: float, chi: float, js: dict):
+def transfer_minus_to_plus(km, kp, chi, js: dict):
     """Affine map from minus-side to plus-side Taylor data at a foot point.
 
     Component order ``(u, u_xi, u_eta, u_xixi, u_xieta, u_etaeta)``. Returns
     ``(M, J0, jf)`` with ``T_plus = M @ T_minus + J0 + jf * f_plus``; the
     ``u_xixi`` component is produced by the plus-side PDE, so the map never
-    reads ``u_xixi`` of the minus side.
+    reads ``u_xixi`` of the minus side. The arguments broadcast: arrays of
+    shape ``S`` give ``M``, ``J0`` and ``jf`` of shapes ``S + (6, 6)``,
+    ``S + (6,)`` and ``S + (6,)``.
     """
     w, wp, wpp, v, vp = js["w"], js["wp"], js["wpp"], js["v"], js["vp"]
+    shape = np.broadcast(km, kp, chi, w, wp, wpp, v, vp).shape
     q = km / kp
-    M = np.zeros((6, 6))
-    M[0, 0] = 1.0
-    M[1, 1] = q
-    M[2, 2] = 1.0
-    M[3, 1] = chi * (km - kp) / kp
-    M[3, 5] = -1.0
-    M[4, 2] = chi * (1.0 - q)
-    M[4, 4] = q
-    M[5, 1] = chi * (1.0 - q)
-    M[5, 5] = 1.0
-    J0 = np.array([
+    M = np.zeros(shape + (6, 6))
+    M[..., 0, 0] = 1.0
+    M[..., 1, 1] = q
+    M[..., 2, 2] = 1.0
+    M[..., 3, 1] = chi * (km - kp) / kp
+    M[..., 3, 5] = -1.0
+    M[..., 4, 2] = chi * (1.0 - q)
+    M[..., 4, 4] = q
+    M[..., 5, 1] = chi * (1.0 - q)
+    M[..., 5, 5] = 1.0
+    J0 = np.stack(np.broadcast_arrays(
         w,
         v / kp,
         wp,
         chi * v / kp - wpp,
         chi * wp + vp / kp,
         wpp - chi * v / kp,
-    ])
-    jf = np.zeros(6)
-    jf[3] = 1.0 / kp
+    ), axis=-1, dtype=float)
+    jf = np.zeros(shape + (6,))
+    jf[..., 3] = 1.0 / kp
     return M, J0, jf
 
 
-def transfer_from_side(side: int, km: float, kp: float, chi: float, js: dict):
+def transfer_from_side(side, km: float, kp: float, chi, js: dict):
     """Transfer away from ``side`` (-1: minus->plus, +1: plus->minus).
 
     The reverse map is the forward one with the roles of the two sides
     swapped and the jump data negated; the frame (and ``chi``) is unchanged.
+    ``side`` may be an array, one side per foot.
     """
-    if side < 0:
-        return transfer_minus_to_plus(km, kp, chi, js)
-    neg = {k: -js[k] for k in ("w", "wp", "wpp", "v", "vp")}
-    return transfer_minus_to_plus(kp, km, chi, neg)
+    minus = np.asarray(side) < 0
+    sgn = np.where(minus, 1.0, -1.0)
+    return transfer_minus_to_plus(
+        np.where(minus, km, kp), np.where(minus, kp, km), chi,
+        {k: sgn * js[k] for k in ("w", "wp", "wpp", "v", "vp")})
 
 
-def _basis_row(dx: float, dy: float, frame: InterfaceFrame, foot) -> np.ndarray:
-    xi = dx * frame.normal[0] + dy * frame.normal[1]
-    eta = dx * frame.tangent[0] + dy * frame.tangent[1]
-    return np.array([1.0, xi, eta, 0.5 * xi * xi, xi * eta, 0.5 * eta * eta])
+def _basis_row(dx, dy, frame: InterfaceFrame) -> np.ndarray:
+    """Taylor monomials ``(1, xi, eta, xi^2/2, xi eta, eta^2/2)`` of the
+    offsets ``(dx, dy)`` in each foot's frame, stacked on a new first axis;
+    ``dx`` and ``dy`` broadcast against ``frame.normal[..., 0]``."""
+    xi = dx * frame.normal[..., 0] + dy * frame.normal[..., 1]
+    eta = dx * frame.tangent[..., 0] + dy * frame.tangent[..., 1]
+    return np.stack(np.broadcast_arrays(
+        1.0, xi, eta, 0.5 * xi * xi, xi * eta, 0.5 * eta * eta))
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot product of two ``(m, n)`` arrays, summed in column
+    order, so a row's value never depends on the other rows."""
+    return sum(a[:, c] * b[:, c] for c in range(a.shape[1]))
 
 
 # ---------------------------------------------------------------------------
-# irregular-node description handed over by the assembler
+# irregular nodes handed over by the assembler
 # ---------------------------------------------------------------------------
+
+_CENTER = _RING2.index((0, 0))
+_DI = np.array([di for di, _ in _RING2])
+_DJ = np.array([dj for _, dj in _RING2])
+_CROSS_COLS = np.array([_RING2.index(off) for off in _CROSS])
+# candidate sets of the fitted stencil, widened in this order, as columns
+# of the ring
+_STAGES = tuple(np.array([_RING2.index(off) for off in offsets])
+                for offsets in (_BLOCK3, _BLOCK3 + _EXTENDED, _RING2))
+
 
 @dataclass
 class IrregularNode:
@@ -229,186 +272,280 @@ class IrregularNode:
     arm_side: Optional[dict] = None  # offset -> -1 / +1, from the grid
 
 
-def _arm_sides(node: IrregularNode, ls: LevelSet) -> dict:
-    """Side of each 3x3 (and extension) offset; checks arms for double crossings."""
-    sides = {(0, 0): node.side}
-    for off in set(node.available):
-        if node.arm_side is not None and off in node.arm_side:
-            sides[off] = node.arm_side[off]
-        else:
-            px = node.x + off[0] * node.h_f
-            py = node.y + off[1] * node.h_f
-            sides[off] = -1 if float(ls.phi(px, py)) <= 0.0 else 1
-    for di, dj in _CROSS:
-        if (di, dj) not in sides:
-            continue
-        mx = node.x + 0.5 * di * node.h_f
-        my = node.y + 0.5 * dj * node.h_f
-        mid = -1 if float(ls.phi(mx, my)) <= 0.0 else 1
-        if mid != sides[(0, 0)] and mid != sides[(di, dj)]:
-            raise MultipleCrossings(
-                f"arm ({di},{dj}) of node ({node.x:.4g},{node.y:.4g}) "
-                "crosses the interface more than once")
-    return sides
+@dataclass
+class IrregularNodes:
+    """A batch of irregular fine nodes, the form both 2D stencil builders
+    work on.
+
+    ``ring_side[k, c]`` is the grid's side (-1 / +1) of node ``k``'s
+    neighbor at the ring offset ``_RING2[c]``, or 0 where the grid has no
+    node there; the center column holds the node's own side.
+    """
+
+    x: np.ndarray         # (m,)
+    y: np.ndarray         # (m,)
+    h_f: float
+    ring_side: np.ndarray  # (m, 25)
+
+    @property
+    def side(self) -> np.ndarray:
+        return self.ring_side[:, _CENTER]
+
+    @classmethod
+    def of(cls, node: IrregularNode, ls: LevelSet) -> "IrregularNodes":
+        """The batch of one ``node``; a neighbor side that ``arm_side``
+        does not give comes from the sign of ``phi``."""
+        ring = []
+        for off in _RING2:
+            if off == (0, 0):
+                ring.append(node.side)
+            elif off not in node.available:
+                ring.append(0)
+            elif node.arm_side is not None and off in node.arm_side:
+                ring.append(node.arm_side[off])
+            else:
+                px = node.x + off[0] * node.h_f
+                py = node.y + off[1] * node.h_f
+                ring.append(-1 if float(ls.phi(px, py)) <= 0.0 else 1)
+        return cls(x=np.array([node.x], dtype=float),
+                   y=np.array([node.y], dtype=float), h_f=node.h_f,
+                   ring_side=np.array([ring], dtype=np.int8))
+
+
+def _batch(nodes, ls: LevelSet):
+    """``nodes`` as a batch and whether it was one :class:`IrregularNode`,
+    after checking that no arm crosses the interface twice."""
+    single = isinstance(nodes, IrregularNode)
+    batch = IrregularNodes.of(nodes, ls) if single else nodes
+    h = batch.h_f
+    di, dj = _DI[_CROSS_COLS], _DJ[_CROSS_COLS]
+    mid = np.asarray(ls.phi(batch.x[:, None] + 0.5 * di * h,
+                            batch.y[:, None] + 0.5 * dj * h), dtype=float)
+    mid = np.where(mid <= 0.0, -1, 1)
+    ends = batch.ring_side[:, _CROSS_COLS]
+    bad = (ends != 0) & (mid != batch.side[:, None]) & (mid != ends)
+    if bad.any():
+        k, a = np.argwhere(bad)[0]
+        di, dj = _CROSS[a]
+        raise MultipleCrossings(
+            f"arm ({di},{dj}) of node ({batch.x[k]:.4g},{batch.y[k]:.4g}) "
+            "crosses the interface more than once")
+    return batch, single
+
+
+def _stencil(weights: np.ndarray, correction) -> Stencil:
+    """One node's row of ring weights as a :class:`Stencil`."""
+    alphas = {off: float(w) for off, w in zip(_RING2, weights) if w != 0.0}
+    alphas.setdefault((0, 0), float(weights[_CENTER]))
+    return Stencil(center=(0, 0), alphas=alphas, betas={(0, 0): 1.0},
+                   correction=float(correction))
 
 
 # ---------------------------------------------------------------------------
 # continuous-kappa path: five-point scheme with jump corrections
 # ---------------------------------------------------------------------------
 
-def singular_source_stencil_2d(node: IrregularNode, ls: LevelSet, kappa: float,
-                               jumps: JumpData) -> Stencil:
+def singular_source_stencil_2d(nodes, ls: LevelSet, kappa: float,
+                               jumps: JumpData):
     """Corrected five-point scheme for ``kappa Lap u = f`` with interface jumps.
 
     ``kappa`` must be the same on both sides. Each arm that crosses the
     interface contributes the jump Taylor polynomial, expanded at that arm's
-    own crossing point, to the right-hand-side correction.
+    own crossing point, to the right-hand-side correction. The crossings of
+    all arms of all nodes are found in one call, and projected in one call.
+
+    ``nodes`` is one :class:`IrregularNode`, giving its :class:`Stencil`,
+    or an :class:`IrregularNodes` batch of ``m`` nodes, giving ``(weights,
+    correction)``: the ``(m, 25)`` weights over the ring offsets ``_RING2``
+    and the ``(m,)`` right-side corrections.
     """
-    h = node.h_f
-    sides = _arm_sides(node, ls)
-    sgn = 1.0 if node.side < 0 else -1.0
-    alphas = {(0, 0): -4.0 * kappa / h**2}
-    corr = 0.0
-    for di, dj in _CROSS:
-        alphas[(di, dj)] = kappa / h**2
-        if sides[(di, dj)] == node.side:
-            continue
-        nb = np.array([node.x + di * h, node.y + dj * h])
-        try:
-            Xc = segment_crossing(ls, (node.x, node.y), nb)
-        except ValueError:
-            # grid-side tie: the crossing sits on an endpoint to within
-            # rounding, so phi shows no sign change along the arm
-            ctr = np.array([node.x, node.y])
-            Xc = nb if abs(float(ls.phi(*nb))) <= abs(
-                float(ls.phi(*ctr))) else ctr
-        frame = project_to_interface(ls, Xc)
-        js = jump_scalars(ls, jumps, frame)
-        chi = -frame.curvature
-        juxi = js["v"] / kappa
-        jueta = js["wp"]
-        juee = js["wpp"] - chi * js["v"] / kappa
-        juxx = js["fj"] / kappa - juee
-        juxe = chi * js["wp"] + js["vp"] / kappa
-        d = nb - frame.foot
-        b = _basis_row(d[0], d[1], frame, frame.foot)
-        jpoly = (js["w"] * b[0] + juxi * b[1] + jueta * b[2]
-                 + juxx * b[3] + juxe * b[4] + juee * b[5])
-        corr += sgn * alphas[(di, dj)] * jpoly
-    return Stencil(center=(0, 0), alphas=alphas, betas={(0, 0): 1.0},
-                   correction=corr)
+    batch, single = _batch(nodes, ls)
+    h = batch.h_f
+    side = batch.side
+    ends = batch.ring_side[:, _CROSS_COLS]
+    if (ends == 0).any():
+        k = int(np.argmax((ends == 0).any(axis=1)))
+        raise MissingNeighbor(f"node ({batch.x[k]:.4g},{batch.y[k]:.4g}) "
+                              "lacks a five-point arm")
+    weights = np.zeros((len(side), len(_RING2)))
+    weights[:, _CENTER] = -4.0 * kappa / h**2
+    weights[:, _CROSS_COLS] = kappa / h**2
+
+    k, a = np.nonzero(ends != side[:, None])
+    cx, cy = batch.x[k], batch.y[k]
+    ex = cx + _DI[_CROSS_COLS][a] * h     # the far ends of the arms
+    ey = cy + _DJ[_CROSS_COLS][a] * h
+    # grid-side tie: the crossing sits on an endpoint to within rounding,
+    # so phi shows no sign change along the arm; take the nearer endpoint
+    fc = np.asarray(ls.phi(cx, cy), dtype=float)
+    fe = np.asarray(ls.phi(ex, ey), dtype=float)
+    tie = fc * fe > 0.0
+    near = np.abs(fe) <= np.abs(fc)
+    Xc = np.column_stack([np.where(near, ex, cx), np.where(near, ey, cy)])
+    Xc[~tie] = segment_crossing(ls, np.column_stack([cx, cy])[~tie],
+                                np.column_stack([ex, ey])[~tie])
+
+    frame = project_to_interface(ls, Xc)
+    js = jump_scalars(ls, jumps, frame)
+    chi = -frame.curvature
+    juxi = js["v"] / kappa
+    jueta = js["wp"]
+    juee = js["wpp"] - chi * js["v"] / kappa
+    juxx = js["fj"] / kappa - juee
+    juxe = chi * js["wp"] + js["vp"] / kappa
+    b = _basis_row(ex - frame.foot[:, 0], ey - frame.foot[:, 1], frame)
+    jpoly = (js["w"] * b[0] + juxi * b[1] + jueta * b[2]
+             + juxx * b[3] + juxe * b[4] + juee * b[5])
+    sgn = np.where(side[k] < 0, 1.0, -1.0)
+    term = sgn * (kappa / h**2) * jpoly
+    corr = np.zeros(len(side))
+    for arm in range(len(_CROSS)):   # at most one term per node and arm
+        sel = a == arm
+        corr[k[sel]] += term[sel]
+    return _stencil(weights[0], corr[0]) if single else (weights, corr)
 
 
 # ---------------------------------------------------------------------------
 # discontinuous-kappa path: fitted stencil via constrained least squares
 # ---------------------------------------------------------------------------
 
-def _candidate_rows(node: IrregularNode, ls: LevelSet, offsets, frame,
-                    kc: float, ko: float, M, J0, jf, sides):
-    """Per-candidate expansion over the center side's reduced Taylor basis.
+def _candidate_rows(nodes: IrregularNodes, frame: InterfaceFrame, kc, M, J0,
+                    jf):
+    """Every node's expansion over the center side's reduced Taylor basis,
+    one column per ring offset.
 
     Basis: ``(u, u_xi, u_eta, u_xieta, u_etaeta)`` of the center side plus
     carriers for f on each side; ``u_xixi`` is eliminated through the PDE.
-    Returns (A5, fsame, fother, const) columns per candidate.
+    Returns the ``(m, 6, 25)`` constraint matrices, whose last row carries
+    f, and the ``(m, 25)`` constant and other-side-f terms.
     """
-    foot = frame.foot
-    A5, fsame, fother, const = [], [], [], []
-    for di, dj in offsets:
-        dx = node.x + di * node.h_f - foot[0]
-        dy = node.y + dj * node.h_f - foot[1]
-        b = _basis_row(dx, dy, frame, foot)
-        if sides[(di, dj)] == node.side:
-            A5.append([b[0], b[1], b[2], b[4], b[5] - b[3]])
-            fsame.append(b[3] / kc)
-            fother.append(0.0)
-            const.append(0.0)
-        else:
-            c = M.T @ b
-            A5.append([c[0], c[1], c[2], c[4], c[5]])
-            fsame.append(0.0)
-            fother.append(float(b @ jf))
-            const.append(float(b @ J0))
-    return (np.array(A5).T, np.array(fsame), np.array(fother), np.array(const))
+    h = nodes.h_f
+    dx = nodes.x + _DI[:, None] * h - frame.foot[:, 0]   # (25, m)
+    dy = nodes.y + _DJ[:, None] * h - frame.foot[:, 1]
+    b = _basis_row(dx, dy, frame)
+    c = [sum(M[:, i, j] * b[i] for i in range(6)) for j in range(6)]  # M^T b
+    const = sum(J0[:, i] * b[i] for i in range(6))
+    fother = sum(jf[:, i] * b[i] for i in range(6))
+    same = nodes.ring_side.T == nodes.side
+    A = np.stack([np.where(same, b[0], c[0]),
+                  np.where(same, b[1], c[1]),
+                  np.where(same, b[2], c[2]),
+                  np.where(same, b[4], c[4]),
+                  np.where(same, b[5] - b[3], c[5]),
+                  np.where(same, b[3] / kc, fother)])
+    return (A.transpose(2, 0, 1), np.where(same, 0.0, const).T,
+            np.where(same, 0.0, fother).T)
 
 
-def _constrained_fit(A: np.ndarray, rhs: np.ndarray, scale: float,
-                     center_idx: int) -> Optional[np.ndarray]:
-    """Find g with ``A g = rhs``, off-center ``g >= 0`` and ``g[center] < 0``.
+def _constrained_fit(A: np.ndarray, cand: np.ndarray, scale: np.ndarray,
+                     center: int):
+    """Find, for every node ``k``, ``g`` with ``A[k] g = e_5`` over the
+    candidates ``cand[k]``, off-center ``g >= 0`` and ``g[center] < 0``.
 
-    Solved as a small linear program minimizing the total off-center weight
-    (the constant-consistency row forces a zero row sum, so the diagonal is
-    minus that total and monotonicity comes out maximally diagonally
-    dominant). ``scale`` is the natural weight magnitude, used to condition
-    the LP and to reject a vanishing diagonal. Returns None when infeasible.
+    Each node's problem is a small linear program minimizing the total
+    off-center weight (the constant-consistency row forces a zero row sum,
+    so the diagonal is minus that total and monotonicity comes out maximally
+    diagonally dominant). ``scale`` is each node's natural weight magnitude,
+    used to condition its program and to reject a vanishing diagonal. The
+    programs of all nodes are solved as one block-diagonal program; one
+    infeasible block makes the whole program infeasible, so such a program
+    is split in halves until the infeasible nodes stand alone. Returns
+    ``(g, ok)``: the ``(n, K)`` weights, zero outside each node's candidates
+    and for failed nodes, and whether each node's fit succeeded.
     """
     from scipy.optimize import linprog
 
-    n = A.shape[1]
-    As = A * scale
-    rownorm = np.maximum(np.abs(As).max(axis=1), 1e-300)
-    An = As / rownorm[:, None]
-    bn = rhs / rownorm
-    cost = np.ones(n)
-    cost[center_idx] = 0.0
-    bounds = [(None, 0.0) if k == center_idx else (0.0, None)
-              for k in range(n)]
-    res = linprog(cost, A_eq=An, b_eq=bn, bounds=bounds, method="highs")
-    if not res.success:
-        return None
-    ghat = res.x
-    if float(np.abs(An @ ghat - bn).max()) > 1e-7:
-        return None
-    if ghat[center_idx] > -1e-9:
-        return None
-    g = ghat * scale
-    g[np.abs(g) < 1e-13 * scale] = 0.0
-    return g
+    n, nrow, K = A.shape
+    As = np.where(cand[:, None, :], A * scale[:, None, None], 0.0)
+    rownorm = np.maximum(np.abs(As).max(axis=2), 1e-300)
+    An = As / rownorm[:, :, None]
+    bn = np.zeros((n, nrow))
+    bn[:, -1] = 1.0 / rownorm[:, -1]
+    is_center = np.arange(K) == center
+    ghat = np.zeros((n, K))
+
+    def solve(idx):
+        k, c = np.nonzero(cand[idx])      # one program column per candidate
+        vals = An[idx[k], :, c]
+        rows = nrow * k[:, None] + np.arange(nrow)
+        cols = np.broadcast_to(np.arange(len(k))[:, None], vals.shape)
+        nz = vals != 0.0
+        A_eq = sp.csc_matrix((vals[nz], (rows[nz], cols[nz])),
+                             shape=(nrow * len(idx), len(k)))
+        ctr = is_center[c]
+        res = linprog(np.where(ctr, 0.0, 1.0), A_eq=A_eq, b_eq=bn[idx].ravel(),
+                      bounds=np.column_stack([np.where(ctr, -np.inf, 0.0),
+                                              np.where(ctr, 0.0, np.inf)]),
+                      method="highs")
+        if res.success:
+            ghat[idx[k], c] = res.x
+        elif len(idx) > 1:
+            solve(idx[:len(idx) // 2])
+            solve(idx[len(idx) // 2:])
+
+    solve(np.arange(n))
+    # The program fixes each node's support, at most nrow columns since its
+    # solutions are basic. The weights on the support are then the
+    # least-squares solution of the node's own rows, so they do not depend
+    # on the solver's rounding in the combined program (which differs from
+    # a single node's at a degenerate vertex).
+    support = np.abs(ghat) >= 1e-13
+    k, c = np.nonzero(support)
+    pos = np.cumsum(support, axis=1)[k, c] - 1
+    B = np.zeros((n, nrow, nrow))
+    B[k, :, pos] = An[k, :, c]
+    ghat = np.zeros((n, K))
+    ghat[k, c] = np.linalg.pinv(B)[k, pos, -1] * bn[k, -1]
+    resid = np.abs((An * ghat[:, None, :]).sum(axis=2) - bn).max(axis=1)
+    # a node whose program failed has zero weights, so fails the last test
+    ok = (resid <= 1e-7) & (ghat[:, center] <= -1e-9)
+    g = ghat * scale[:, None]
+    g[np.abs(g) < 1e-13 * scale[:, None]] = 0.0
+    g[~ok] = 0.0
+    return g, ok
 
 
-def iim_discontinuous_stencil_2d(node: IrregularNode, ls: LevelSet,
-                                 kminus: float, kplus: float,
-                                 jumps: JumpData) -> Stencil:
-    """Fitted stencil at a fine node where the diffusion coefficient jumps.
+def iim_discontinuous_stencil_2d(nodes, ls: LevelSet, kminus: float,
+                                 kplus: float, jumps: JumpData):
+    """Fitted stencil at fine nodes where the diffusion coefficient jumps.
 
     All available 3x3 neighbors are candidates; consistency with the
     interface problem (both sides expanded about the common projection foot,
     coupled by the jump transfer) fixes six linear conditions, and the
     remaining freedom is spent on the monotone sign pattern with the least
-    total off-center weight. If no sign-feasible stencil exists on the 3x3
-    block, the candidate set is widened to the distance-2 arm points and
-    then to the full 5x5 ring before giving up.
+    total off-center weight. Nodes with no sign-feasible stencil on the 3x3
+    block go on together to the distance-2 arm points and then to the full
+    5x5 ring before giving up; every stage fits all its nodes in one
+    block-diagonal linear program.
+
+    ``nodes`` is one :class:`IrregularNode`, giving its :class:`Stencil`,
+    or an :class:`IrregularNodes` batch of ``m`` nodes, giving ``(weights,
+    correction)``: the ``(m, 25)`` weights over the ring offsets ``_RING2``
+    and the ``(m,)`` right-side corrections.
     """
-    frame = project_to_interface(ls, (node.x, node.y))
-    chi = -frame.curvature
+    batch, single = _batch(nodes, ls)
+    frame = project_to_interface(ls, np.column_stack([batch.x, batch.y]))
     js = jump_scalars(ls, jumps, frame)
-    kc = kminus if node.side < 0 else kplus
-    ko = kplus if node.side < 0 else kminus
-    M, J0, jf = transfer_from_side(node.side, kminus, kplus, chi, js)
-    sides = _arm_sides(node, ls)
-    fold = 1.0 if node.side < 0 else -1.0   # f_other = f_center + fold * [f]
+    side = batch.side
+    kc = np.where(side < 0, kminus, kplus)
+    M, J0, jf = transfer_from_side(side, kminus, kplus, -frame.curvature, js)
+    A, const, fother = _candidate_rows(batch, frame, kc, M, J0, jf)
+    scale = kc / batch.h_f**2
 
-    def attempt(offsets):
-        offsets = [o for o in offsets if o == (0, 0) or o in node.available]
-        A5, fsame, fother, const = _candidate_rows(
-            node, ls, offsets, frame, kc, ko, M, J0, jf, sides)
-        A = np.vstack([A5, (fsame + fother)[None, :]])
-        rhs = np.zeros(6)
-        rhs[5] = 1.0
-        g = _constrained_fit(A, rhs, kc / node.h_f**2, offsets.index((0, 0)))
-        if g is None:
-            return None
-        corr = float(g @ const) + float(g @ fother) * fold * js["fj"]
-        alphas = {off: float(g[k]) for k, off in enumerate(offsets) if g[k] != 0.0}
-        alphas.setdefault((0, 0), float(g[offsets.index((0, 0))]))
-        return Stencil(center=(0, 0), alphas=alphas, betas={(0, 0): 1.0},
-                       correction=corr)
-
-    st = attempt(list(_BLOCK3))
-    if st is None:
-        st = attempt(list(_BLOCK3) + list(_EXTENDED))
-    if st is None:
-        st = attempt(list(_RING2))
-    if st is None:
-        raise SignViolation(
-            f"no sign-feasible fitted stencil at ({node.x:.4g},{node.y:.4g})")
-    return st
+    weights = np.zeros((len(side), len(_RING2)))
+    todo = np.arange(len(side))
+    for cols in _STAGES:
+        cand = batch.ring_side[np.ix_(todo, cols)] != 0
+        g, ok = _constrained_fit(A[todo][:, :, cols], cand, scale[todo],
+                                 int(np.flatnonzero(cols == _CENTER)[0]))
+        weights[np.ix_(todo[ok], cols)] = g[ok]
+        todo = todo[~ok]
+        if not len(todo):
+            break
+    else:
+        k = todo[0]
+        raise SignViolation("no sign-feasible fitted stencil at "
+                            f"({batch.x[k]:.4g},{batch.y[k]:.4g})")
+    fold = np.where(side < 0, 1.0, -1.0)   # f_other = f_center + fold * [f]
+    corr = _rowdot(weights, const) + _rowdot(weights, fother) * fold * js["fj"]
+    return _stencil(weights[0], corr[0]) if single else (weights, corr)

@@ -142,7 +142,7 @@ def _peskin_circle(params) -> ProblemSpec:
         return np.hypot(x, y) - R
 
     def grad(x, y):
-        r = max(math.hypot(x, y), 1e-300)
+        r = np.maximum(np.hypot(x, y), 1e-300)
         return x / r, y / r
 
     ts = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
@@ -221,13 +221,13 @@ def _flower_jumps(km: float, kp: float) -> JumpData:
     wpp = sympy.diff(wp, th) / speed
     vp = sympy.diff(v, th) / speed
 
-    fns = {name: sympy.lambdify(th, expr, "math")
+    fns = {name: sympy.lambdify(th, expr, "numpy")
            for name, expr in
            (("w", w), ("v", v), ("wp", wp), ("wpp", wpp), ("vp", vp))}
 
     def on_curve(name):
         fn = fns[name]
-        return lambda x, y: float(fn(math.atan2(y, x)))
+        return lambda x, y: fn(np.arctan2(y, x))
 
     return JumpData(
         w=on_curve("w"), v=on_curve("v"), wp=on_curve("wp"),

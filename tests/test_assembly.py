@@ -7,7 +7,7 @@ from twogrid.assembly import _Builder, apply_dirichlet, assemble
 from twogrid.errors import BadParams, MissingNeighbor, UnsupportedRatio
 from twogrid.grid import (GridParams, NodeTag, build_line_two_grid_2d,
                           build_tube_two_grid_2d, build_two_grid_1d)
-from twogrid.iim import (IrregularNode, JumpData,
+from twogrid.iim import (_RING2, IrregularNode, IrregularNodes, JumpData,
                          iim_discontinuous_stencil_2d,
                          singular_source_stencil_2d)
 from twogrid.problems import ProblemSpec
@@ -278,3 +278,56 @@ def test_tube_rows_match_per_node_reference(name, r):
     for i, (entries, rhs) in ref.items():
         assert row_dict(sys_, i) == entries
         assert sys_.rhs[i] == pytest.approx(rhs, rel=1e-14, abs=0.0)
+
+
+def flower_nodes(km, kp, N, r):
+    prob = problems.make_problem("flower", {"kappa_minus": km,
+                                            "kappa_plus": kp})
+    g = build_tube_two_grid_2d(
+        GridParams(N=N, r=r, lam=2.0, domain=prob.domain), prob.interface)
+    return prob, g
+
+
+def test_fitted_stencils_take_one_linear_program(monkeypatch):
+    # every irregular node of the tube is fitted in one block-diagonal
+    # program when all of them are feasible on the 3x3 block
+    import scipy.optimize
+    calls = []
+    linprog = scipy.optimize.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["A_eq"].shape)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    prob, g = flower_nodes(50.0, 1.0, 40, 2)
+    assemble(g, prob)
+    n_irr = int((g.tags == NodeTag.FINE_IRREGULAR).sum())
+    assert calls == [(6 * n_irr, 9 * n_irr)]
+
+
+def test_widened_fits_match_single_node_calls():
+    # four nodes of this tube have no sign-feasible stencil on the 3x3 block
+    # and go on to the wider candidate sets; the batch gives every node the
+    # same bits as fitting it alone
+    prob, g = flower_nodes(1.0, 10.0, 40, 2)
+    irr = np.nonzero(g.tags == NodeTag.FINE_IRREGULAR)[0]
+    nbrs = np.array([[int(g.id_of(g.codes[i] + dy * g.W + dx)[0])
+                      for dx, dy in _RING2] for i in irr])
+    ring = np.where(nbrs >= 0, g.side[nbrs], 0)
+    nodes = IrregularNodes(x=g.x[irr], y=g.y[irr], h_f=g.h_f, ring_side=ring)
+    weights, corr = iim_discontinuous_stencil_2d(
+        nodes, g.ls, prob.kappa_minus, prob.kappa_plus, prob.jumps)
+    outer = [c for c, (dx, dy) in enumerate(_RING2) if max(abs(dx), abs(dy)) > 1]
+    assert (weights[:, outer] != 0.0).any(axis=1).sum() == 4
+    for k, i in enumerate(irr):
+        node = IrregularNode(
+            x=float(g.x[i]), y=float(g.y[i]), h_f=g.h_f, side=int(g.side[i]),
+            available={off for off, j in zip(_RING2, nbrs[k])
+                       if j >= 0 and off != (0, 0)},
+            arm_side={off: int(s) for off, s in zip(_RING2, ring[k]) if s})
+        st = iim_discontinuous_stencil_2d(node, g.ls, prob.kappa_minus,
+                                          prob.kappa_plus, prob.jumps)
+        assert st.alphas == {off: w for off, w in zip(_RING2, weights[k])
+                             if w != 0.0}
+        assert st.correction == corr[k]

@@ -1,12 +1,18 @@
 """Level-set projection, frames, curvature, and crossings."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from twogrid import geometry, problems
 from twogrid.errors import NonConvergence
 from twogrid.geometry import (InterfaceFrame, LevelSet, curvature_at,
                               project_to_interface, segment_crossing)
+from twogrid.grid import GridParams, NodeTag, build_tube_two_grid_2d
 
 
 def circle_ls(R=0.5, analytic_grad=True):
@@ -143,3 +149,64 @@ def test_projection_from_far_point_uses_samples():
     fr = project_to_interface(ls, (40.0, 0.0))
     assert fr.foot == pytest.approx((0.5, 0.0), abs=1e-10)
     assert math.copysign(1.0, fr.normal[0]) == 1.0
+
+
+def tube_irregular_points(name, N, r):
+    prob = problems.make_problem(name, {})
+    g = build_tube_two_grid_2d(
+        GridParams(N=N, r=r, lam=2.0, domain=prob.domain), prob.interface)
+    irr = g.tags == NodeTag.FINE_IRREGULAR
+    return prob.interface, np.column_stack([g.x[irr], g.y[irr]])
+
+
+@pytest.mark.parametrize("name, N, r", [("flower", 40, 2),
+                                        ("peskin_circle", 20, 4)])
+@pytest.mark.parametrize("chunk", [geometry._SEED_CHUNK, 1000])
+def test_batched_projection_matches_single_points(name, N, r, chunk,
+                                                  monkeypatch):
+    # every point's foot, frame and curvature are the same bits whether it
+    # is projected alone or with the whole tube, and whatever the chunking
+    # of the nearest-sample search
+    ls, pts = tube_irregular_points(name, N, r)
+    monkeypatch.setattr(geometry, "_SEED_CHUNK", chunk)
+    batch = project_to_interface(ls, pts)
+    assert batch.foot.shape == pts.shape and batch.curvature.shape == (
+        len(pts),)
+    for k, p in enumerate(pts):
+        fr = project_to_interface(ls, p)
+        assert np.array_equal(fr.foot, batch.foot[k])
+        assert np.array_equal(fr.normal, batch.normal[k])
+        assert np.array_equal(fr.tangent, batch.tangent[k])
+        assert fr.curvature == batch.curvature[k]
+
+
+def test_batched_crossings_match_single_segments():
+    ls = circle_ls()
+    th = np.linspace(0.0, 2.0 * np.pi, 37)
+    a = np.column_stack([0.3 * np.cos(th), 0.3 * np.sin(th)])
+    b = np.column_stack([0.8 * np.cos(th), 0.8 * np.sin(th)])
+    a[5] = (0.5, 0.0)          # an endpoint exactly on the interface
+    hits = segment_crossing(ls, a, b)
+    assert np.array_equal(hits[5], a[5])
+    assert np.hypot(hits[:, 0], hits[:, 1]) == pytest.approx(0.5, abs=1e-14)
+    for k in range(len(a)):
+        assert np.array_equal(segment_crossing(ls, a[k], b[k]), hits[k])
+
+
+def test_batch_with_one_unprojectable_point_names_it():
+    # the circle's center has a vanishing finite-difference gradient
+    ls = circle_ls(analytic_grad=False)
+    ls.samples = None
+    pts = np.array([(0.7, 0.9), (0.1, -0.2), (0.0, 0.0), (-0.45, 0.05)])
+    with pytest.raises(NonConvergence, match=r"point 2 \(0, 0\)"):
+        project_to_interface(ls, pts)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is loaded only when a fitted stencil needs linprog
+    code = ("import sys, twogrid; "
+            "sys.exit('scipy.optimize' in sys.modules)")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=120).returncode == 0

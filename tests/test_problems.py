@@ -134,3 +134,13 @@ def test_flower_level_set_is_signed_distance_like():
     assert np.abs(on).max() < 1e-12
     assert float(ls.phi(0.0, 0.0)) < 0.0
     assert float(ls.phi(0.9, 0.9)) > 0.0
+
+
+def test_peskin_gradient_accepts_arrays():
+    # level-set gradients are evaluated on whole batches of points
+    grad = problems.make_problem("peskin_circle", {}).interface.grad
+    x = np.array([0.3, -0.7, 0.0, 1e-320, 0.25])
+    y = np.array([0.4, 0.1, 0.0, 0.0, -0.9])
+    gx, gy = grad(x, y)
+    one = np.array([grad(float(a), float(b)) for a, b in zip(x, y)])
+    assert np.array_equal(np.column_stack([gx, gy]), one)

@@ -7,8 +7,8 @@ rational transition stencils gluing the two together.
 from .assembly import SparseSystem, apply_dirichlet, assemble
 from .errors import (BadParams, DegenerateDenominator, EmptyTube,
                      InconsistentSystem, MissingNeighbor, MultipleCrossings,
-                     NoConvergence, NoExactSolution, NonConvergence,
-                     SignViolation, SingularMatrix, TubeTooWide, TwoGridError,
+                     NoExactSolution, NonConvergence, SignViolation,
+                     SingularMatrix, TubeTooWide, TwoGridError,
                      UnknownProblem, UnsupportedRatio)
 from .geometry import InterfaceFrame, LevelSet, project_to_interface
 from .grid import (Grid1D, Grid2DLine, Grid2DTube, GridParams, NodeTag,

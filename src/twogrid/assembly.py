@@ -93,68 +93,120 @@ def _release_free_heap() -> None:
         pass
 
 
-def _kappa_of(problem, side: int) -> float:
-    return problem.kappa_minus if side < 0 else problem.kappa_plus
+def _node_fields(grid, problem):
+    """Each node's side and kappa, and ``fvec(ids)``, the source ``f`` at
+    the nodes ``ids``."""
+    side = grid.sides()
+    kap = np.where(side < 0, problem.kappa_minus,
+                   problem.kappa_plus).astype(float)
+
+    def fvec(ids):
+        return problem.f(grid.x[ids], grid.y[ids], side[ids].astype(int))
+
+    return side, kap, fvec
 
 
-def _interface_pair(grid: Grid1D, problem) -> dict:
-    """Fitted stencils of the two irregular nodes flanking the interface
-    point, keyed by node index; empty when the grid has no such pair."""
-    pair = np.nonzero(grid.tags == NodeTag.FINE_IRREGULAR)[0]
-    if not len(pair):
-        return {}
-    st_lo, st_hi = iim_1d_irregular(
+def _deltas(keys, W: int, step: int = 1, flip: bool = False) -> dict:
+    """Lattice code delta of each ``(dx, dy)`` stencil key, whose unit is
+    ``step`` lattice steps, on a lattice of row stride ``W``; ``flip``
+    swaps the axes."""
+    return {(kx, ky): ((kx * W + ky) if flip else (ky * W + kx)) * step
+            for kx, ky in keys}
+
+
+def _neighbors(grid, rows, offsets) -> np.ndarray:
+    """``(len(rows), len(offsets))`` ids of the nodes at the code deltas
+    ``offsets`` from each row's node; -1 where the grid has no node. The 1D
+    and strip grids number their nodes by their lattice codes."""
+    deltas = np.array(list(offsets.values()))
+    if isinstance(grid, Grid2DTube):
+        return grid.id_of(grid.codes[rows][:, None] + deltas)
+    return rows[:, None] + deltas
+
+
+def _emit(b, grid, rows, offsets, alphas, betas, scale, fvec,
+          correction=0.0) -> None:
+    """Add the equations of ``rows``, which share one stencil, to ``b``.
+
+    ``offsets`` maps every key of ``alphas`` and ``betas`` to its code
+    delta. Each row gets ``alpha * scale`` in the column of the node at
+    that delta and the right side ``correction + sum beta * f`` over the
+    same nodes, summed in key order. Every weight, ``scale`` and
+    ``correction`` is a scalar or one value per row.
+    """
+    if not len(rows):
+        return
+    col = dict(zip(offsets, _neighbors(grid, rows, offsets).T))
+    for k, a in alphas.items():
+        b.add(rows, col[k],
+              np.broadcast_to(np.asarray(a, dtype=float) * scale, rows.shape))
+    acc = np.array(np.broadcast_to(correction, rows.shape), dtype=float)
+    for k, bw in betas.items():
+        acc += np.asarray(bw, dtype=float) * fvec(col[k])
+    b.rhs[rows] = acc
+
+
+def _interface_pair(grid: Grid1D, problem, nodes):
+    """Fitted three-point weights ``(3, len(nodes))`` and right-side
+    corrections of ``nodes``, each one of the pair ``j``, ``j + 1`` of 1D
+    nodes that flank the interface point."""
+    j = int(np.searchsorted(grid.x, grid.alpha, "right")) - 1
+    pair = iim_1d_irregular(
         problem.kappa_minus, problem.kappa_plus, grid.alpha,
-        float(grid.x[pair[0]]), grid.h_f, problem.jumps)
-    return {int(pair[0]): st_lo, int(pair[1]): st_hi}
+        float(grid.x[j]), grid.h_f, problem.jumps)
+    m = nodes - j
+    weights = np.array([[st.alphas[k] for st in pair] for k in (-1, 0, 1)])
+    return weights[:, m], np.array([st.correction for st in pair])[m]
+
+
+def _tagged(grid, tag) -> np.ndarray:
+    return np.nonzero(grid.tags == tag)[0]
+
+
+def _identity_boundary_rows(b, grid) -> None:
+    bnd = _tagged(grid, NodeTag.BOUNDARY)
+    b.add(bnd, bnd, np.ones(len(bnd)))
 
 
 # ---------------------------------------------------------------------------
 # 1D
 # ---------------------------------------------------------------------------
 
-def _assemble_1d(grid: Grid1D, problem) -> SparseSystem:
-    n = grid.n
-    x, tags = grid.x, grid.tags
-    side = grid.sides()
-    b = _Builder(n)
-    h_f = grid.h_f
-    pair_st = _interface_pair(grid, problem)
+_STEPS = {-1: -1, 0: 0, 1: 1}
 
-    for i in range(n):
-        t = tags[i]
-        if t == NodeTag.BOUNDARY:
-            b.add(i, i, 1.0)
-            continue
-        if problem.epsilon is not None:
-            st = stencils.centered_nonuniform_1d(
-                problem.epsilon, problem.conv, problem.K,
-                float(x[i] - x[i - 1]), float(x[i + 1] - x[i]))
-        elif t == NodeTag.COARSE_REGULAR:
-            st = stencils.compact4_uniform_1d(
-                _kappa_of(problem, side[i]), problem.K, grid.h)
-        elif t == NodeTag.BORDER:
-            st = stencils.border_coeffs_1d(
-                float(x[i] - x[i - 1]), float(x[i + 1] - x[i]),
-                _kappa_of(problem, side[i]), problem.K)
-        elif t == NodeTag.FINE_REGULAR:
-            k = _kappa_of(problem, side[i])
-            st = stencils.Stencil(
-                center=0,
-                alphas={-1: k / h_f**2, 0: -2.0 * k / h_f**2 + problem.K,
-                        1: k / h_f**2},
-                betas={0: 1.0})
-        else:  # FINE_IRREGULAR
-            st = pair_st[i]
-            if problem.K:
-                st.alphas[0] += problem.K
-        for off, a in st.alphas.items():
-            b.add(i, i + off, float(a))
-        acc = st.correction
-        for off, bw in st.betas.items():
-            j = i + off
-            acc += float(bw) * problem.f(float(x[j]), 0.0, int(side[j]))
-        b.rhs[i] = acc
+
+def _assemble_1d(grid: Grid1D, problem) -> SparseSystem:
+    x, K, h_f = grid.x, problem.K, grid.h_f
+    _, kap, fvec = _node_fields(grid, problem)
+    b = _Builder(grid.n)
+    _identity_boundary_rows(b, grid)
+
+    def emit(rows, st):
+        _emit(b, grid, rows, _STEPS, st.alphas, st.betas, 1.0, fvec,
+              st.correction)
+
+    if problem.epsilon is not None:
+        rows = np.nonzero(grid.tags != NodeTag.BOUNDARY)[0]
+        emit(rows, stencils.centered_nonuniform_1d(
+            problem.epsilon, problem.conv, K,
+            x[rows] - x[rows - 1], x[rows + 1] - x[rows]))
+        return b.finish(grid)
+
+    rows = _tagged(grid, NodeTag.COARSE_REGULAR)
+    emit(rows, stencils.compact4_uniform_1d(kap[rows], K, grid.h))
+    rows = _tagged(grid, NodeTag.BORDER)
+    emit(rows, stencils.border_coeffs_1d(
+        x[rows] - x[rows - 1], x[rows + 1] - x[rows], kap[rows], K))
+    rows = _tagged(grid, NodeTag.FINE_REGULAR)
+    k = kap[rows]
+    emit(rows, stencils.Stencil(
+        alphas={-1: k / h_f**2, 0: -2.0 * k / h_f**2 + K, 1: k / h_f**2},
+        betas={0: 1.0}))
+    rows = _tagged(grid, NodeTag.FINE_IRREGULAR)
+    if len(rows):
+        (gm, g0, gp), corr = _interface_pair(grid, problem, rows)
+        emit(rows, stencils.Stencil(alphas={-1: gm, 0: g0 + K, 1: gp},
+                                    betas={0: 1.0}, correction=corr))
     return b.finish(grid)
 
 
@@ -165,46 +217,32 @@ def _assemble_1d(grid: Grid1D, problem) -> SparseSystem:
 def _assemble_line(grid: Grid2DLine, problem) -> SparseSystem:
     if problem.K:
         raise BadParams("2D assembly supports only K == 0")
-    cols = grid.cols
-    ncol, N = grid.ncol, grid.N
-    h_y = grid.h_y
+    cols, ncol, h_y = grid.cols, grid.ncol, grid.h_y
+    _, kap, fvec = _node_fields(grid, problem)
+    offs = _deltas([(dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1)], ncol)
     b = _Builder(grid.n)
+    _identity_boundary_rows(b, grid)
 
-    side_col = np.where(cols.x <= grid.alpha, -1, 1)
-    pair_st = _interface_pair(cols, problem)
+    def emit(rows, st, scale=1.0):
+        _emit(b, grid, rows, offs, st.alphas, st.betas, scale, fvec,
+              st.correction)
 
-    bnd = np.nonzero(grid.tags == NodeTag.BOUNDARY)[0]
-    b.add(bnd, bnd, np.ones(len(bnd)))
-
-    jr = np.arange(1, N)
-    for c in range(1, ncol - 1):
-        t = cols.tags[c]
-        kc = _kappa_of(problem, side_col[c])
-        if t == NodeTag.COARSE_REGULAR:
-            if abs(h_y - grid.h) > 1e-12 * grid.h:
-                raise BadParams("coarse strip columns need square cells")
-            st = stencils.nine_point_compact_2d(grid.h, 0.0, kc)
-        elif t == NodeTag.BORDER:
-            st = stencils.border_coeffs_2d(
-                float(cols.x[c] - cols.x[c - 1]),
-                float(cols.x[c + 1] - cols.x[c]), h_y)
-            st.alphas = {k: kc * v for k, v in st.alphas.items()}
-        elif t == NodeTag.FINE_REGULAR:
-            st = stencils.strip_mixed_order_2d(grid.h_f, h_y, kappa=kc)
-        else:  # FINE_IRREGULAR
-            g = pair_st[c].alphas
-            st = stencils.strip_mixed_order_2d(
-                grid.h_f, h_y, xgamma=(g[-1], g[0], g[1]),
-                correction=pair_st[c].correction, kappa=kc)
-        base = jr * ncol + c
-        for (dx, dy), w in st.alphas.items():
-            b.add(base, (jr + dy) * ncol + (c + dx), np.full(len(jr), w))
-        acc = np.full(len(jr), float(st.correction))
-        for (dx, dy), bw in st.betas.items():
-            ys = grid.y[(jr + dy) * ncol]
-            acc += float(bw) * problem.f(
-                float(cols.x[c + dx]), ys, int(side_col[c + dx]))
-        b.rhs[base] = acc
+    rows = _tagged(grid, NodeTag.COARSE_REGULAR)
+    if len(rows) and abs(h_y - grid.h) > 1e-12 * grid.h:
+        raise BadParams("coarse strip columns need square cells")
+    emit(rows, stencils.nine_point_compact_2d(grid.h, 0.0, kap[rows]))
+    rows = _tagged(grid, NodeTag.BORDER)
+    c = rows % ncol
+    emit(rows, stencils.border_coeffs_2d(cols.x[c] - cols.x[c - 1],
+                                         cols.x[c + 1] - cols.x[c], h_y),
+         kap[rows])
+    rows = _tagged(grid, NodeTag.FINE_REGULAR)
+    emit(rows, stencils.strip_mixed_order_2d(grid.h_f, h_y, kappa=kap[rows]))
+    rows = _tagged(grid, NodeTag.FINE_IRREGULAR)
+    if len(rows):
+        xgamma, corr = _interface_pair(cols, problem, rows % ncol)
+        emit(rows, stencils.strip_mixed_order_2d(
+            grid.h_f, h_y, xgamma=xgamma, correction=corr, kappa=kap[rows]))
     return b.finish(grid)
 
 
@@ -216,56 +254,18 @@ _FIVE_POINT = {(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0, (0, -1): 1.0,
                (0, 0): -4.0}
 
 
-def _deltas(keys, W: int, step: int = 1, flip: bool = False) -> dict:
-    """Fine-lattice code delta of each ``(dx, dy)`` stencil key, whose unit
-    is ``step`` fine steps; ``flip`` swaps the axes."""
-    return {(kx, ky): ((kx * W + ky) if flip else (ky * W + kx)) * step
-            for kx, ky in keys}
-
-
-def _neighbors(grid, rows, offsets) -> np.ndarray:
-    """``(len(rows), len(offsets))`` ids of the nodes at the code deltas
-    ``offsets`` from each row's node; -1 where the grid has no node."""
-    return grid.id_of(grid.codes[rows][:, None]
-                      + np.array(list(offsets.values())))
-
-
-def _emit(b, grid, rows, offsets, alphas, betas, scale, fvec) -> None:
-    """Add the equations of ``rows``, which share one stencil, to ``b``.
-
-    ``offsets`` maps every key of ``alphas`` and ``betas`` to its code
-    delta. Each row gets ``alpha * scale`` in the column of the node at
-    that delta (``scale`` is a scalar or one value per row) and the right
-    side ``sum beta * f`` over the same nodes.
-    """
-    if not len(rows):
-        return
-    col = dict(zip(offsets, _neighbors(grid, rows, offsets).T))
-    for k, a in alphas.items():
-        b.add(rows, col[k], float(a) * scale)
-    acc = np.zeros(len(rows))
-    for k, bw in betas.items():
-        acc += float(bw) * fvec(col[k])
-    b.rhs[rows] = acc
-
-
 def _assemble_tube(grid: Grid2DTube, problem) -> SparseSystem:
     if problem.K:
         raise BadParams("2D assembly supports only K == 0")
-    tags, side = grid.tags, grid.side
+    tags = grid.tags
     km, kp = problem.kappa_minus, problem.kappa_plus
-    kap = np.where(side < 0, km, kp).astype(float)
+    side, kap, fvec = _node_fields(grid, problem)
     W, r = grid.W, grid.r
     h, h_f = grid.h, grid.h_f
     b = _Builder(grid.n)
+    _identity_boundary_rows(b, grid)
 
-    def fvec(ids):
-        return problem.f(grid.x[ids], grid.y[ids], side[ids].astype(int))
-
-    bnd = np.nonzero(tags == NodeTag.BOUNDARY)[0]
-    b.add(bnd, bnd, np.ones(len(bnd)))
-
-    coarse = np.nonzero(tags == NodeTag.COARSE_REGULAR)[0]
+    coarse = _tagged(grid, NodeTag.COARSE_REGULAR)
     proto = stencils.nine_point_compact_2d(h, 0.0, 1.0)
     _emit(b, grid, coarse, _deltas(proto.alphas, W, r), proto.alphas,
           proto.betas, kap[coarse], fvec)
@@ -287,7 +287,7 @@ def _assemble_tube(grid: Grid2DTube, problem) -> SparseSystem:
               kap[fine[ok]], fvec)
         fine = fine[~ok]
     else:
-        fine = np.nonzero(tags == NodeTag.FINE_REGULAR)[0]
+        fine = _tagged(grid, NodeTag.FINE_REGULAR)
     _emit(b, grid, fine, _deltas(_FIVE_POINT, W), _FIVE_POINT, {(0, 0): 1.0},
           kap[fine] / h_f**2, fvec)
 
@@ -304,7 +304,7 @@ def _assemble_tube(grid: Grid2DTube, problem) -> SparseSystem:
             _emit(b, grid, rows, offs, st.alphas, st.betas, kap[rows] / h**2,
                   fvec)
 
-    irr = np.nonzero(tags == NodeTag.FINE_IRREGULAR)[0]
+    irr = _tagged(grid, NodeTag.FINE_IRREGULAR)
     if plain or not len(irr):
         return b.finish(grid)
     nbrs = _neighbors(grid, irr, _deltas(_RING2, W))

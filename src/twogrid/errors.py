@@ -6,7 +6,8 @@ class TwoGridError(Exception):
 
 
 class NonConvergence(TwoGridError):
-    """An iterative geometric query (interface projection) failed to converge."""
+    """An iteration failed to converge: the interface projection, or the
+    linear solve's refinement short of its residual tolerance."""
 
 
 class EmptyTube(TwoGridError):
@@ -43,10 +44,6 @@ class MissingNeighbor(TwoGridError):
 
 class SingularMatrix(TwoGridError):
     """The assembled linear system is singular."""
-
-
-class NoConvergence(TwoGridError):
-    """The linear solve did not reach the requested residual tolerance."""
 
 
 class UnknownProblem(TwoGridError):

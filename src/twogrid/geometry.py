@@ -98,8 +98,8 @@ def _grad(ls: LevelSet, x: np.ndarray, y: np.ndarray) -> tuple:
                 np.broadcast_to(np.asarray(gy, dtype=float), np.shape(x)))
     d = 1e-4 * ls.scale
     f = ls.phi
-    gx = (-f(x + 2 * d, y) + 8 * f(x + d, y) - 8 * f(x - d, y) + f(x - 2 * d, y)) / (12 * d)
-    gy = (-f(x, y + 2 * d) + 8 * f(x, y + d) - 8 * f(x, y - d) + f(x, y - 2 * d)) / (12 * d)
+    gx = _d1_central(lambda t: f(x + t, y), d)
+    gy = _d1_central(lambda t: f(x, y + t), d)
     return np.asarray(gx, dtype=float), np.asarray(gy, dtype=float)
 
 

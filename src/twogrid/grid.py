@@ -90,6 +90,14 @@ def _square(domain) -> Tuple[Tuple[float, float], Tuple[float, float]]:
     return _interval(domain[0]), _interval(domain[1])
 
 
+def _find(sorted_codes: np.ndarray, codes) -> np.ndarray:
+    """Positions of ``codes`` in the sorted array ``sorted_codes``; -1 where
+    a code is absent."""
+    pos = np.searchsorted(sorted_codes, codes)
+    pos = np.clip(pos, 0, len(sorted_codes) - 1)
+    return np.where(sorted_codes[pos] == codes, pos, -1)
+
+
 def _effective_ratio(params: GridParams, h: float) -> int:
     if params.hf_mode == "ratio":
         return params.r
@@ -187,13 +195,12 @@ def build_two_grid_1d(params: GridParams, alpha: Optional[float],
     x = np.array(xs)
     tag_arr = np.array(tags, dtype=np.int8)
 
-    if refine_edge is None and alpha is not None:
-        fine_idx = np.nonzero(tag_arr == NodeTag.FINE_REGULAR)[0]
-        below = fine_idx[x[fine_idx] <= alpha]
-        if len(below) and below[-1] + 1 < len(x):
-            j = below[-1]
-            tag_arr[j] = NodeTag.FINE_IRREGULAR
-            tag_arr[j + 1] = NodeTag.FINE_IRREGULAR
+    if refine_edge is None:
+        # the pair flanking alpha; a member that is a border or boundary
+        # node (alpha in the tube's first or last fine cell) keeps its tag
+        j = int(np.searchsorted(x, alpha, "right")) - 1
+        pair = tag_arr[j:j + 2]
+        pair[pair == NodeTag.FINE_REGULAR] = NodeTag.FINE_IRREGULAR
 
     return Grid1D(params=params, x=x, tags=tag_arr, h=h, h_f=h_f,
                   r_eff=r_eff, alpha=alpha, layer=refine_edge is not None)
@@ -289,11 +296,8 @@ class Grid2DTube:
 
     def id_of(self, codes) -> np.ndarray:
         """Node ids for fine-lattice codes; -1 where no node exists."""
-        codes = np.atleast_1d(np.asarray(codes, dtype=np.int64))
-        pos = np.searchsorted(self.codes, codes)
-        pos = np.clip(pos, 0, self.n - 1)
-        ok = self.codes[pos] == codes
-        return np.where(ok, pos, -1)
+        return _find(self.codes,
+                     np.atleast_1d(np.asarray(codes, dtype=np.int64)))
 
 
 def build_tube_two_grid_2d(params: GridParams, ls: LevelSet) -> Grid2DTube:
@@ -340,17 +344,9 @@ def build_tube_two_grid_2d(params: GridParams, ls: LevelSet) -> Grid2DTube:
     phi = np.asarray(ls.phi(x, y), dtype=float)
     side = np.where(phi <= 0.0, -1, 1).astype(np.int8)
 
-    def in_r(c):
-        pos = np.searchsorted(rcodes, c)
-        pos = np.clip(pos, 0, len(rcodes) - 1)
-        return rcodes[pos] == c
-
-    inR = in_r(codes)
-    n_e = in_r(codes + 1)
-    n_w = in_r(codes - 1)
-    n_n = in_r(codes + W)
-    n_s = in_r(codes - W)
-    fine4 = n_e & n_w & n_n & n_s
+    inR = _find(rcodes, codes) >= 0
+    fine4 = np.all([_find(rcodes, codes + d) >= 0 for d in (1, -1, W, -W)],
+                   axis=0)
     coincident = (px % r == 0) & (py % r == 0)
 
     tags = np.full(len(codes), NodeTag.COARSE_REGULAR, dtype=np.int8)
@@ -381,9 +377,7 @@ def build_tube_two_grid_2d(params: GridParams, ls: LevelSet) -> Grid2DTube:
         own = side[idx_fine]
         irr = np.zeros(len(idx_fine), dtype=bool)
         for delta in (1, -1, W, -W):
-            nb_pos = np.searchsorted(codes, codes[idx_fine] + delta)
-            nb_pos = np.clip(nb_pos, 0, len(codes) - 1)
-            irr |= side[nb_pos] != own
+            irr |= side[_find(codes, codes[idx_fine] + delta)] != own
         tags[idx_fine[irr]] = NodeTag.FINE_IRREGULAR
 
     on_boundary = (px == 0) | (px == N * r) | (py == 0) | (py == N * r)

@@ -99,9 +99,9 @@ def iim_1d_irregular(kminus: float, kplus: float, alpha: float, xj: float,
     corr_j = gj[2] * (jumps.Cbar + (xjp1 - alpha) * jumps.C / kplus)
     corr_jp1 = -gjp1[0] * (jumps.Cbar + (xj - alpha) * jumps.C / kminus)
 
-    st_j = Stencil(center=0, alphas={-1: gj[0], 0: gj[1], 1: gj[2]},
+    st_j = Stencil(alphas={-1: gj[0], 0: gj[1], 1: gj[2]},
                    betas={0: 1.0}, correction=corr_j)
-    st_jp1 = Stencil(center=0, alphas={-1: gjp1[0], 0: gjp1[1], 1: gjp1[2]},
+    st_jp1 = Stencil(alphas={-1: gjp1[0], 0: gjp1[1], 1: gjp1[2]},
                      betas={0: 1.0}, correction=corr_jp1)
     return st_j, st_jp1
 
@@ -337,7 +337,7 @@ def _stencil(weights: np.ndarray, correction) -> Stencil:
     """One node's row of ring weights as a :class:`Stencil`."""
     alphas = {off: float(w) for off, w in zip(_RING2, weights) if w != 0.0}
     alphas.setdefault((0, 0), float(weights[_CENTER]))
-    return Stencil(center=(0, 0), alphas=alphas, betas={(0, 0): 1.0},
+    return Stencil(alphas=alphas, betas={(0, 0): 1.0},
                    correction=float(correction))
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .errors import NoConvergence, SingularMatrix
+from .errors import NonConvergence, SingularMatrix
 
 
 def solve(system, tol: float = 1e-12) -> np.ndarray:
@@ -16,7 +16,8 @@ def solve(system, tol: float = 1e-12) -> np.ndarray:
     factors is applied. For the worst-scaled systems (h^2 refinement) even
     the rounded exact solution misses the bound in double precision, so the
     refinement switches to extended precision and returns a longdouble
-    vector in that case.
+    vector in that case. Raises :class:`NonConvergence` when that refinement
+    also misses the bound.
     """
     A = system.matrix.tocsc()
     b = system.rhs
@@ -47,7 +48,7 @@ def solve(system, tol: float = 1e-12) -> np.ndarray:
             return u_x
         u_x = u_x - lu.solve(np.asarray(r_x, dtype=np.float64)).astype(
             np.longdouble)
-    raise NoConvergence(
+    raise NonConvergence(
         f"solve residual {res:.3e} exceeds {tol:.1e} * |b|_2 = {bound:.3e}")
 
 

@@ -5,7 +5,9 @@ system in the form
 
     sum_k alpha_k * U(x_center + offset_k)  =  sum_k beta_k * f(...) + correction
 
-Offsets are dictionary keys; their units are documented per generator. Sign
+Offsets are dictionary keys; their units are documented per generator.
+The spacings and coefficients of the 1D and strip generators may be arrays of
+per-row values, which makes every weight an array over those rows. Sign
 convention throughout: negative diagonal, nonnegative off-diagonal entries
 (the assembled operator approximates ``kappa * Lap u + K u``).
 
@@ -21,6 +23,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, Optional, Tuple, Union
 
+import numpy as np
+
 from .errors import BadParams, InconsistentSystem, UnsupportedRatio
 
 Number = Union[float, Fraction]
@@ -30,7 +34,6 @@ Number = Union[float, Fraction]
 class Stencil:
     """One discrete equation: U-weights, f-weights, and an RHS correction."""
 
-    center: Union[int, Tuple[int, int]]
     alphas: Dict
     betas: Dict
     correction: Number = 0.0
@@ -58,7 +61,7 @@ def compact4_uniform_1d(kappa: float, K: float, h: float) -> Stencil:
         0: -2.0 * kappa / h**2 + K * betas[0],
         1: kappa / h**2 + K * betas[1],
     }
-    return Stencil(center=0, alphas=alphas, betas=betas)
+    return Stencil(alphas=alphas, betas=betas)
 
 
 def border_coeffs_1d(h1: float, h2: float, kappa: float, K: float) -> Stencil:
@@ -72,7 +75,7 @@ def border_coeffs_1d(h1: float, h2: float, kappa: float, K: float) -> Stencil:
     Arithmetic is type-preserving: Fraction inputs give exact rational
     coefficients.
     """
-    if h1 <= 0 or h2 <= 0:
+    if np.any(h1 <= 0) or np.any(h2 <= 0):
         raise BadParams(f"spacings must be positive, got h1={h1}, h2={h2}")
     s = h1 + h2
     betas = {
@@ -85,7 +88,7 @@ def border_coeffs_1d(h1: float, h2: float, kappa: float, K: float) -> Stencil:
         0: -2 * kappa / (h1 * h2) + K * betas[0],
         1: 2 * kappa / (h2 * s) + K * betas[1],
     }
-    return Stencil(center=0, alphas=alphas, betas=betas)
+    return Stencil(alphas=alphas, betas=betas)
 
 
 def centered_nonuniform_1d(eps: float, p: float, q: float,
@@ -94,14 +97,14 @@ def centered_nonuniform_1d(eps: float, p: float, q: float,
 
     Neighbors at ``-h1`` and ``+h2``; plain pointwise right side.
     """
-    if h1 <= 0 or h2 <= 0:
+    if np.any(h1 <= 0) or np.any(h2 <= 0):
         raise BadParams(f"spacings must be positive, got h1={h1}, h2={h2}")
     s = h1 + h2
     d2 = {-1: 2.0 / (h1 * s), 0: -2.0 / (h1 * h2), 1: 2.0 / (h2 * s)}
     d1 = {-1: -h2 / h1 / s, 0: (h2 / h1 - h1 / h2) / s, 1: h1 / h2 / s}
     alphas = {k: eps * d2[k] + p * d1[k] for k in (-1, 0, 1)}
     alphas[0] += q
-    return Stencil(center=0, alphas=alphas, betas={0: 1.0})
+    return Stencil(alphas=alphas, betas={0: 1.0})
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +126,7 @@ def nine_point_compact_2d(h: float, K: float, kappa: float = 1.0) -> Stencil:
         alphas[(di, dj)] = 4.0 * kappa / (6.0 * h * h) + K / 12.0
         betas[(di, dj)] = 1.0 / 12.0
     alphas[(0, 0)] = -20.0 * kappa / (6.0 * h * h) + K * betas[(0, 0)]
-    return Stencil(center=(0, 0), alphas=alphas, betas=betas)
+    return Stencil(alphas=alphas, betas=betas)
 
 
 def strip_mixed_order_2d(h_f: float, h_y: float,
@@ -155,7 +158,7 @@ def strip_mixed_order_2d(h_f: float, h_y: float,
     alphas[(0, -1)] += kappa / h_y**2
     alphas[(0, 0)] += -2.0 * kappa / h_y**2
     betas = {(0, -1): 1.0 / 12.0, (0, 0): 10.0 / 12.0, (0, 1): 1.0 / 12.0}
-    return Stencil(center=(0, 0), alphas=alphas, betas=betas, correction=correction)
+    return Stencil(alphas=alphas, betas=betas, correction=correction)
 
 
 def border_coeffs_2d(h1: float, h2: float, h_y: float) -> Stencil:
@@ -168,7 +171,7 @@ def border_coeffs_2d(h1: float, h2: float, h_y: float) -> Stencil:
     ``h1 == h2 == h_y``. Derived by matching all monomials through total
     degree four; see :func:`derive_border_coeffs_2d` for the exact version.
     """
-    if h1 <= 0 or h2 <= 0 or h_y <= 0:
+    if np.any(h1 <= 0) or np.any(h2 <= 0) or h_y <= 0:
         raise BadParams("spacings must be positive")
     s = h1 + h2
     hy2 = h_y * h_y
@@ -188,7 +191,7 @@ def border_coeffs_2d(h1: float, h2: float, h_y: float) -> Stencil:
         (0, -1): 1.0 / 12.0,
         (0, 1): 1.0 / 12.0,
     }
-    return Stencil(center=(0, 0), alphas=alphas, betas=betas)
+    return Stencil(alphas=alphas, betas=betas)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +229,7 @@ def _hanging_stencil_from_row(row: Tuple[Fraction, ...], r: int, j: int) -> Sten
         (0, 0): a5,
     }
     betas = {(-j, 0): b1, (r - j, 0): b2}
-    return Stencil(center=(0, 0), alphas=alphas, betas=betas, correction=Fraction(0))
+    return Stencil(alphas=alphas, betas=betas, correction=Fraction(0))
 
 
 def hanging_coeffs(r: int, j: int) -> Stencil:
@@ -278,6 +281,20 @@ def _solve_exact(rows, rhs):
     return [A[k][n] for k in range(n)]
 
 
+def _mono(k1: int, k2: int, x: Fraction, y: Fraction) -> Fraction:
+    return x**k1 * y**k2
+
+
+def _lap(k1: int, k2: int, x: Fraction, y: Fraction) -> Fraction:
+    """Laplacian of the monomial ``x**k1 * y**k2`` at ``(x, y)``."""
+    out = Fraction(0)
+    if k1 >= 2:
+        out += k1 * (k1 - 1) * x ** (k1 - 2) * y**k2
+    if k2 >= 2:
+        out += k2 * (k2 - 1) * x**k1 * y ** (k2 - 2)
+    return out
+
+
 def derive_hanging_coeffs(r: int, j: int, kappa=1, K=0) -> Stencil:
     """Derive the transition stencil from scratch in exact rational arithmetic.
 
@@ -299,16 +316,8 @@ def derive_hanging_coeffs(r: int, j: int, kappa=1, K=0) -> Stencil:
     d2 = Fraction(j, r)   # distance to the left coarse neighbor
     d1 = 1 - d2           # distance to the right one
 
-    def mono(k1: int, k2: int, x: Fraction, y: Fraction) -> Fraction:
-        return x**k1 * y**k2
-
     def source(k1: int, k2: int, x: Fraction, y: Fraction) -> Fraction:
-        lap = Fraction(0)
-        if k1 >= 2:
-            lap += k1 * (k1 - 1) * x ** (k1 - 2) * y**k2
-        if k2 >= 2:
-            lap += k2 * (k2 - 1) * x**k1 * y ** (k2 - 2)
-        return kap * lap + KK * mono(k1, k2, x, y)
+        return kap * _lap(k1, k2, x, y) + KK * _mono(k1, k2, x, y)
 
     # y-odd monomials hold by symmetry; x**4 and y**4 are released
     monos = [(0, 0), (1, 0), (2, 0), (3, 0), (0, 2), (1, 2), (2, 2)]
@@ -316,11 +325,11 @@ def derive_hanging_coeffs(r: int, j: int, kappa=1, K=0) -> Stencil:
     rows, rhs = [], []
     for k1, k2 in monos:
         rows.append([
-            mono(k1, k2, -d2, one) + mono(k1, k2, -d2, -one),   # corner pair, left
-            mono(k1, k2, d1, one) + mono(k1, k2, d1, -one),     # corner pair, right
-            mono(k1, k2, -d2, Fraction(0)),                      # mid left
-            mono(k1, k2, d1, Fraction(0)),                       # mid right
-            mono(k1, k2, Fraction(0), Fraction(0)),              # self
+            _mono(k1, k2, -d2, one) + _mono(k1, k2, -d2, -one),  # corner pair, left
+            _mono(k1, k2, d1, one) + _mono(k1, k2, d1, -one),    # corner pair, right
+            _mono(k1, k2, -d2, Fraction(0)),                     # mid left
+            _mono(k1, k2, d1, Fraction(0)),                      # mid right
+            _mono(k1, k2, Fraction(0), Fraction(0)),             # self
             -source(k1, k2, -d2, Fraction(0)),                   # beta left
             -source(k1, k2, d1, Fraction(0)),                    # beta right
             -source(k1, k2, Fraction(0), Fraction(0)),           # beta self
@@ -348,27 +357,16 @@ def derive_border_coeffs_2d(h1: Fraction, h2: Fraction, h_y: Fraction) -> Stenci
     if h1 <= 0 or h2 <= 0 or h_y <= 0:
         raise BadParams("spacings must be positive")
 
-    def mono(k1, k2, x, y):
-        return x**k1 * y**k2
-
-    def lap(k1, k2, x, y):
-        out = Fraction(0)
-        if k1 >= 2:
-            out += k1 * (k1 - 1) * x ** (k1 - 2) * y**k2
-        if k2 >= 2:
-            out += k2 * (k2 - 1) * x**k1 * y ** (k2 - 2)
-        return out
-
     # unknowns: aW aC aE (dy=0), aWn aCn aEn (dy=+-1 pairs),
     #           bW bC bE (dy=0), bCn (dy=+-1 pair)
     monos = [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (0, 2), (0, 4), (1, 2), (2, 2)]
     xs = (-h1, Fraction(0), h2)
     rows, rhs = [], []
     for k1, k2 in monos:
-        row = [mono(k1, k2, x, Fraction(0)) for x in xs]
-        row += [mono(k1, k2, x, h_y) + mono(k1, k2, x, -h_y) for x in xs]
-        row += [-lap(k1, k2, x, Fraction(0)) for x in xs]
-        row += [-(lap(k1, k2, Fraction(0), h_y) + lap(k1, k2, Fraction(0), -h_y))]
+        row = [_mono(k1, k2, x, Fraction(0)) for x in xs]
+        row += [_mono(k1, k2, x, h_y) + _mono(k1, k2, x, -h_y) for x in xs]
+        row += [-_lap(k1, k2, x, Fraction(0)) for x in xs]
+        row += [-(_lap(k1, k2, Fraction(0), h_y) + _lap(k1, k2, Fraction(0), -h_y))]
         rows.append(row)
         rhs.append(Fraction(0))
     rows.append([Fraction(0)] * 6 + [Fraction(1)] * 3 + [Fraction(2)])
@@ -380,4 +378,4 @@ def derive_border_coeffs_2d(h1: Fraction, h2: Fraction, h_y: Fraction) -> Stenci
         alphas[(0, dj)] = aCn
         alphas[(1, dj)] = aEn
     betas = {(-1, 0): bW, (0, 0): bC, (1, 0): bE, (0, -1): bCn, (0, 1): bCn}
-    return Stencil(center=(0, 0), alphas=alphas, betas=betas, correction=Fraction(0))
+    return Stencil(alphas=alphas, betas=betas, correction=Fraction(0))

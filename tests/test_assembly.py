@@ -1,22 +1,27 @@
 """Assembly: row contents against the stencil generators, invariants."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from twogrid import problems, stencils
 from twogrid.assembly import _Builder, apply_dirichlet, assemble
-from twogrid.errors import BadParams, MissingNeighbor, UnsupportedRatio
-from twogrid.grid import (GridParams, NodeTag, build_line_two_grid_2d,
-                          build_tube_two_grid_2d, build_two_grid_1d)
+from twogrid.errors import (BadParams, MissingNeighbor, TwoGridError,
+                            UnsupportedRatio)
+from twogrid.grid import (Grid2DLine, GridParams, NodeTag,
+                          build_line_two_grid_2d, build_tube_two_grid_2d,
+                          build_two_grid_1d)
+from twogrid.harness import run_case
 from twogrid.iim import (_RING2, IrregularNode, IrregularNodes, JumpData,
-                         iim_discontinuous_stencil_2d,
+                         iim_1d_irregular, iim_discontinuous_stencil_2d,
                          singular_source_stencil_2d)
 from twogrid.problems import ProblemSpec
 
 
-def stub_1d(f, kappa=(1.0, 1.0), alpha=0.55, jumps=None):
+def stub_1d(f, kappa=(1.0, 1.0), alpha=0.55, jumps=None, K=0.0):
     return ProblemSpec(name="stub", kind="interface_1d", domain=(0.0, 1.0),
                        f=f, boundary=lambda x, y: 0.0 * x,
-                       kappa_minus=kappa[0], kappa_plus=kappa[1],
+                       kappa_minus=kappa[0], kappa_plus=kappa[1], K=K,
                        jumps=jumps or JumpData(), alpha=alpha)
 
 
@@ -211,6 +216,193 @@ def test_builder_rejects_missing_neighbor():
         b.finish(g)
 
 
+def reference_pair(cols, prob):
+    """Fitted stencils of the two 1D nodes flanking the interface point,
+    keyed by node index."""
+    j = int(np.nonzero(cols.x <= cols.alpha)[0][-1])
+    return dict(zip((j, j + 1), iim_1d_irregular(
+        prob.kappa_minus, prob.kappa_plus, cols.alpha, float(cols.x[j]),
+        cols.h_f, prob.jumps)))
+
+
+def reference_1d_rows(g, prob):
+    """Interior rows built node by node, one scalar ``f`` call per right-side
+    weight: ``{row: (entries, rhs)}`` with ``entries`` as ``{column:
+    value}``."""
+    x, tags, side, h_f = g.x, g.tags, g.sides(), g.h_f
+    pair_st = reference_pair(g, prob) if g.alpha is not None else {}
+
+    def kappa_of(s):
+        return prob.kappa_minus if s < 0 else prob.kappa_plus
+
+    out = {}
+    for i in range(g.n):
+        t = tags[i]
+        if t == NodeTag.BOUNDARY:
+            continue
+        if prob.epsilon is not None:
+            st = stencils.centered_nonuniform_1d(
+                prob.epsilon, prob.conv, prob.K,
+                float(x[i] - x[i - 1]), float(x[i + 1] - x[i]))
+        elif t == NodeTag.COARSE_REGULAR:
+            st = stencils.compact4_uniform_1d(kappa_of(side[i]), prob.K, g.h)
+        elif t == NodeTag.BORDER:
+            st = stencils.border_coeffs_1d(
+                float(x[i] - x[i - 1]), float(x[i + 1] - x[i]),
+                kappa_of(side[i]), prob.K)
+        elif t == NodeTag.FINE_REGULAR:
+            k = kappa_of(side[i])
+            st = stencils.Stencil(
+                alphas={-1: k / h_f**2, 0: -2.0 * k / h_f**2 + prob.K,
+                        1: k / h_f**2},
+                betas={0: 1.0})
+        else:  # FINE_IRREGULAR
+            st = pair_st[i]
+            if prob.K:
+                st.alphas[0] += prob.K
+        entries = {i + off: float(a) for off, a in st.alphas.items()}
+        acc = st.correction
+        for off, bw in st.betas.items():
+            j = i + off
+            acc += float(bw) * prob.f(float(x[j]), 0.0, int(side[j]))
+        out[i] = (entries, acc)
+    return out
+
+
+def reference_strip_rows(g, prob):
+    """Interior rows of a strip grid built column by column, one ``f`` call
+    per right-side weight and column; same format as
+    :func:`reference_1d_rows`."""
+    cols, ncol, h_y = g.cols, g.ncol, g.h_y
+    jr = np.arange(1, g.N)
+    side_col = np.where(cols.x <= g.alpha, -1, 1)
+    pair_st = reference_pair(cols, prob)
+    out = {}
+    for c in range(1, ncol - 1):
+        t = cols.tags[c]
+        kc = prob.kappa_minus if side_col[c] < 0 else prob.kappa_plus
+        if t == NodeTag.COARSE_REGULAR:
+            st = stencils.nine_point_compact_2d(g.h, 0.0, kc)
+        elif t == NodeTag.BORDER:
+            st = stencils.border_coeffs_2d(
+                float(cols.x[c] - cols.x[c - 1]),
+                float(cols.x[c + 1] - cols.x[c]), h_y)
+            st.alphas = {k: kc * v for k, v in st.alphas.items()}
+        elif t == NodeTag.FINE_REGULAR:
+            st = stencils.strip_mixed_order_2d(g.h_f, h_y, kappa=kc)
+        else:  # FINE_IRREGULAR
+            a = pair_st[c].alphas
+            st = stencils.strip_mixed_order_2d(
+                g.h_f, h_y, xgamma=(a[-1], a[0], a[1]),
+                correction=pair_st[c].correction, kappa=kc)
+        acc = np.full(len(jr), float(st.correction))
+        for (dx, dy), bw in st.betas.items():
+            acc += float(bw) * prob.f(float(cols.x[c + dx]),
+                                      g.y[(jr + dy) * ncol],
+                                      int(side_col[c + dx]))
+        for k, row in enumerate(jr):
+            out[int(row * ncol + c)] = (
+                {int((row + dy) * ncol + c + dx): float(w)
+                 for (dx, dy), w in st.alphas.items()}, acc[k])
+    return out
+
+
+def assert_rows_are_reference(sys_, ref):
+    """``ref`` covers every interior row, and each row holds exactly its
+    entries and the same right-side bits."""
+    assert set(ref) == set(np.nonzero(~sys_.boundary)[0].tolist())
+    A = sys_.matrix
+    for i, (entries, _) in ref.items():
+        lo, hi = A.indptr[i], A.indptr[i + 1]
+        assert dict(zip(A.indices[lo:hi].tolist(),
+                        A.data[lo:hi].tolist())) == entries
+    assert (sys_.rhs[list(ref)].tobytes()
+            == np.array([rhs for _, rhs in ref.values()]).tobytes())
+
+
+def sin_cos_source(x, y, side):
+    return np.sin(3.0 * x) * np.cos(2.0 * y) + side
+
+
+JUMPS = JumpData(C=0.7, Cbar=-0.3)
+SMALL_SYSTEMS = {
+    "piecewise 10/2": lambda: (
+        build_two_grid_1d(GridParams(N=10, r=2, lam=2.0), 17.0 / 30.0),
+        problems.make_problem("piecewise_kappa_1d", {})),
+    "stub 10/4 K": lambda: (
+        build_two_grid_1d(GridParams(N=10, r=4, lam=2.0), alpha=0.55),
+        stub_1d(sin_cos_source, kappa=(2.0, 5.0), jumps=JUMPS, K=1.5)),
+    "layer 10/4": lambda: (
+        build_two_grid_1d(GridParams(N=10, r=4, lam=3.0), alpha=None,
+                          refine_edge="right"),
+        problems.make_problem("boundary_layer_1d", {})),
+    "line 12/2": lambda: (
+        build_line_two_grid_2d(GridParams(N=12, r=2, lam=2.0), 33.0 / 70.0),
+        problems.make_problem("line_interface_2d", {})),
+    "line 6/4": lambda: (
+        build_line_two_grid_2d(GridParams(N=6, r=4, lam=2.0), 33.0 / 70.0),
+        problems.make_problem("line_interface_2d", {})),
+    "line h2 12": lambda: (
+        build_line_two_grid_2d(GridParams(N=12, r=2, lam=2.0, hf_mode="h2"),
+                               33.0 / 70.0),
+        problems.make_problem("line_interface_2d", {})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_SYSTEMS))
+def test_small_rows_match_per_node_reference(name):
+    g, prob = SMALL_SYSTEMS[name]()
+    ref = (reference_strip_rows if isinstance(g, Grid2DLine)
+           else reference_1d_rows)(g, prob)
+    assert_rows_are_reference(assemble(g, prob), ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(alpha=hs.floats(0.01, 0.99), N=hs.integers(4, 40),
+       r=hs.integers(2, 16), lam=hs.floats(0.2, 3.0),
+       hf_mode=hs.sampled_from(["ratio", "h2"]), strip=hs.booleans(),
+       kappa=hs.sampled_from([(1.0, 1.0), (2.0, 1.0), (1.5, 3.0)]),
+       K=hs.sampled_from([0.0, -2.0, 1.5]))
+def test_1d_and_strip_rows_match_per_node_reference(alpha, N, r, lam,
+                                                     hf_mode, strip, kappa,
+                                                     K):
+    # kappa ratios within 2 keep the fitted pair's denominators clear of
+    # zero; where the reference raises, the assembly raises the same error
+    params = GridParams(N=N, r=r, lam=lam, hf_mode=hf_mode)
+    if strip:
+        g = build_line_two_grid_2d(params, alpha)
+        prob = stub_1d(sin_cos_source, kappa=kappa, alpha=alpha, jumps=JUMPS)
+        reference = reference_strip_rows
+    else:
+        g = build_two_grid_1d(params, alpha)
+        prob = stub_1d(sin_cos_source, kappa=kappa, alpha=alpha, jumps=JUMPS,
+                       K=K)
+        reference = reference_1d_rows
+    try:
+        ref = reference(g, prob)
+    except TwoGridError as exc:
+        with pytest.raises(type(exc)):
+            assemble(g, prob)
+        return
+    assert_rows_are_reference(assemble(g, prob), ref)
+
+
+@pytest.mark.parametrize("alpha", [0.97, 0.03])
+@pytest.mark.parametrize("name", ["piecewise_kappa_1d", "line_interface_2d"])
+def test_pair_in_an_end_fine_cell_keeps_the_dirichlet_node(name, alpha):
+    # alpha lies in the tube's last (0.97) or first (0.03) fine cell, next
+    # to a Dirichlet node: that node stays a boundary node, and the fine
+    # member of the pair alone takes the fitted row
+    rep = run_case(problems.make_problem(name, {"alpha": alpha}), 10, 2,
+                   lam=1.0, detail=True)
+    cols = getattr(rep.grid, "cols", rep.grid)
+    irr = np.nonzero(cols.tags == NodeTag.FINE_IRREGULAR)[0]
+    j = int(np.nonzero(cols.x <= alpha)[0][-1])
+    assert irr.tolist() == [j if alpha > 0.5 else j + 1]
+    assert cols.tags[0] == cols.tags[-1] == NodeTag.BOUNDARY
+    assert max(rep.report.err_coarse, rep.report.err_fine) < 1e-4
+
+
 def reference_tube_rows(g, prob):
     """Hanging and irregular rows built node by node, with one
     single-element ``id_of`` lookup per stencil offset: ``{row: (entries,
@@ -278,6 +470,29 @@ def test_tube_rows_match_per_node_reference(name, r):
     for i, (entries, rhs) in ref.items():
         assert row_dict(sys_, i) == entries
         assert sys_.rhs[i] == pytest.approx(rhs, rel=1e-14, abs=0.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(shape=hs.one_of(
+           hs.tuples(hs.just("peskin_circle"),
+                     hs.fixed_dictionaries({"radius": hs.floats(0.2, 0.7)})),
+           hs.tuples(hs.just("flower"), hs.fixed_dictionaries({
+               "kappa_minus": hs.floats(1.0, 50.0),
+               "kappa_plus": hs.floats(1.0, 50.0)}))),
+       N=hs.integers(10, 24), r=hs.sampled_from([2, 3, 4, 5, 8]),
+       lam=hs.floats(0.5, 3.0))
+def test_tube_diagonals_are_negative_or_the_failure_is_typed(shape, N, r,
+                                                             lam):
+    name, params = shape
+    prob = problems.make_problem(name, params)
+    try:
+        g = build_tube_two_grid_2d(
+            GridParams(N=N, r=r, lam=lam, domain=prob.domain),
+            prob.interface)
+        sys_ = assemble(g, prob)
+    except TwoGridError:
+        return
+    assert (sys_.matrix.diagonal()[~sys_.boundary] < 0.0).all()
 
 
 def flower_nodes(km, kp, N, r):

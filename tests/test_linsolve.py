@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 from twogrid import problems
 from twogrid.assembly import apply_dirichlet, assemble
-from twogrid.errors import NoConvergence, SingularMatrix
+from twogrid.errors import NonConvergence, SingularMatrix
 from twogrid.grid import GridParams, build_two_grid_1d
 from twogrid.linsolve import reduce_dirichlet, solve, verify_m_matrix
 
@@ -75,7 +75,7 @@ def test_solve_extended_precision_fallback():
 def test_solve_reports_unattainable_contract():
     big = 1e12
     sys_ = fake_system([[big, -big + 1.0], [0.0, 1.0]], rhs=[0.1, 0.1])
-    with pytest.raises(NoConvergence, match="exceeds"):
+    with pytest.raises(NonConvergence, match="exceeds"):
         solve(sys_)
 
 

@@ -18,7 +18,7 @@ from .harness import (CaseReport, build_grid, convergence_study,
                       reference_errors, run_case, to_csv, to_json)
 from .iim import (IrregularNode, IrregularNodes, JumpData, iim_1d_irregular,
                   iim_discontinuous_stencil_2d, singular_source_stencil_2d)
-from .linsolve import reduce_dirichlet, solve, verify_m_matrix
+from .linsolve import solve, verify_m_matrix
 from .problems import (ProblemSpec, exact_error, make_problem,
                        problem_names, selfcheck)
 from .stencils import (Stencil, border_coeffs_1d, border_coeffs_2d,

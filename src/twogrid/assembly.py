@@ -153,7 +153,7 @@ def _interface_pair(grid: Grid1D, problem, nodes):
     j = int(np.searchsorted(grid.x, grid.alpha, "right")) - 1
     pair = iim_1d_irregular(
         problem.kappa_minus, problem.kappa_plus, grid.alpha,
-        float(grid.x[j]), grid.h_f, problem.jumps)
+        float(grid.x[j]), grid.h_f, problem.jumps, float(grid.x[j + 1]))
     m = nodes - j
     weights = np.array([[st.alphas[k] for st in pair] for k in (-1, 0, 1)])
     return weights[:, m], np.array([st.correction for st in pair])[m]

@@ -124,14 +124,6 @@ def _curvature(ls: LevelSet, x: np.ndarray, y: np.ndarray) -> np.ndarray:
                       dtype=float)
 
 
-def curvature_at(ls: LevelSet, p):
-    """Divergence of the unit normal at ``p`` via fourth-order differences:
-    a float for one point, an ``(m,)`` array for a batch."""
-    x, y, single = _xy(p)
-    kappa = _curvature(ls, x, y)
-    return float(kappa[0]) if single else kappa
-
-
 def _nearest_samples(ls: LevelSet, x: np.ndarray, y: np.ndarray) -> tuple:
     """The interface sample nearest to each point (first on ties), or the
     points themselves when the level set has no samples."""

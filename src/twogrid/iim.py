@@ -68,16 +68,21 @@ class JumpData:
 # ---------------------------------------------------------------------------
 
 def iim_1d_irregular(kminus: float, kplus: float, alpha: float, xj: float,
-                     h_f: float, jumps: JumpData) -> Tuple[Stencil, Stencil]:
+                     h_f: float, jumps: JumpData,
+                     x_next: Optional[float] = None) -> Tuple[Stencil, Stencil]:
     """Fitted three-point stencils for the node pair straddling ``alpha``.
 
-    ``xj`` is the last node on the minus side, so ``xj <= alpha < xj + h_f``.
+    ``xj`` is the last node on the minus side and ``x_next`` the node after
+    it (``xj + h_f`` when not given; a grid passes its stored node, which
+    can differ from that sum by an ulp), so ``xj <= alpha < x_next``.
     Returns the stencils for ``xj`` and ``xj + h_f``; offset keys are node
     steps relative to each stencil's own center. The schemes approximate
     ``kappa u'' = f`` with pointwise right side plus the returned correction.
     """
-    if not xj <= alpha < xj + h_f:
-        raise BadParams(f"alpha={alpha} not in [{xj}, {xj + h_f})")
+    if x_next is None:
+        x_next = xj + h_f
+    if not xj <= alpha < x_next:
+        raise BadParams(f"alpha={alpha} not in [{xj}, {x_next})")
     dk = kplus - kminus
     xjm1, xjp1, xjp2 = xj - h_f, xj + h_f, xj + 2 * h_f
 

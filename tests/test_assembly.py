@@ -222,7 +222,7 @@ def reference_pair(cols, prob):
     j = int(np.nonzero(cols.x <= cols.alpha)[0][-1])
     return dict(zip((j, j + 1), iim_1d_irregular(
         prob.kappa_minus, prob.kappa_plus, cols.alpha, float(cols.x[j]),
-        cols.h_f, prob.jumps)))
+        cols.h_f, prob.jumps, float(cols.x[j + 1]))))
 
 
 def reference_1d_rows(g, prob):
@@ -400,6 +400,20 @@ def test_pair_in_an_end_fine_cell_keeps_the_dirichlet_node(name, alpha):
     j = int(np.nonzero(cols.x <= alpha)[0][-1])
     assert irr.tolist() == [j if alpha > 0.5 else j + 1]
     assert cols.tags[0] == cols.tags[-1] == NodeTag.BOUNDARY
+    assert max(rep.report.err_coarse, rep.report.err_fine) < 1e-4
+
+
+def test_pair_bracket_uses_the_stored_fine_node():
+    # with h2 spacing the stored node after the pair is 0.33333333333333337
+    # while x[j] + h_f rounds to alpha = 1/3 itself; the bracket check must
+    # take the grid's node, or a valid interface point is rejected
+    alpha = 1.0 / 3.0
+    rep = run_case(problems.make_problem("piecewise_kappa_1d",
+                                         {"alpha": alpha}),
+                   15, 2, lam=2.0, hf_mode="h2", detail=True)
+    x, h_f = rep.grid.x, rep.grid.h_f
+    j = int(np.searchsorted(x, alpha, "right")) - 1
+    assert x[j] + h_f == alpha < x[j + 1]
     assert max(rep.report.err_coarse, rep.report.err_fine) < 1e-4
 
 

@@ -10,8 +10,8 @@ import pytest
 
 from twogrid import geometry, problems
 from twogrid.errors import NonConvergence
-from twogrid.geometry import (InterfaceFrame, LevelSet, curvature_at,
-                              project_to_interface, segment_crossing)
+from twogrid.geometry import (InterfaceFrame, LevelSet, project_to_interface,
+                              segment_crossing)
 from twogrid.grid import GridParams, NodeTag, build_tube_two_grid_2d
 
 
@@ -101,15 +101,18 @@ def test_curvature_sign_follows_orientation():
     inward = LevelSet(phi=lambda x, y: R - np.hypot(x, y))
     outward = LevelSet(phi=lambda x, y: np.hypot(x, y) - R)
     pt = (R, 0.0)
-    assert curvature_at(outward, pt) == pytest.approx(1.0 / R, rel=1e-6)
-    assert curvature_at(inward, pt) == pytest.approx(-1.0 / R, rel=1e-6)
+    assert project_to_interface(outward, pt).curvature == pytest.approx(
+        1.0 / R, rel=1e-6)
+    assert project_to_interface(inward, pt).curvature == pytest.approx(
+        -1.0 / R, rel=1e-6)
 
 
 def test_curvature_of_ellipse_vertex():
     # analytic oracle: curvature of x^2/a^2 + y^2/b^2 = 1 at (a, 0) is a/b^2
     a, b = 0.8, 0.5
     ls = LevelSet(phi=lambda x, y: (x / a) ** 2 + (y / b) ** 2 - 1.0)
-    assert curvature_at(ls, (a, 0.0)) == pytest.approx(a / b**2, rel=1e-6)
+    assert project_to_interface(ls, (a, 0.0)).curvature == pytest.approx(
+        a / b**2, rel=1e-6)
 
 
 def test_segment_crossing_on_vertical_line():

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from twogrid import problems
+from twogrid import linsolve, problems
 from twogrid.assembly import apply_dirichlet, assemble
 from twogrid.errors import NonConvergence, SingularMatrix
 from twogrid.grid import GridParams, build_two_grid_1d
-from twogrid.linsolve import reduce_dirichlet, solve, verify_m_matrix
+from twogrid.harness import build_grid
+from twogrid.linsolve import solve, verify_m_matrix
 
 
 def fake_system(dense, boundary=None, rhs=None):
@@ -77,6 +78,40 @@ def test_solve_reports_unattainable_contract():
     sys_ = fake_system([[big, -big + 1.0], [0.0, 1.0]], rhs=[0.1, 0.1])
     with pytest.raises(NonConvergence, match="exceeds"):
         solve(sys_)
+
+
+@pytest.mark.parametrize("n", [8, 40])
+def test_solve_falls_back_to_partial_pivoting(n):
+    # a cyclic shift with a tiny diagonal: the unpivoted symmetric-mode
+    # factor misses the contract (residual 3e25 at n=8) or is non-finite
+    # (n=40); COLAMD with partial pivoting solves it exactly
+    rows = np.arange(n)
+    shift = sp.csr_matrix((np.ones(n), (rows, (rows + 1) % n)), shape=(n, n))
+    sys_ = SimpleNamespace(matrix=shift + 1e-12 * sp.eye(n),
+                           rhs=np.arange(1.0, n + 1))
+    u = solve(sys_)
+    assert u.dtype == np.float64
+    res = np.linalg.norm(sys_.matrix @ u - sys_.rhs)
+    assert res <= 1e-12 * np.linalg.norm(sys_.rhs)
+
+
+def test_symmetric_ordering_factors_once_with_less_fill(monkeypatch):
+    prob = problems.make_problem("peskin_circle", {})
+    sys_ = assemble(build_grid(prob, 80, 4), prob)
+    apply_dirichlet(sys_, prob.boundary)
+    splu = linsolve.spla.splu
+    factors = []
+
+    def recording_splu(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(linsolve.spla, "splu", recording_splu)
+    solve(sys_)
+    assert len(factors) == 1
+    plain = splu(sys_.matrix.tocsc())
+    fill = factors[0].L.nnz + factors[0].U.nnz
+    assert fill <= 0.65 * (plain.L.nnz + plain.U.nnz)
 
 
 # ---------------------------------------------------------------------------
@@ -178,17 +213,8 @@ def test_verify_on_assembled_benchmark():
 
 
 # ---------------------------------------------------------------------------
-# reduce_dirichlet and the comparison principle
+# the comparison principle
 # ---------------------------------------------------------------------------
-
-def test_reduce_dirichlet_matches_full_solve():
-    sys_ = assembled_1d()
-    u_full = np.asarray(solve(sys_), dtype=float)
-    A_int, rhs_int, interior = reduce_dirichlet(sys_)
-    u_int = np.asarray(solve(SimpleNamespace(matrix=A_int, rhs=rhs_int)),
-                       dtype=float)
-    assert u_int == pytest.approx(u_full[interior], abs=1e-10)
-
 
 def test_comparison_principle_on_perturbed_rhs():
     # the assembled operator has negative diagonal and non-negative

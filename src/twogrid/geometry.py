@@ -19,11 +19,11 @@ that point alone, bit for bit, whatever else is in the batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import NonConvergence
+from .errors import BadParams, NonConvergence
 
 # Sample distances computed at once when seeding a projection: 4 MB per
 # temporary, so the seeding never holds an (m, n_samples) array.
@@ -72,7 +72,7 @@ class InterfaceFrame:
     foot: np.ndarray
     normal: np.ndarray
     tangent: np.ndarray
-    curvature: float
+    curvature: Union[float, np.ndarray]
 
 
 def _xy(p) -> tuple:
@@ -236,8 +236,8 @@ def segment_crossing(ls: LevelSet, a, b) -> np.ndarray:
     """Root of ``phi`` along each segment from ``a`` to ``b``.
 
     The endpoints of every segment must straddle the zero set; a segment
-    whose endpoints do not raises ``ValueError``. An endpoint where ``phi``
-    is exactly zero is returned as is; otherwise a bisection on the
+    whose endpoints do not raises :class:`BadParams`. An endpoint where
+    ``phi`` is exactly zero is returned as is; otherwise a bisection on the
     segment parameter runs for all segments at once until the bracket is
     narrower than ``1e-15``. Returns the crossing points.
     """
@@ -247,9 +247,9 @@ def segment_crossing(ls: LevelSet, a, b) -> np.ndarray:
     fb = np.asarray(ls.phi(bx, by), dtype=float)
     if (fa * fb > 0.0).any():
         k = int(np.argmax(fa * fb > 0.0))
-        raise ValueError(f"segment {k} from ({ax[k]:.6g}, {ay[k]:.6g}) to "
-                         f"({bx[k]:.6g}, {by[k]:.6g}) does not straddle "
-                         "the interface")
+        raise BadParams(f"segment {k} from ({ax[k]:.6g}, {ay[k]:.6g}) to "
+                        f"({bx[k]:.6g}, {by[k]:.6g}) does not straddle "
+                        "the interface")
     dx, dy = bx - ax, by - ay
     t = np.zeros(len(ax))
     act = np.flatnonzero((fa != 0.0) & (fb != 0.0))

@@ -38,14 +38,7 @@ class NodeTag(IntEnum):
     BOUNDARY = 5
 
 
-TAG_NAMES = {
-    NodeTag.COARSE_REGULAR: "coarse_regular",
-    NodeTag.FINE_REGULAR: "fine_regular",
-    NodeTag.FINE_IRREGULAR: "fine_irregular",
-    NodeTag.BORDER: "border",
-    NodeTag.HANGING: "hanging",
-    NodeTag.BOUNDARY: "boundary",
-}
+TAG_NAMES = {t: t.name.lower() for t in NodeTag}
 
 
 @dataclass

@@ -31,7 +31,8 @@ from .errors import (BadParams, DegenerateDenominator, MissingNeighbor,
 from .geometry import InterfaceFrame, LevelSet, project_to_interface, segment_crossing
 from .stencils import Stencil
 
-ScalarOrField = Union[float, Callable[[float, float], float]]
+Field = Callable[[np.ndarray, np.ndarray], np.ndarray]
+ScalarOrField = Union[float, Field]
 
 _CROSS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 _BLOCK3 = tuple((di, dj) for dj in (-1, 0, 1) for di in (-1, 0, 1))
@@ -46,21 +47,28 @@ class JumpData:
     ``w`` and ``v`` are the value and flux jumps (scalars or fields evaluated
     on the interface); ``C`` and ``Cbar`` are their one-dimensional scalar
     counterparts (flux and value respectively). ``wp``, ``wpp``, ``vp`` are
-    optional arclength derivatives along the canonical tangent; when absent
-    they are computed by differencing along the curve. ``fjump`` is the jump
-    of the right-hand side across the interface. A field is called with
-    coordinate arrays, all feet of a batch at once, and must evaluate
-    elementwise.
+    the arclength derivatives along the canonical tangent: a field ``w``
+    needs ``wp`` and ``wpp``, and a field ``v`` needs ``vp``, else
+    :class:`BadParams` is raised; a scalar jump's derivatives default to
+    zero. ``fjump`` is the jump of the right-hand side across the interface.
+    A field is called with coordinate arrays, all feet of a batch at once,
+    and must evaluate elementwise.
     """
 
     w: ScalarOrField = 0.0
     v: ScalarOrField = 0.0
     C: float = 0.0
     Cbar: float = 0.0
-    wp: Optional[Callable[[float, float], float]] = None
-    wpp: Optional[Callable[[float, float], float]] = None
-    vp: Optional[Callable[[float, float], float]] = None
+    wp: Optional[Field] = None
+    wpp: Optional[Field] = None
+    vp: Optional[Field] = None
     fjump: ScalarOrField = 0.0
+
+    def __post_init__(self):
+        if callable(self.w) and (self.wp is None or self.wpp is None):
+            raise BadParams("a field jump w needs its derivatives wp and wpp")
+        if callable(self.v) and self.vp is None:
+            raise BadParams("a field jump v needs its derivative vp")
 
 
 # ---------------------------------------------------------------------------
@@ -120,57 +128,20 @@ def _ev(q: ScalarOrField, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(val, dtype=float), np.shape(x))
 
 
-def _curve_samples(ls: LevelSet, frame: InterfaceFrame, eps: float):
-    """Feet of the points ``eps`` ahead of and behind each foot along its
-    tangent, and their arclength coordinates along it; one projection."""
-    foot = np.reshape(frame.foot, (-1, 2))
-    tan = np.reshape(frame.tangent, (-1, 2))
-    P = project_to_interface(
-        ls, np.concatenate([foot + eps * tan, foot - eps * tan])).foot
-    shape = np.shape(frame.foot)[:-1]
-    out = []
-    for Q in (P[:len(foot)], P[len(foot):]):
-        s = (Q[:, 0] - foot[:, 0]) * tan[:, 0] + (Q[:, 1] - foot[:, 1]) * tan[:, 1]
-        out += [(np.reshape(np.ascontiguousarray(Q[:, 0]), shape),
-                 np.reshape(np.ascontiguousarray(Q[:, 1]), shape)),
-                np.reshape(s, shape)]
-    return out
-
-
 def jump_scalars(ls: LevelSet, jumps: JumpData, frame: InterfaceFrame) -> dict:
     """Evaluate w, v, [f] and the tangential derivatives at a frame's feet.
 
     Every value has the shape of ``frame.foot[..., 0]``: one per foot of a
-    batch, a 0-d array for a single frame.
+    batch, a 0-d array for a single frame. A derivative that ``jumps`` does
+    not give is zero, which :class:`JumpData` allows only for scalar jumps;
+    ``ls`` is not read.
     """
     x = np.ascontiguousarray(frame.foot[..., 0])
     y = np.ascontiguousarray(frame.foot[..., 1])
-    out = {
-        "w": _ev(jumps.w, x, y),
-        "v": _ev(jumps.v, x, y),
-        "fj": _ev(jumps.fjump, x, y),
-    }
-    need_wd = callable(jumps.w) and (jumps.wp is None or jumps.wpp is None)
-    need_vd = callable(jumps.v) and jumps.vp is None
-    if need_wd or need_vd:
-        eps = 1e-4 * ls.scale
-        ahead, s_a, behind, s_b = _curve_samples(ls, frame, eps)
-        if need_wd:
-            # the quadratic through (s_b, w_b), (0, w), (s_a, w_a), Newton form
-            w = out["w"]
-            d_b = (w - _ev(jumps.w, *behind)) / (0.0 - s_b)
-            c2 = ((_ev(jumps.w, *ahead) - w) / s_a - d_b) / (s_a - s_b)
-            out["wp"] = d_b - c2 * s_b
-            out["wpp"] = 2.0 * c2
-        if need_vd:
-            out["vp"] = ((_ev(jumps.v, *ahead) - _ev(jumps.v, *behind))
-                         / (s_a - s_b))
-    for name in ("wp", "wpp", "vp"):
-        given = getattr(jumps, name)
-        if given is not None:
-            out[name] = _ev(given, x, y)
-        out.setdefault(name, _ev(0.0, x, y))
-    return out
+    fields = {"w": jumps.w, "v": jumps.v, "fj": jumps.fjump,
+              "wp": jumps.wp, "wpp": jumps.wpp, "vp": jumps.vp}
+    return {name: _ev(0.0 if q is None else q, x, y)
+            for name, q in fields.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -203,31 +203,35 @@ def _flower(params) -> ProblemSpec:
 
 
 def _flower_jumps(km: float, kp: float) -> JumpData:
-    """Interface data for the flower benchmark, differentiated along the
-    curve with sympy and evaluated through the polar angle of the foot."""
-    import sympy  # only user; importing it costs more than the rest of twogrid
+    """Interface data for the flower benchmark in closed form, evaluated
+    through the polar angle of the foot.
 
-    th = sympy.Symbol("theta", real=True)
-    rho = sympy.Rational(1, 2) + sympy.Rational(1, 10) * sympy.sin(8 * th)
-    Tx = sympy.diff(rho * sympy.cos(th), th)
-    Ty = sympy.diff(rho * sympy.sin(th), th)
-    speed = sympy.sqrt(Tx**2 + Ty**2)
-    nx, ny = Ty / speed, -Tx / speed          # outward normal
-
-    w = (rho**4 - sympy.log(2 * rho) / 10) / kp - rho**2 / km
-    radial_dot_n = sympy.cos(th) * nx + sympy.sin(th) * ny
-    v = (4 * rho**3 - 1 / (10 * rho) - 2 * rho) * radial_dot_n
-    wp = sympy.diff(w, th) / speed
-    wpp = sympy.diff(wp, th) / speed
-    vp = sympy.diff(v, th) / speed
-
-    fns = {name: sympy.lambdify(th, expr, "numpy")
-           for name, expr in
-           (("w", w), ("v", v), ("wp", wp), ("wpp", wpp), ("vp", vp))}
+    On the curve ``rho(theta) = 1/2 + sin(8 theta)/10`` the speed is
+    ``S = sqrt(rho'^2 + rho^2)``, the outward normal's radial component is
+    ``rho / S`` and ``d/ds = (1/S) d/dtheta``. The jumps are functions of
+    ``rho`` alone, ``w = W(rho)`` and ``v = Q(rho) / S``, so the chain rule
+    gives every arclength derivative.
+    """
+    def fields(x, y):
+        th = np.arctan2(y, x)
+        rho = 0.5 + 0.1 * np.sin(8.0 * th)
+        d1 = 0.8 * np.cos(8.0 * th)                  # rho'
+        d2 = -6.4 * np.sin(8.0 * th)                 # rho''
+        S = np.sqrt(d1 * d1 + rho * rho)
+        dS = d1 * (d2 + rho) / S                     # dS/dtheta
+        W = (rho**4 - 0.1 * np.log(2.0 * rho)) / kp - rho**2 / km
+        dW = (4.0 * rho**3 - 0.1 / rho) / kp - 2.0 * rho / km
+        ddW = (12.0 * rho**2 + 0.1 / rho**2) / kp - 2.0 / km
+        Q = 4.0 * rho**4 - 2.0 * rho**2 - 0.1       # (kappa du/dr jump) * rho
+        dQ = 16.0 * rho**3 - 4.0 * rho
+        wp = dW * d1 / S
+        v = Q / S
+        return {"w": W, "wp": wp,
+                "wpp": (ddW * d1 * d1 + dW * d2 - wp * dS) / (S * S),
+                "v": v, "vp": (dQ * d1 - v * dS) / (S * S)}
 
     def on_curve(name):
-        fn = fns[name]
-        return lambda x, y: fn(np.arctan2(y, x))
+        return lambda x, y: fields(x, y)[name]
 
     return JumpData(
         w=on_curve("w"), v=on_curve("v"), wp=on_curve("wp"),

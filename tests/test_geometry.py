@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from twogrid import geometry, problems
-from twogrid.errors import NonConvergence
+from twogrid.errors import BadParams, NonConvergence
 from twogrid.geometry import (InterfaceFrame, LevelSet, project_to_interface,
                               segment_crossing)
 from twogrid.grid import GridParams, NodeTag, build_tube_two_grid_2d
@@ -135,7 +135,7 @@ def test_segment_crossing_returns_exact_endpoint():
 
 def test_segment_crossing_rejects_same_side():
     ls = circle_ls()
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParams):
         segment_crossing(ls, (0.6, 0.0), (1.0, 0.0))
 
 

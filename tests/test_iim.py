@@ -156,18 +156,19 @@ def test_transfer_from_plus_side_swaps_roles():
     assert not np.allclose(Mf, Mr)
 
 
-def test_jump_scalars_tangential_derivatives_on_circle():
-    # w = x restricted to the circle r = R is R cos(s / R): at the foot
-    # (R, 0) its arclength derivatives are 0 and -1/R; v = y gives v' = 1
-    R = 0.5
-    ls = circle_ls(R)
-    frame = project_to_interface(ls, (R, 0.0))
-    js = iim.jump_scalars(ls, iim.JumpData(w=lambda x, y: x,
-                                           v=lambda x, y: y), frame)
-    assert js["w"] == pytest.approx(R, abs=1e-10)
-    assert js["wp"] == pytest.approx(0.0, abs=1e-6)
-    assert js["wpp"] == pytest.approx(-1.0 / R, rel=1e-4)
-    assert js["vp"] == pytest.approx(1.0, rel=1e-6)
+def test_field_jumps_need_their_tangential_derivatives():
+    with pytest.raises(BadParams):
+        iim.JumpData(w=lambda x, y: x)
+    with pytest.raises(BadParams):
+        iim.JumpData(w=lambda x, y: x, wp=lambda x, y: 0.0)
+    with pytest.raises(BadParams):
+        iim.JumpData(v=lambda x, y: y)
+    # scalar jumps have zero tangential derivatives
+    ls = circle_ls()
+    js = iim.jump_scalars(ls, iim.JumpData(w=0.3, v=1.0),
+                          project_to_interface(ls, (0.5, 0.0)))
+    assert (js["w"], js["v"], js["wp"], js["wpp"], js["vp"]) == (
+        0.3, 1.0, 0.0, 0.0, 0.0)
 
 
 def test_jump_scalars_prefers_supplied_derivatives():

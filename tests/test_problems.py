@@ -1,6 +1,12 @@
 """Benchmark fixtures: closed forms verified against their own operators."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import sympy
 
 from twogrid import problems
 from twogrid.errors import BadParams, NoExactSolution, UnknownProblem
@@ -134,6 +140,49 @@ def test_flower_level_set_is_signed_distance_like():
     assert np.abs(on).max() < 1e-12
     assert float(ls.phi(0.0, 0.0)) < 0.0
     assert float(ls.phi(0.9, 0.9)) > 0.0
+
+
+def _flower_jumps_sympy(km, kp):
+    """The flower's jump data differentiated symbolically along the curve
+    and lambdified: the oracle for the closed forms in ``problems``."""
+    th = sympy.Symbol("theta", real=True)
+    rho = sympy.Rational(1, 2) + sympy.Rational(1, 10) * sympy.sin(8 * th)
+    Tx = sympy.diff(rho * sympy.cos(th), th)
+    Ty = sympy.diff(rho * sympy.sin(th), th)
+    speed = sympy.sqrt(Tx**2 + Ty**2)
+    nx, ny = Ty / speed, -Tx / speed          # outward normal
+
+    w = (rho**4 - sympy.log(2 * rho) / 10) / kp - rho**2 / km
+    radial_dot_n = sympy.cos(th) * nx + sympy.sin(th) * ny
+    v = (4 * rho**3 - 1 / (10 * rho) - 2 * rho) * radial_dot_n
+    wp = sympy.diff(w, th) / speed
+    wpp = sympy.diff(wp, th) / speed
+    vp = sympy.diff(v, th) / speed
+    return {name: sympy.lambdify(th, expr, "numpy")
+            for name, expr in
+            (("w", w), ("v", v), ("wp", wp), ("wpp", wpp), ("vp", vp))}
+
+
+@pytest.mark.parametrize("km,kp", [(1.0, 10.0), (50.0, 1.0)])
+def test_flower_jumps_match_symbolic_derivatives(km, kp):
+    jumps = problems.make_problem(
+        "flower", {"kappa_minus": km, "kappa_plus": kp}).jumps
+    th = np.linspace(-np.pi, np.pi, 4001)
+    x, y = np.cos(th), np.sin(th)
+    for name, ref in _flower_jumps_sympy(km, kp).items():
+        want = ref(np.arctan2(y, x))
+        got = getattr(jumps, name)(x, y)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
+
+
+def test_flower_run_leaves_sympy_unloaded():
+    code = ("import sys, twogrid; "
+            "twogrid.run_case(twogrid.make_problem('flower'), N=40, r=2); "
+            "sys.exit('sympy' in sys.modules)")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=120).returncode == 0
 
 
 def test_peskin_gradient_accepts_arrays():

@@ -9,14 +9,14 @@ from .errors import (BadParams, DegenerateDenominator, EmptyTube,
                      InconsistentSystem, MissingNeighbor, MultipleCrossings,
                      NoExactSolution, NonConvergence, SignViolation,
                      SingularMatrix, TubeTooWide, TwoGridError,
-                     UnknownProblem, UnsupportedRatio)
+                     UnknownProblem)
 from .geometry import InterfaceFrame, LevelSet, project_to_interface
 from .grid import (Grid1D, Grid2DLine, Grid2DTube, GridParams, NodeTag,
                    build_line_two_grid_2d, build_tube_two_grid_2d,
                    build_two_grid_1d, dump_grid_json)
 from .harness import (CaseReport, build_grid, convergence_study,
                       reference_errors, run_case, to_csv, to_json)
-from .iim import (IrregularNode, IrregularNodes, JumpData, iim_1d_irregular,
+from .iim import (IrregularNodes, JumpData, iim_1d_irregular,
                   iim_discontinuous_stencil_2d, singular_source_stencil_2d)
 from .linsolve import solve, verify_m_matrix
 from .problems import (ProblemSpec, exact_error, make_problem,

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import stencils
-from .errors import BadParams, MissingNeighbor, UnsupportedRatio
+from .errors import BadParams, MissingNeighbor
 from .grid import Grid1D, Grid2DLine, Grid2DTube, NodeTag
 from .iim import (_RING2, IrregularNodes, iim_1d_irregular,
                   iim_discontinuous_stencil_2d, singular_source_stencil_2d)
@@ -293,10 +293,7 @@ def _assemble_tube(grid: Grid2DTube, problem) -> SparseSystem:
 
     hanging = tags == NodeTag.HANGING
     for j in np.unique(grid.hang_j[hanging]):
-        try:
-            st = stencils.hanging_coeffs(r, int(j))
-        except UnsupportedRatio:
-            st = stencils.derive_hanging_coeffs(r, int(j))
+        st = stencils.hanging_coeffs(r, int(j))
         for axis in (0, 1):
             rows = np.nonzero(hanging & (grid.hang_j == j)
                               & (grid.hang_axis == axis))[0]

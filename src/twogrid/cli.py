@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import stencils
-from .errors import SignViolation, TwoGridError
+from .errors import BadParams, SignViolation, TwoGridError
 from .grid import dump_grid_json
 from .harness import (convergence_study, reference_errors, run_case, to_csv,
                       to_json)
@@ -30,17 +30,21 @@ from .problems import make_problem, problem_names
 
 def _number(text: str) -> float:
     """Parse a float that may be written as a fraction like ``17/30``."""
-    return float(Fraction(text))
+    try:
+        return float(Fraction(text))
+    except ZeroDivisionError:   # argparse reports a ValueError as bad input
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _parse_params(pairs) -> dict:
     params = {}
     for pair in pairs or ():
-        if "=" not in pair:
-            raise argparse.ArgumentTypeError(
-                f"--param expects key=value, got {pair!r}")
-        key, _, value = pair.partition("=")
-        params[key.strip()] = _number(value)
+        key, eq, value = pair.partition("=")
+        try:
+            params[key.strip()] = _number(value if eq else "")
+        except ValueError:
+            raise BadParams(f"--param expects key=number, got {pair!r}") \
+                from None
     return params
 
 
@@ -48,7 +52,10 @@ def _parse_schedule(text: str):
     schedule = []
     for item in text.split(","):
         n_str, _, r_str = item.strip().partition(":")
-        schedule.append((int(n_str), int(r_str) if r_str else 2))
+        try:
+            schedule.append((int(n_str), int(r_str) if r_str else 2))
+        except ValueError:
+            raise BadParams(f"--schedule expects N:r, got {item!r}") from None
     return schedule
 
 

@@ -18,10 +18,6 @@ class TubeTooWide(TwoGridError):
     """The refinement tube reaches too close to the domain boundary."""
 
 
-class UnsupportedRatio(TwoGridError):
-    """Requested a tabulated transition stencil for a ratio that is not tabulated."""
-
-
 class InconsistentSystem(TwoGridError):
     """A stencil derivation system has no (unique) solution."""
 

@@ -205,6 +205,8 @@ def build_two_grid_1d(params: GridParams, alpha: Optional[float],
 
 @dataclass
 class Grid2DLine:
+    """Strip grid; the node in ``(row, col)`` has id ``row * ncol + col``."""
+
     params: GridParams
     cols: Grid1D
     N: int
@@ -226,9 +228,6 @@ class Grid2DLine:
     @property
     def h_f(self) -> float:
         return self.cols.h_f
-
-    def node_id(self, row: int, col: int) -> int:
-        return row * self.cols.n + col
 
     def sides(self) -> np.ndarray:
         return np.where(self.x <= self.alpha, -1, 1).astype(np.int8)

@@ -21,7 +21,7 @@ locally the graph ``xi = chi/2 * eta**2`` with ``chi = -curvature``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Set, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -128,13 +128,12 @@ def _ev(q: ScalarOrField, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(val, dtype=float), np.shape(x))
 
 
-def jump_scalars(ls: LevelSet, jumps: JumpData, frame: InterfaceFrame) -> dict:
+def jump_scalars(jumps: JumpData, frame: InterfaceFrame) -> dict:
     """Evaluate w, v, [f] and the tangential derivatives at a frame's feet.
 
     Every value has the shape of ``frame.foot[..., 0]``: one per foot of a
     batch, a 0-d array for a single frame. A derivative that ``jumps`` does
-    not give is zero, which :class:`JumpData` allows only for scalar jumps;
-    ``ls`` is not read.
+    not give is zero, which :class:`JumpData` allows only for scalar jumps.
     """
     x = np.ascontiguousarray(frame.foot[..., 0])
     y = np.ascontiguousarray(frame.foot[..., 1])
@@ -229,33 +228,15 @@ _STAGES = tuple(np.array([_RING2.index(off) for off in offsets])
 
 
 @dataclass
-class IrregularNode:
-    """Geometry of one fine node whose five-point arms cross the interface.
-
-    ``arm_side`` carries the grid's side classification of the neighbors.
-    Passing it is essential for consistency: a neighbor sitting exactly on
-    the interface must be coupled with the side the grid assigned to its
-    unknown, which re-evaluating phi from slightly different coordinate
-    arithmetic can get wrong by one ulp. When absent, sides are recomputed
-    from the level set (fine for standalone use away from such ties).
-    """
-
-    x: float
-    y: float
-    h_f: float
-    side: int                      # -1 on the minus side (phi <= 0), +1 otherwise
-    available: Set[Tuple[int, int]]  # neighbor offsets present in the grid
-    arm_side: Optional[dict] = None  # offset -> -1 / +1, from the grid
-
-
-@dataclass
 class IrregularNodes:
     """A batch of irregular fine nodes, the form both 2D stencil builders
     work on.
 
     ``ring_side[k, c]`` is the grid's side (-1 / +1) of node ``k``'s
     neighbor at the ring offset ``_RING2[c]``, or 0 where the grid has no
-    node there; the center column holds the node's own side.
+    node there; the center column holds the node's own side. A neighbor on
+    the interface must keep the side the grid gave its unknown, which phi
+    at other coordinate arithmetic can miss by one ulp.
     """
 
     x: np.ndarray         # (m,)
@@ -267,62 +248,31 @@ class IrregularNodes:
     def side(self) -> np.ndarray:
         return self.ring_side[:, _CENTER]
 
-    @classmethod
-    def of(cls, node: IrregularNode, ls: LevelSet) -> "IrregularNodes":
-        """The batch of one ``node``; a neighbor side that ``arm_side``
-        does not give comes from the sign of ``phi``."""
-        ring = []
-        for off in _RING2:
-            if off == (0, 0):
-                ring.append(node.side)
-            elif off not in node.available:
-                ring.append(0)
-            elif node.arm_side is not None and off in node.arm_side:
-                ring.append(node.arm_side[off])
-            else:
-                px = node.x + off[0] * node.h_f
-                py = node.y + off[1] * node.h_f
-                ring.append(-1 if float(ls.phi(px, py)) <= 0.0 else 1)
-        return cls(x=np.array([node.x], dtype=float),
-                   y=np.array([node.y], dtype=float), h_f=node.h_f,
-                   ring_side=np.array([ring], dtype=np.int8))
 
-
-def _batch(nodes, ls: LevelSet):
-    """``nodes`` as a batch and whether it was one :class:`IrregularNode`,
-    after checking that no arm crosses the interface twice."""
-    single = isinstance(nodes, IrregularNode)
-    batch = IrregularNodes.of(nodes, ls) if single else nodes
-    h = batch.h_f
+def _check_single_crossings(nodes: IrregularNodes, ls: LevelSet) -> None:
+    """Raise :class:`MultipleCrossings` if an arm of ``nodes`` crosses the
+    interface twice: its ends on one side and its midpoint on the other."""
+    h = nodes.h_f
     di, dj = _DI[_CROSS_COLS], _DJ[_CROSS_COLS]
-    mid = np.asarray(ls.phi(batch.x[:, None] + 0.5 * di * h,
-                            batch.y[:, None] + 0.5 * dj * h), dtype=float)
+    mid = np.asarray(ls.phi(nodes.x[:, None] + 0.5 * di * h,
+                            nodes.y[:, None] + 0.5 * dj * h), dtype=float)
     mid = np.where(mid <= 0.0, -1, 1)
-    ends = batch.ring_side[:, _CROSS_COLS]
-    bad = (ends != 0) & (mid != batch.side[:, None]) & (mid != ends)
+    ends = nodes.ring_side[:, _CROSS_COLS]
+    bad = (ends != 0) & (mid != nodes.side[:, None]) & (mid != ends)
     if bad.any():
         k, a = np.argwhere(bad)[0]
         di, dj = _CROSS[a]
         raise MultipleCrossings(
-            f"arm ({di},{dj}) of node ({batch.x[k]:.4g},{batch.y[k]:.4g}) "
+            f"arm ({di},{dj}) of node ({nodes.x[k]:.4g},{nodes.y[k]:.4g}) "
             "crosses the interface more than once")
-    return batch, single
-
-
-def _stencil(weights: np.ndarray, correction) -> Stencil:
-    """One node's row of ring weights as a :class:`Stencil`."""
-    alphas = {off: float(w) for off, w in zip(_RING2, weights) if w != 0.0}
-    alphas.setdefault((0, 0), float(weights[_CENTER]))
-    return Stencil(alphas=alphas, betas={(0, 0): 1.0},
-                   correction=float(correction))
 
 
 # ---------------------------------------------------------------------------
 # continuous-kappa path: five-point scheme with jump corrections
 # ---------------------------------------------------------------------------
 
-def singular_source_stencil_2d(nodes, ls: LevelSet, kappa: float,
-                               jumps: JumpData):
+def singular_source_stencil_2d(nodes: IrregularNodes, ls: LevelSet,
+                               kappa: float, jumps: JumpData):
     """Corrected five-point scheme for ``kappa Lap u = f`` with interface jumps.
 
     ``kappa`` must be the same on both sides. Each arm that crosses the
@@ -330,25 +280,24 @@ def singular_source_stencil_2d(nodes, ls: LevelSet, kappa: float,
     own crossing point, to the right-hand-side correction. The crossings of
     all arms of all nodes are found in one call, and projected in one call.
 
-    ``nodes`` is one :class:`IrregularNode`, giving its :class:`Stencil`,
-    or an :class:`IrregularNodes` batch of ``m`` nodes, giving ``(weights,
-    correction)``: the ``(m, 25)`` weights over the ring offsets ``_RING2``
-    and the ``(m,)`` right-side corrections.
+    Returns ``(weights, correction)`` for the batch of ``m`` nodes: the
+    ``(m, 25)`` weights over the ring offsets ``_RING2`` and the ``(m,)``
+    right-side corrections.
     """
-    batch, single = _batch(nodes, ls)
-    h = batch.h_f
-    side = batch.side
-    ends = batch.ring_side[:, _CROSS_COLS]
+    _check_single_crossings(nodes, ls)
+    h = nodes.h_f
+    side = nodes.side
+    ends = nodes.ring_side[:, _CROSS_COLS]
     if (ends == 0).any():
         k = int(np.argmax((ends == 0).any(axis=1)))
-        raise MissingNeighbor(f"node ({batch.x[k]:.4g},{batch.y[k]:.4g}) "
+        raise MissingNeighbor(f"node ({nodes.x[k]:.4g},{nodes.y[k]:.4g}) "
                               "lacks a five-point arm")
     weights = np.zeros((len(side), len(_RING2)))
     weights[:, _CENTER] = -4.0 * kappa / h**2
     weights[:, _CROSS_COLS] = kappa / h**2
 
     k, a = np.nonzero(ends != side[:, None])
-    cx, cy = batch.x[k], batch.y[k]
+    cx, cy = nodes.x[k], nodes.y[k]
     ex = cx + _DI[_CROSS_COLS][a] * h     # the far ends of the arms
     ey = cy + _DJ[_CROSS_COLS][a] * h
     # grid-side tie: the crossing sits on an endpoint to within rounding,
@@ -362,7 +311,7 @@ def singular_source_stencil_2d(nodes, ls: LevelSet, kappa: float,
                                 np.column_stack([ex, ey])[~tie])
 
     frame = project_to_interface(ls, Xc)
-    js = jump_scalars(ls, jumps, frame)
+    js = jump_scalars(jumps, frame)
     chi = -frame.curvature
     juxi = js["v"] / kappa
     jueta = js["wp"]
@@ -378,7 +327,7 @@ def singular_source_stencil_2d(nodes, ls: LevelSet, kappa: float,
     for arm in range(len(_CROSS)):   # at most one term per node and arm
         sel = a == arm
         corr[k[sel]] += term[sel]
-    return _stencil(weights[0], corr[0]) if single else (weights, corr)
+    return weights, corr
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +430,8 @@ def _constrained_fit(A: np.ndarray, cand: np.ndarray, scale: np.ndarray,
     return g, ok
 
 
-def iim_discontinuous_stencil_2d(nodes, ls: LevelSet, kminus: float,
-                                 kplus: float, jumps: JumpData):
+def iim_discontinuous_stencil_2d(nodes: IrregularNodes, ls: LevelSet,
+                                 kminus: float, kplus: float, jumps: JumpData):
     """Fitted stencil at fine nodes where the diffusion coefficient jumps.
 
     All available 3x3 neighbors are candidates; consistency with the
@@ -494,24 +443,23 @@ def iim_discontinuous_stencil_2d(nodes, ls: LevelSet, kminus: float,
     5x5 ring before giving up; every stage fits all its nodes in one
     block-diagonal linear program.
 
-    ``nodes`` is one :class:`IrregularNode`, giving its :class:`Stencil`,
-    or an :class:`IrregularNodes` batch of ``m`` nodes, giving ``(weights,
-    correction)``: the ``(m, 25)`` weights over the ring offsets ``_RING2``
-    and the ``(m,)`` right-side corrections.
+    Returns ``(weights, correction)`` for the batch of ``m`` nodes: the
+    ``(m, 25)`` weights over the ring offsets ``_RING2`` and the ``(m,)``
+    right-side corrections.
     """
-    batch, single = _batch(nodes, ls)
-    frame = project_to_interface(ls, np.column_stack([batch.x, batch.y]))
-    js = jump_scalars(ls, jumps, frame)
-    side = batch.side
+    _check_single_crossings(nodes, ls)
+    frame = project_to_interface(ls, np.column_stack([nodes.x, nodes.y]))
+    js = jump_scalars(jumps, frame)
+    side = nodes.side
     kc = np.where(side < 0, kminus, kplus)
     M, J0, jf = transfer_from_side(side, kminus, kplus, -frame.curvature, js)
-    A, const, fother = _candidate_rows(batch, frame, kc, M, J0, jf)
-    scale = kc / batch.h_f**2
+    A, const, fother = _candidate_rows(nodes, frame, kc, M, J0, jf)
+    scale = kc / nodes.h_f**2
 
     weights = np.zeros((len(side), len(_RING2)))
     todo = np.arange(len(side))
     for cols in _STAGES:
-        cand = batch.ring_side[np.ix_(todo, cols)] != 0
+        cand = nodes.ring_side[np.ix_(todo, cols)] != 0
         g, ok = _constrained_fit(A[todo][:, :, cols], cand, scale[todo],
                                  int(np.flatnonzero(cols == _CENTER)[0]))
         weights[np.ix_(todo[ok], cols)] = g[ok]
@@ -521,7 +469,7 @@ def iim_discontinuous_stencil_2d(nodes, ls: LevelSet, kminus: float,
     else:
         k = todo[0]
         raise SignViolation("no sign-feasible fitted stencil at "
-                            f"({batch.x[k]:.4g},{batch.y[k]:.4g})")
+                            f"({nodes.x[k]:.4g},{nodes.y[k]:.4g})")
     fold = np.where(side < 0, 1.0, -1.0)   # f_other = f_center + fold * [f]
     corr = _rowdot(weights, const) + _rowdot(weights, fother) * fold * js["fj"]
-    return _stencil(weights[0], corr[0]) if single else (weights, corr)
+    return weights, corr

@@ -12,20 +12,19 @@ convention throughout: negative diagonal, nonnegative off-diagonal entries
 (the assembled operator approximates ``kappa * Lap u + K u``).
 
 The transition ("hanging") stencils that tie fine tube nodes to the coarse
-lattice come in two flavors: a lookup table for the refinement ratios used by
-the benchmarks, and an exact rational derivation that reproduces the table
-and extends it to arbitrary ratios.
+lattice are exact rationals in closed form for every refinement ratio; an
+exact rational derivation engine reproduces them and extends them to a
+reaction term and a general ``kappa``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import BadParams, InconsistentSystem, UnsupportedRatio
+from .errors import BadParams, InconsistentSystem
 
 Number = Union[float, Fraction]
 
@@ -195,32 +194,12 @@ def border_coeffs_2d(h1: float, h2: float, h_y: float) -> Stencil:
 
 
 # ---------------------------------------------------------------------------
-# transition (hanging-node) stencils: table and derivation engine
+# transition (hanging-node) stencils: closed form and derivation engine
 # ---------------------------------------------------------------------------
 
-def _F(a, b=1) -> Fraction:
-    return Fraction(a, b)
-
-
-# rows keyed by primitive (ratio, offset); entries
-# (corner_left, corner_right, mid_left, mid_right, self, beta_left, beta_right)
-# normalized to coarse spacing 1. Non-primitive combinations reduce by gcd;
-# offsets past the midpoint mirror left<->right.
-_HANGING_TABLE: Dict[Tuple[int, int], Tuple[Fraction, ...]] = {
-    (2, 1): (_F(1, 2), _F(1, 2), _F(3), _F(3), _F(-8), _F(1, 2), _F(1, 2)),
-    (4, 1): (_F(7, 12), _F(5, 12), _F(41, 6), _F(11, 6), _F(-32, 3), _F(7, 12), _F(5, 12)),
-    (8, 1): (_F(5, 8), _F(3, 8), _F(59, 4), _F(43, 28), _F(-128, 7), _F(5, 8), _F(3, 8)),
-    (8, 3): (_F(13, 24), _F(11, 24), _F(17, 4), _F(137, 60), _F(-128, 15), _F(13, 24), _F(11, 24)),
-    (16, 1): (_F(31, 48), _F(17, 48), _F(737, 24), _F(57, 40), _F(-512, 15), _F(31, 48), _F(17, 48)),
-    (16, 3): (_F(29, 48), _F(19, 48), _F(227, 24), _F(521, 312), _F(-512, 39), _F(29, 48), _F(19, 48)),
-    (16, 5): (_F(9, 16), _F(7, 16), _F(211, 40), _F(179, 88), _F(-512, 55), _F(9, 16), _F(7, 16)),
-    (16, 7): (_F(25, 48), _F(23, 48), _F(593, 168), _F(187, 72), _F(-512, 63), _F(25, 48), _F(23, 48)),
-}
-
-_TABULATED_RATIOS = (2, 4, 8, 16)
-
-
 def _hanging_stencil_from_row(row: Tuple[Fraction, ...], r: int, j: int) -> Stencil:
+    """``row`` = (corner_left, corner_right, mid_left, mid_right, self,
+    beta_left, beta_right) at coarse spacing 1, on fine-step offsets."""
     a1, a2, a3, a4, a5, b1, b2 = row
     alphas = {
         (-j, -r): a1, (r - j, -r): a2,
@@ -233,7 +212,7 @@ def _hanging_stencil_from_row(row: Tuple[Fraction, ...], r: int, j: int) -> Sten
 
 
 def hanging_coeffs(r: int, j: int) -> Stencil:
-    """Tabulated seven-point transition stencil for a tube-edge fine node.
+    """Seven-point transition stencil for a tube-edge fine node, any ratio.
 
     The node sits between two coarse neighbors a coarse step ``h`` apart, at
     ``j`` fine steps (``j*h/r``) from the left one. The seven U-weights live
@@ -243,23 +222,17 @@ def hanging_coeffs(r: int, j: int) -> Stencil:
     ``-j`` and ``r - j`` and the y-offsets are ``+-r``. Values are exact
     rationals normalized to ``h = 1``; scale by ``kappa / h**2`` to apply.
 
-    Only ratios 2, 4, 8, 16 are tabulated; other ratios go through
-    :func:`derive_hanging_coeffs`.
+    With ``d = j/r``: corners and f-weights ``(2-d)/3`` left, ``(1+d)/3``
+    right; middles ``2(d**2-2d+3)/(3d)`` and ``2(d**2+2)/(3(1-d))``; center
+    ``2/(d(d-1))``. Equals :func:`derive_hanging_coeffs` at kappa=1, K=0.
     """
     r, j = int(r), int(j)
-    if r not in _TABULATED_RATIOS:
-        raise UnsupportedRatio(f"ratio {r} is not tabulated (have {_TABULATED_RATIOS})")
     if not 1 <= j <= r - 1:
         raise BadParams(f"offset j={j} out of range for ratio {r}")
-    g = gcd(r, j)
-    rr, jj = r // g, j // g
-    mirrored = jj > rr - jj
-    if mirrored:
-        jj = rr - jj
-    row = _HANGING_TABLE[(rr, jj)]
-    if mirrored:
-        a1, a2, a3, a4, a5, b1, b2 = row
-        row = (a2, a1, a4, a3, a5, b2, b1)
+    d = Fraction(j, r)
+    left, right = (2 - d) / 3, (1 + d) / 3
+    row = (left, right, 2 * (d * d - 2 * d + 3) / (3 * d),
+           2 * (d * d + 2) / (3 * (1 - d)), 2 / (d * (d - 1)), left, right)
     return _hanging_stencil_from_row(row, r, j)
 
 
@@ -302,13 +275,11 @@ def derive_hanging_coeffs(r: int, j: int, kappa=1, K=0) -> Stencil:
     seven-point support, symmetric in y, that annihilates every monomial of
     total degree <= 4 except the pure ``x**4`` and ``y**4`` terms, with the
     f-weights summing to one. The system is square and uniquely solvable for
-    any ratio ``r >= 2``; for tabulated ratios (with ``kappa=1, K=0``) it
-    reproduces :func:`hanging_coeffs` exactly. Geometry is normalized to a
-    coarse spacing of one, like the table.
+    any ratio ``r >= 2``; with ``kappa=1, K=0`` it reproduces the closed
+    form of :func:`hanging_coeffs` exactly. Geometry is normalized to a
+    coarse spacing of one, like the closed form.
     """
     r, j = int(r), int(j)
-    if r < 2:
-        raise BadParams(f"refinement ratio must be >= 2, got {r}")
     if not 1 <= j <= r - 1:
         raise BadParams(f"offset j={j} out of range for ratio {r}")
     kap = Fraction(kappa)

@@ -57,9 +57,20 @@ def test_run_exit_2_when_sign_pattern_fails(capsys):
     assert out.splitlines()[0] == CSV_HEADER
 
 
-def test_run_exit_1_on_bad_parameters(capsys):
-    rc, _, err = run_cli(capsys, "run", "--problem", "piecewise_kappa_1d",
-                         "--N", "10", "--param", "kappa_minus=-1")
+@pytest.mark.parametrize("argv", [
+    pytest.param(("run", "--param", "kappa_minus=-1"), id="negative-kappa"),
+    pytest.param(("run", "--param", "kappa_minus"), id="param-without-value"),
+    pytest.param(("run", "--param", "kappa_minus=1/0"), id="param-over-zero"),
+    pytest.param(("run", "--param", "kappa_minus=abc"), id="param-not-number"),
+    pytest.param(("study", "--schedule", "10:x"), id="schedule-bad-ratio"),
+    pytest.param(("study", "--schedule", "10:2,,20:2"),
+                 id="schedule-empty-item"),
+])
+def test_run_exit_1_on_bad_parameters(capsys, argv):
+    command, *rest = argv
+    size = ["--N", "10"] if command == "run" else []
+    rc, _, err = run_cli(capsys, command, "--problem", "piecewise_kappa_1d",
+                         *size, *rest)
     assert rc == 1
     assert err.startswith("error:")
 
@@ -67,6 +78,15 @@ def test_run_exit_1_on_bad_parameters(capsys):
 def test_unknown_problem_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit):
         main(["run", "--problem", "nonesuch", "--N", "10"])
+
+
+@pytest.mark.parametrize("value", ["abc", "1/0"])
+def test_bad_named_number_is_an_argparse_error(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--problem", "piecewise_kappa_1d", "--N", "10",
+              "--kappa-minus", value])
+    assert exc.value.code == 2
+    assert "invalid _number value" in capsys.readouterr().err
 
 
 def test_named_flags_accept_fractions(tmp_path, capsys):

@@ -140,7 +140,6 @@ def test_line_grid_extrudes_columns():
     al = 33.0 / 70.0
     g = build_line_two_grid_2d(GridParams(N=6, r=2, lam=2.0), alpha=al)
     assert g.n == 7 * g.ncol
-    assert g.node_id(2, 3) == 2 * g.ncol + 3
     # frame rows and columns are boundary
     tg = g.tags.reshape(7, g.ncol)
     assert (tg[0] == NodeTag.BOUNDARY).all()

@@ -25,15 +25,27 @@ def circle_ls(R=0.5):
                                        y / np.hypot(x, y)))
 
 
-def node_at(x, y, h_f, side):
-    return iim.IrregularNode(x=x, y=y, h_f=h_f, side=side,
-                             available=set(ALL_NEIGHBORS))
+def node_at(x, y, h_f, side, ls, available=ALL_NEIGHBORS):
+    """The batch of one node at ``(x, y)``; the grid has its neighbors at
+    the offsets ``available``, on the sides that ``phi`` gives them."""
+    ring = [side if off == (0, 0) else
+            0 if off not in available else
+            -1 if float(ls.phi(x + off[0] * h_f, y + off[1] * h_f)) <= 0.0
+            else 1 for off in iim._RING2]
+    return iim.IrregularNodes(x=np.array([x]), y=np.array([y]), h_f=h_f,
+                              ring_side=np.array([ring], dtype=np.int8))
 
 
-def residual_2d(st, node, u_of, f_center):
-    acc = sum(g * u_of(node.x + di * node.h_f, node.y + dj * node.h_f)
-              for (di, dj), g in st.alphas.items())
-    return acc - f_center - st.correction
+def weight(out, off):
+    """The weight of the node's neighbor at ``off`` in a builder's output."""
+    return out[0][0, iim._RING2.index(off)]
+
+
+def residual_2d(out, node, u_of, f_center):
+    weights, corr = out
+    acc = sum(g * u_of(node.x[0] + di * node.h_f, node.y[0] + dj * node.h_f)
+              for (di, dj), g in zip(iim._RING2, weights[0]) if g != 0.0)
+    return acc - f_center - corr[0]
 
 
 def lsq_slope(hs, errs):
@@ -165,7 +177,7 @@ def test_field_jumps_need_their_tangential_derivatives():
         iim.JumpData(v=lambda x, y: y)
     # scalar jumps have zero tangential derivatives
     ls = circle_ls()
-    js = iim.jump_scalars(ls, iim.JumpData(w=0.3, v=1.0),
+    js = iim.jump_scalars(iim.JumpData(w=0.3, v=1.0),
                           project_to_interface(ls, (0.5, 0.0)))
     assert (js["w"], js["v"], js["wp"], js["wpp"], js["vp"]) == (
         0.3, 1.0, 0.0, 0.0, 0.0)
@@ -177,7 +189,7 @@ def test_jump_scalars_prefers_supplied_derivatives():
     jd = iim.JumpData(w=lambda x, y: x, v=lambda x, y: y,
                       wp=lambda x, y: 11.0, wpp=lambda x, y: 12.0,
                       vp=lambda x, y: 13.0)
-    js = iim.jump_scalars(ls, jd, frame)
+    js = iim.jump_scalars(jd, frame)
     assert (js["wp"], js["wpp"], js["vp"]) == (11.0, 12.0, 13.0)
 
 
@@ -189,27 +201,27 @@ def test_singular_source_exact_on_piecewise_linear():
     al = 33.0 / 70.0
     ls = line_ls(al)
     hf = 0.04
-    node = node_at(al - 0.3 * hf, 0.5, hf, side=-1)
-    st = iim.singular_source_stencil_2d(node, ls, 1.0, iim.JumpData(v=1.0))
+    node = node_at(al - 0.3 * hf, 0.5, hf, -1, ls)
+    out = iim.singular_source_stencil_2d(node, ls, 1.0, iim.JumpData(v=1.0))
 
     def u(x, y):
         return x * (al - 1.0) if x <= al else al * (x - 1.0)
 
-    assert abs(residual_2d(st, node, u, 0.0)) < 1e-10
-    assert st.alphas[(0, 0)] == pytest.approx(-4.0 / hf**2)
-    assert st.alphas[(1, 0)] == pytest.approx(1.0 / hf**2)
+    assert abs(residual_2d(out, node, u, 0.0)) < 1e-10
+    assert weight(out, (0, 0)) == pytest.approx(-4.0 / hf**2)
+    assert weight(out, (1, 0)) == pytest.approx(1.0 / hf**2)
 
 
 def test_singular_source_correction_is_linear_in_jumps():
     al = 33.0 / 70.0
     ls = line_ls(al)
-    node = node_at(al - 0.01, 0.5, 0.04, side=-1)
-    base = iim.singular_source_stencil_2d(node, ls, 1.0,
-                                          iim.JumpData(w=0.3, v=1.0))
-    double = iim.singular_source_stencil_2d(node, ls, 1.0,
-                                            iim.JumpData(w=0.6, v=2.0))
-    assert double.correction == pytest.approx(2.0 * base.correction, rel=1e-12)
-    assert double.alphas == base.alphas
+    node = node_at(al - 0.01, 0.5, 0.04, -1, ls)
+    base_w, base_c = iim.singular_source_stencil_2d(
+        node, ls, 1.0, iim.JumpData(w=0.3, v=1.0))
+    double_w, double_c = iim.singular_source_stencil_2d(
+        node, ls, 1.0, iim.JumpData(w=0.6, v=2.0))
+    assert double_c[0] == pytest.approx(2.0 * base_c[0], rel=1e-12)
+    assert (double_w == base_w).all()
 
 
 def test_singular_source_consistency_order_on_circle():
@@ -228,9 +240,9 @@ def test_singular_source_consistency_order_on_circle():
     for h in hs:
         cx = (R + 0.3 * h) * np.cos(th)
         cy = (R + 0.3 * h) * np.sin(th)
-        node = node_at(cx, cy, h, side=+1)
-        st = iim.singular_source_stencil_2d(node, ls, 1.0, jumps)
-        errs.append(abs(residual_2d(st, node, u, 0.0)))
+        node = node_at(cx, cy, h, +1, ls)
+        out = iim.singular_source_stencil_2d(node, ls, 1.0, jumps)
+        errs.append(abs(residual_2d(out, node, u, 0.0)))
     assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
     assert lsq_slope(hs, errs) >= 0.8
 
@@ -242,25 +254,23 @@ def test_arm_side_override_controls_crossing_detection():
     al = 0.5
     ls = line_ls(al)
     hf = 0.1
-    node = iim.IrregularNode(x=al - hf, y=0.5, h_f=hf, side=-1,
-                             available=set(ALL_NEIGHBORS))
-    st_plain = iim.singular_source_stencil_2d(node, ls, 1.0,
-                                              iim.JumpData(w=1.0))
-    assert st_plain.correction == 0.0
-    node_forced = iim.IrregularNode(x=al - hf, y=0.5, h_f=hf, side=-1,
-                                    available=set(ALL_NEIGHBORS),
-                                    arm_side={(1, 0): +1})
-    st_forced = iim.singular_source_stencil_2d(node_forced, ls, 1.0,
-                                               iim.JumpData(w=1.0))
-    assert st_forced.correction != 0.0
+    node = node_at(al - hf, 0.5, hf, -1, ls)
+    east = iim._RING2.index((1, 0))
+    assert node.ring_side[0, east] == -1
+    _, corr_plain = iim.singular_source_stencil_2d(node, ls, 1.0,
+                                                   iim.JumpData(w=1.0))
+    assert corr_plain[0] == 0.0
+    node.ring_side[0, east] = +1
+    _, corr_forced = iim.singular_source_stencil_2d(node, ls, 1.0,
+                                                    iim.JumpData(w=1.0))
+    assert corr_forced[0] != 0.0
 
 
 def test_double_crossing_arm_is_rejected():
     # phi = (x - 0.5)^2 - 0.01 has two vertical zero lines; an arm jumping
     # across both has same-side ends and an opposite-side midpoint
     ls = LevelSet(phi=lambda x, y: (x - 0.5) ** 2 - 0.01)
-    node = iim.IrregularNode(x=0.3, y=0.5, h_f=0.4, side=+1,
-                             available={(1, 0)})
+    node = node_at(0.3, 0.5, 0.4, +1, ls, available={(1, 0)})
     with pytest.raises(MultipleCrossings):
         iim.singular_source_stencil_2d(node, ls, 1.0, iim.JumpData())
 
@@ -274,24 +284,26 @@ def test_discontinuous_exact_on_piecewise_quadratic():
     km, kp = 2.0, 5.0
     ls = line_ls(al)
     hf = 0.04
-    node = node_at(al - 0.3 * hf, 0.5, hf, side=-1)
+    node = node_at(al - 0.3 * hf, 0.5, hf, -1, ls)
 
     def u(x, y):
         base = (x - al) + (x - al) ** 2
         return (base if x <= al else km / kp * base) + 3.0 * y
 
-    st = iim.iim_discontinuous_stencil_2d(node, ls, km, kp, iim.JumpData())
-    assert abs(residual_2d(st, node, u, 2.0 * km)) < 1e-9
+    out = iim.iim_discontinuous_stencil_2d(node, ls, km, kp, iim.JumpData())
+    assert abs(residual_2d(out, node, u, 2.0 * km)) < 1e-9
 
 
 def test_discontinuous_monotone_sign_pattern_and_zero_row_sum():
     al = 33.0 / 70.0
     ls = line_ls(al)
-    node = node_at(al - 0.012, 0.5, 0.04, side=-1)
-    st = iim.iim_discontinuous_stencil_2d(node, ls, 2.0, 5.0, iim.JumpData())
-    assert st.alphas[(0, 0)] < 0
-    assert all(v >= 0 for off, v in st.alphas.items() if off != (0, 0))
-    assert st.alpha_sum() == pytest.approx(0.0, abs=1e-9 / node.h_f**2)
+    node = node_at(al - 0.012, 0.5, 0.04, -1, ls)
+    weights, _ = iim.iim_discontinuous_stencil_2d(node, ls, 2.0, 5.0,
+                                                  iim.JumpData())
+    center = iim._RING2.index((0, 0))
+    assert weights[0, center] < 0
+    assert (np.delete(weights[0], center) >= 0).all()
+    assert weights[0].sum() == pytest.approx(0.0, abs=1e-9 / node.h_f**2)
 
 
 def test_discontinuous_equal_kappa_matches_smooth_quadratic():
@@ -299,13 +311,13 @@ def test_discontinuous_equal_kappa_matches_smooth_quadratic():
     # reproduce a globally smooth quadratic exactly
     al = 33.0 / 70.0
     ls = line_ls(al)
-    node = node_at(al - 0.012, 0.5, 0.04, side=-1)
-    st = iim.iim_discontinuous_stencil_2d(node, ls, 3.0, 3.0, iim.JumpData())
+    node = node_at(al - 0.012, 0.5, 0.04, -1, ls)
+    out = iim.iim_discontinuous_stencil_2d(node, ls, 3.0, 3.0, iim.JumpData())
 
     def u(x, y):
         return x**2 + x * y - 2.0 * y**2 + x - y + 1.0
 
-    assert abs(residual_2d(st, node, u, 3.0 * (2.0 - 4.0))) < 1e-9
+    assert abs(residual_2d(out, node, u, 3.0 * (2.0 - 4.0))) < 1e-9
 
 
 def test_discontinuous_consistency_order_on_flower():
@@ -323,15 +335,15 @@ def test_discontinuous_consistency_order_on_flower():
                 cx = (rho + off * h) * np.cos(th)
                 cy = (rho + off * h) * np.sin(th)
                 side = -1 if float(ls.phi(cx, cy)) <= 0.0 else +1
-                node = node_at(cx, cy, h, side)
-                st = iim.iim_discontinuous_stencil_2d(
+                node = node_at(cx, cy, h, side, ls)
+                out = iim.iim_discontinuous_stencil_2d(
                     node, ls, prob.kappa_minus, prob.kappa_plus, prob.jumps)
 
                 def u(x, y):
                     s = -1 if float(ls.phi(x, y)) <= 0.0 else +1
                     return prob.exact(x, y, s)
 
-                res = residual_2d(st, node, u, prob.f(cx, cy, side))
+                res = residual_2d(out, node, u, prob.f(cx, cy, side))
                 worst = max(worst, abs(res))
         errs.append(worst)
     assert lsq_slope(hs, errs) >= 0.9

@@ -1,12 +1,13 @@
 """Stencil generators against symbolic Taylor and exact-rational oracles."""
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
 
 from twogrid import stencils
-from twogrid.errors import BadParams, UnsupportedRatio
+from twogrid.errors import BadParams
 
 X, Y, T = sympy.symbols("x y t", real=True, positive=True)
 
@@ -324,11 +325,71 @@ def test_border2d_exact_through_degree_four():
 
 
 # ---------------------------------------------------------------------------
-# hanging-node stencils: table, derivation engine, properties
+# hanging-node stencils: closed form, derivation engine, properties
 # ---------------------------------------------------------------------------
+
+F = Fraction
+
+# published primitive rows at ratios 2, 4, 8 and 16, keyed by (ratio,
+# offset): (corner_left, corner_right, mid_left, mid_right, self, beta_left,
+# beta_right) at coarse spacing 1; a non-primitive pair reduces by the gcd
+# and an offset past the midpoint mirrors left and right
+PUBLISHED_ROWS = {
+    (2, 1): (F(1, 2), F(1, 2), F(3), F(3), F(-8), F(1, 2), F(1, 2)),
+    (4, 1): (F(7, 12), F(5, 12), F(41, 6), F(11, 6), F(-32, 3), F(7, 12),
+             F(5, 12)),
+    (8, 1): (F(5, 8), F(3, 8), F(59, 4), F(43, 28), F(-128, 7), F(5, 8),
+             F(3, 8)),
+    (8, 3): (F(13, 24), F(11, 24), F(17, 4), F(137, 60), F(-128, 15),
+             F(13, 24), F(11, 24)),
+    (16, 1): (F(31, 48), F(17, 48), F(737, 24), F(57, 40), F(-512, 15),
+              F(31, 48), F(17, 48)),
+    (16, 3): (F(29, 48), F(19, 48), F(227, 24), F(521, 312), F(-512, 39),
+              F(29, 48), F(19, 48)),
+    (16, 5): (F(9, 16), F(7, 16), F(211, 40), F(179, 88), F(-512, 55),
+              F(9, 16), F(7, 16)),
+    (16, 7): (F(25, 48), F(23, 48), F(593, 168), F(187, 72), F(-512, 63),
+              F(25, 48), F(23, 48)),
+}
+
 
 def all_table_pairs():
     return [(r, j) for r in (2, 4, 8, 16) for j in range(1, r)]
+
+
+def hanging_pairs():
+    """The published ratios plus ratios 3, 5, 6 and 12."""
+    return [(r, j) for r in (2, 3, 4, 5, 6, 8, 12, 16) for j in range(1, r)]
+
+
+def published_row(r, j):
+    g = gcd(r, j)
+    rr, jj = r // g, j // g
+    if jj > rr - jj:
+        a1, a2, a3, a4, a5, b1, b2 = PUBLISHED_ROWS[(rr, rr - jj)]
+        return (a2, a1, a4, a3, a5, b2, b1)
+    return PUBLISHED_ROWS[(rr, jj)]
+
+
+@pytest.mark.parametrize("r,j", all_table_pairs())
+def test_hanging_reproduces_published_rows(r, j):
+    a1, a2, a3, a4, a5, b1, b2 = published_row(r, j)
+    st = stencils.hanging_coeffs(r, j)
+    assert st.alphas == {(-j, -r): a1, (r - j, -r): a2, (-j, 0): a3,
+                         (r - j, 0): a4, (-j, r): a1, (r - j, r): a2,
+                         (0, 0): a5}
+    assert st.betas == {(-j, 0): b1, (r - j, 0): b2}
+
+
+def test_hanging_closed_form_equals_derivation_up_to_ratio_32():
+    for r in range(2, 33):
+        for j in range(1, r):
+            closed = stencils.hanging_coeffs(r, j)
+            derived = stencils.derive_hanging_coeffs(r, j)
+            assert closed.alphas == derived.alphas, (r, j)
+            assert closed.betas == derived.betas, (r, j)
+            assert all(isinstance(v, Fraction) for v in
+                       [*closed.alphas.values(), *closed.betas.values()])
 
 
 def test_hanging_r2_row():
@@ -375,7 +436,7 @@ def test_hanging_derive_r8_j3_row():
 
 def test_derivation_reproduces_whole_table_quickly():
     t0 = time.perf_counter()
-    for r, j in all_table_pairs():
+    for r, j in hanging_pairs():
         table = stencils.hanging_coeffs(r, j)
         derived = stencils.derive_hanging_coeffs(r, j)
         assert derived.alphas == table.alphas, (r, j)
@@ -393,7 +454,7 @@ def test_hanging_reversal_symmetry(r, j):
     assert a.alphas[(0, 0)] == b.alphas[(0, 0)]
 
 
-@pytest.mark.parametrize("r,j", all_table_pairs())
+@pytest.mark.parametrize("r,j", hanging_pairs())
 def test_hanging_sign_and_sums(r, j):
     st = stencils.hanging_coeffs(r, j)
     assert st.alphas[(0, 0)] < 0
@@ -487,8 +548,8 @@ def test_hanging_derive_with_reaction_term():
 
 
 def test_hanging_rejects_bad_arguments():
-    with pytest.raises(UnsupportedRatio):
-        stencils.hanging_coeffs(3, 1)
+    with pytest.raises(BadParams):
+        stencils.hanging_coeffs(1, 1)
     with pytest.raises(BadParams):
         stencils.hanging_coeffs(4, 0)
     with pytest.raises(BadParams):

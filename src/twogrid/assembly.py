@@ -230,7 +230,7 @@ def _assemble_line(grid: Grid2DLine, problem) -> SparseSystem:
     rows = _tagged(grid, NodeTag.COARSE_REGULAR)
     if len(rows) and abs(h_y - grid.h) > 1e-12 * grid.h:
         raise BadParams("coarse strip columns need square cells")
-    emit(rows, stencils.nine_point_compact_2d(grid.h, 0.0, kap[rows]))
+    emit(rows, stencils.nine_point_compact_2d(grid.h, kap[rows]))
     rows = _tagged(grid, NodeTag.BORDER)
     c = rows % ncol
     emit(rows, stencils.border_coeffs_2d(cols.x[c] - cols.x[c - 1],
@@ -266,7 +266,7 @@ def _assemble_tube(grid: Grid2DTube, problem) -> SparseSystem:
     _identity_boundary_rows(b, grid)
 
     coarse = _tagged(grid, NodeTag.COARSE_REGULAR)
-    proto = stencils.nine_point_compact_2d(h, 0.0, 1.0)
+    proto = stencils.nine_point_compact_2d(h)
     _emit(b, grid, coarse, _deltas(proto.alphas, W, r), proto.alphas,
           proto.betas, kap[coarse], fvec)
 
@@ -280,7 +280,7 @@ def _assemble_tube(grid: Grid2DTube, problem) -> SparseSystem:
         # the five point scheme.
         fine = np.nonzero((tags == NodeTag.FINE_REGULAR)
                           | (tags == NodeTag.FINE_IRREGULAR))[0]
-        proto = stencils.nine_point_compact_2d(h_f, 0.0, 1.0)
+        proto = stencils.nine_point_compact_2d(h_f)
         offs = _deltas(proto.alphas, W)
         ok = (_neighbors(grid, fine, offs) >= 0).all(axis=1)
         _emit(b, grid, fine[ok], offs, proto.alphas, proto.betas,

@@ -127,8 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     der_p = sub.add_parser("derive-stencil",
                            help="exact rational transition coefficients")
     der_p.add_argument("--kind", required=True,
-                       choices=("hanging", "border1d", "border2d",
-                                "border-1d", "border-2d"))
+                       choices=("hanging", "border-1d", "border-2d"))
     der_p.add_argument("--r", type=int, help="refinement ratio (hanging)")
     der_p.add_argument("--j", type=int,
                        help="fine offset from the left coarse node (hanging)")
@@ -155,21 +154,20 @@ def _stencil_json(st) -> str:
 
 def _cmd_derive(args) -> int:
     kappa, K = Fraction(args.kappa), Fraction(args.K)
-    kind = args.kind.replace("-", "")
-    if kind == "hanging":
+    if args.kind == "hanging":
         if args.r is None or args.j is None:
             raise TwoGridError("hanging stencils need --r and --j")
         st = stencils.derive_hanging_coeffs(args.r, args.j, kappa=kappa, K=K)
-    elif kind == "border1d":
+    elif args.kind == "border-1d":
         if not (args.h1 and args.h2):
-            raise TwoGridError("border1d needs --h1 and --h2")
+            raise TwoGridError("border-1d needs --h1 and --h2")
         st = stencils.border_coeffs_1d(Fraction(args.h1), Fraction(args.h2),
                                        kappa, K)
     else:
         if not (args.h1 and args.h2 and args.hy):
-            raise TwoGridError("border2d needs --h1, --h2 and --hy")
+            raise TwoGridError("border-2d needs --h1, --h2 and --hy")
         if kappa != 1 or K != 0:
-            raise TwoGridError("border2d is derived for kappa=1, K=0; "
+            raise TwoGridError("border-2d is derived for kappa=1, K=0; "
                                "scale the U-weights by kappa afterwards")
         st = stencils.derive_border_coeffs_2d(
             Fraction(args.h1), Fraction(args.h2), Fraction(args.hy))

@@ -28,6 +28,8 @@ from .errors import BadParams, NonConvergence
 # Sample distances computed at once when seeding a projection: 4 MB per
 # temporary, so the seeding never holds an (m, n_samples) array.
 _SEED_CHUNK = 1 << 19
+# Newton steps a projection may take before it gives up.
+_NEWTON_STEPS = 50
 
 
 @dataclass
@@ -44,15 +46,14 @@ class LevelSet:
     samples : array_like, optional
         Points on (or near) the interface used as initial guesses for
         projection; shape ``(m, 2)``.
-    scale : float
-        Characteristic length of the geometry. Sets finite-difference steps
-        and convergence tolerances.
+
+    Finite-difference steps and the projection tolerance assume a geometry
+    of unit size.
     """
 
     phi: Callable[[float, float], float]
     grad: Optional[Callable[[float, float], tuple]] = None
     samples: Optional[np.ndarray] = None
-    scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.samples is not None:
@@ -96,7 +97,7 @@ def _grad(ls: LevelSet, x: np.ndarray, y: np.ndarray) -> tuple:
         gx, gy = ls.grad(x, y)
         return (np.broadcast_to(np.asarray(gx, dtype=float), np.shape(x)),
                 np.broadcast_to(np.asarray(gy, dtype=float), np.shape(x)))
-    d = 1e-4 * ls.scale
+    d = 1e-4
     f = ls.phi
     gx = _d1_central(lambda t: f(x + t, y), d)
     gy = _d1_central(lambda t: f(x, y + t), d)
@@ -113,7 +114,7 @@ def _d1_central(f: Callable, d: float):
 
 
 def _curvature(ls: LevelSet, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    d = 1e-3 * ls.scale
+    d = 1e-3
     f = ls.phi
     fxx = _d2_central(lambda t: f(x + t, y), d)
     fyy = _d2_central(lambda t: f(x, y + t), d)
@@ -144,19 +145,18 @@ def _point(x: np.ndarray, y: np.ndarray, k: int) -> str:
     return f"point {k} ({x[k]:.6g}, {y[k]:.6g})"
 
 
-def project_to_interface(ls: LevelSet, p, max_iter: int = 50) -> InterfaceFrame:
+def project_to_interface(ls: LevelSet, p) -> InterfaceFrame:
     """Orthogonal projection of ``p`` onto the zero set of ``ls``.
 
     Damped Newton iteration on the coupled conditions ``phi(X) = 0`` and
     ``(X - p) . tangent(X) = 0``, run for all points of the batch at once;
-    a point leaves the iteration once its residual is below
-    ``1e-12 * scale``, and each point halves its own step until the residual
-    drops. Raises :class:`NonConvergence`, naming the first point that
-    failed, if a point's gradient vanishes, its line search stalls, or it
-    does not converge within ``max_iter`` steps.
+    a point leaves the iteration once its residual is below ``1e-12``, and
+    each point halves its own step until the residual drops. Raises
+    :class:`NonConvergence`, naming the first point that failed, if a
+    point's gradient vanishes, its line search stalls, or it does not
+    converge within 50 Newton steps.
     """
     px, py, single = _xy(p)
-    tol = 1e-12 * ls.scale
     X, Y = _nearest_samples(ls, px, py)
 
     # a few gradient-descent steps onto the curve before the coupled solve;
@@ -190,8 +190,8 @@ def project_to_interface(ls: LevelSet, p, max_iter: int = 50) -> InterfaceFrame:
     done = np.zeros(m, dtype=bool)
     act = np.arange(m)
     res, F0, F1, nx, ny = residual(act, X, Y)
-    for _ in range(max_iter):
-        conv = res < tol
+    for _ in range(_NEWTON_STEPS):
+        conv = res < 1e-12
         cidx = act[conv]
         NX[cidx], NY[cidx] = nx[conv], ny[conv]
         done[cidx] = True
@@ -225,7 +225,7 @@ def project_to_interface(ls: LevelSet, p, max_iter: int = 50) -> InterfaceFrame:
     if not done.all():
         raise NonConvergence(
             f"projection of {_point(px, py, int(np.argmin(done)))} did not "
-            f"converge in {max_iter} iterations")
+            f"converge in {_NEWTON_STEPS} iterations")
     kappa = _curvature(ls, X, Y)
     return InterfaceFrame(foot=_pts(X, Y, single), normal=_pts(NX, NY, single),
                           tangent=_pts(-NY, NX, single),

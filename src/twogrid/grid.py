@@ -114,8 +114,7 @@ class Grid1D:
     h: float
     h_f: float
     r_eff: int
-    alpha: Optional[float] = None
-    layer: bool = False
+    alpha: Optional[float] = None       # None: boundary-layer grid
 
     @property
     def n(self) -> int:
@@ -131,72 +130,55 @@ class Grid1D:
         return np.where(self.x <= self.alpha, -1, 1).astype(np.int8)
 
 
-def build_two_grid_1d(params: GridParams, alpha: Optional[float],
-                      refine_edge: Optional[str] = None) -> Grid1D:
+def build_two_grid_1d(params: GridParams, alpha: Optional[float]) -> Grid1D:
     """One-dimensional composite grid.
 
     With ``alpha`` given, the tube is the smallest coarse-node interval
     containing ``[alpha - lam*h, alpha + lam*h]`` (borders snap outward onto
-    coarse nodes). With ``refine_edge='right'`` the fine zone spans the last
-    ``lam`` coarse cells instead, for boundary-layer problems.
+    coarse nodes). With ``alpha=None`` the fine zone spans the last ``lam``
+    coarse cells instead, for boundary-layer problems, and ends exactly at
+    the right end of the domain.
     """
     a, b = _interval(params.domain)
-    h = (b - a) / params.N
+    N = params.N
+    h = (b - a) / N
     r_eff = _effective_ratio(params, h)
     h_f = h / r_eff
 
-    if refine_edge is not None:
-        if refine_edge != "right":
-            raise BadParams(f"unsupported refine_edge {refine_edge!r}")
-        i_lo = int(math.floor(params.N - params.lam + 1e-10))
-        if not 1 <= i_lo <= params.N - 1:
+    if alpha is None:
+        i_lo, i_hi = int(math.floor(N - params.lam + 1e-10)), N
+        if not 1 <= i_lo <= N - 1:
             raise TubeTooWide(f"layer zone of {params.lam} cells leaves no "
-                              f"coarse interior for N={params.N}")
-        i_hi = params.N
+                              f"coarse interior for N={N}")
     else:
-        if alpha is None:
-            raise BadParams("interface grids need alpha")
         if not a < alpha < b:
             raise BadParams(f"alpha={alpha} outside ({a}, {b})")
         # snap outward to coarse nodes; a tube hitting the boundary is fine
         # in 1D (the border node simply degenerates into a Dirichlet node)
         i_lo = max(0, int(math.floor((alpha - params.lam * h - a) / h + 1e-10)))
-        i_hi = min(params.N,
-                   int(math.ceil((alpha + params.lam * h - a) / h - 1e-10)))
-
-    xs = [a + i * h for i in range(i_lo + 1)]
-    tags = [NodeTag.COARSE_REGULAR] * (i_lo + 1)
-    tags[i_lo] = NodeTag.BORDER
-    tags[0] = NodeTag.BOUNDARY
+        i_hi = min(N, int(math.ceil((alpha + params.lam * h - a) / h - 1e-10)))
 
     m = (i_hi - i_lo) * r_eff
-    x_lo = a + i_lo * h
-    for k in range(1, m):
-        xs.append(x_lo + k * h_f)
-        tags.append(NodeTag.FINE_REGULAR)
+    x = np.concatenate([a + np.arange(i_lo + 1) * h,
+                        (a + i_lo * h) + np.arange(1, m) * h_f,
+                        a + np.arange(i_hi, N + 1) * h])
+    tags = np.repeat(np.array([NodeTag.COARSE_REGULAR, NodeTag.FINE_REGULAR,
+                               NodeTag.COARSE_REGULAR], dtype=np.int8),
+                     [i_lo + 1, m - 1, N - i_hi + 1])
+    tags[[i_lo, i_lo + m]] = NodeTag.BORDER
+    tags[[0, -1]] = NodeTag.BOUNDARY
 
-    if refine_edge is None:
-        for i in range(i_hi, params.N + 1):
-            xs.append(a + i * h)
-            tags.append(NodeTag.COARSE_REGULAR)
-        tags[len(xs) - (params.N - i_hi) - 1] = NodeTag.BORDER
-        tags[-1] = NodeTag.BOUNDARY
+    if alpha is None:
+        x[-1] = b
     else:
-        xs.append(b)
-        tags.append(NodeTag.BOUNDARY)
-
-    x = np.array(xs)
-    tag_arr = np.array(tags, dtype=np.int8)
-
-    if refine_edge is None:
         # the pair flanking alpha; a member that is a border or boundary
         # node (alpha in the tube's first or last fine cell) keeps its tag
         j = int(np.searchsorted(x, alpha, "right")) - 1
-        pair = tag_arr[j:j + 2]
+        pair = tags[j:j + 2]
         pair[pair == NodeTag.FINE_REGULAR] = NodeTag.FINE_IRREGULAR
 
-    return Grid1D(params=params, x=x, tags=tag_arr, h=h, h_f=h_f,
-                  r_eff=r_eff, alpha=alpha, layer=refine_edge is not None)
+    return Grid1D(params=params, x=x, tags=tags, h=h, h_f=h_f, r_eff=r_eff,
+                  alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +294,7 @@ def build_tube_two_grid_2d(params: GridParams, ls: LevelSet) -> Grid2DTube:
     ii = np.arange(N + 1)
     CI, CJ = np.meshgrid(ii, ii, indexing="ij")
     phi_c = np.asarray(ls.phi(ax + CI * h, ay + CJ * h), dtype=float)
-    pmask = np.abs(phi_c) <= params.lam * h + 1e-12 * ls.scale
+    pmask = np.abs(phi_c) <= params.lam * h + 1e-12
     if not pmask.any():
         raise EmptyTube("no coarse node lies within lam*h of the interface")
     pi, pj = CI[pmask], CJ[pmask]

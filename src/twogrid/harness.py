@@ -37,10 +37,8 @@ def build_grid(problem: ProblemSpec, N: int, r: int, lam: float = 2.0,
                hf_mode: str = "ratio"):
     params = GridParams(N=N, r=r, lam=lam, domain=problem.domain,
                         hf_mode=hf_mode)
-    if problem.kind == "interface_1d":
+    if problem.kind in ("interface_1d", "layer_1d"):
         return build_two_grid_1d(params, problem.alpha)
-    if problem.kind == "layer_1d":
-        return build_two_grid_1d(params, None, refine_edge="right")
     if problem.kind == "line":
         return build_line_two_grid_2d(params, problem.alpha)
     if problem.kind == "tube":
@@ -66,12 +64,8 @@ def run_case(problem: ProblemSpec, N: int, r: int, lam: float = 2.0,
         errs = exact_error(problem, grid, u)
     else:
         errs = {"coarse": math.nan, "fine": math.nan}
-    r_eff = getattr(grid, "r_eff", None)
-    if r_eff is None:
-        r_eff = getattr(getattr(grid, "cols", None), "r_eff", r)
     report = CaseReport(
-        problem=problem.name, N=N,
-        r=int(r_eff) if hf_mode == "h2" else r,
+        problem=problem.name, N=N, r=round(grid.h / grid.h_f),
         lam=lam, hf_mode=hf_mode,
         unknowns=int((~system.boundary).sum()),
         err_coarse=errs["coarse"], err_fine=errs["fine"],
@@ -171,7 +165,7 @@ def to_json(reports: Sequence[CaseReport]) -> str:
         if rep.m_matrix is not None:
             d["m_matrix"] = {"sign_ok": rep.m_matrix["sign_ok"],
                              "row_sum_ok": rep.m_matrix["row_sum_ok"],
-                             "offender_count": len(rep.m_matrix["offenders"])}
+                             "offender_count": rep.m_matrix["offender_count"]}
         ref = _REFERENCE_ERRORS.get(rep.problem)
         if ref is not None:
             row = {method: table[rep.N] for method, table in ref.items()

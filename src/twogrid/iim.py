@@ -77,18 +77,16 @@ class JumpData:
 
 def iim_1d_irregular(kminus: float, kplus: float, alpha: float, xj: float,
                      h_f: float, jumps: JumpData,
-                     x_next: Optional[float] = None) -> Tuple[Stencil, Stencil]:
+                     x_next: float) -> Tuple[Stencil, Stencil]:
     """Fitted three-point stencils for the node pair straddling ``alpha``.
 
-    ``xj`` is the last node on the minus side and ``x_next`` the node after
-    it (``xj + h_f`` when not given; a grid passes its stored node, which
-    can differ from that sum by an ulp), so ``xj <= alpha < x_next``.
+    ``xj`` is the last node on the minus side and ``x_next`` the grid's
+    stored node after it (which can differ from ``xj + h_f`` by an ulp), so
+    ``xj <= alpha < x_next``.
     Returns the stencils for ``xj`` and ``xj + h_f``; offset keys are node
     steps relative to each stencil's own center. The schemes approximate
     ``kappa u'' = f`` with pointwise right side plus the returned correction.
     """
-    if x_next is None:
-        x_next = xj + h_f
     if not xj <= alpha < x_next:
         raise BadParams(f"alpha={alpha} not in [{xj}, {x_next})")
     dk = kplus - kminus
@@ -312,15 +310,10 @@ def singular_source_stencil_2d(nodes: IrregularNodes, ls: LevelSet,
 
     frame = project_to_interface(ls, Xc)
     js = jump_scalars(jumps, frame)
-    chi = -frame.curvature
-    juxi = js["v"] / kappa
-    jueta = js["wp"]
-    juee = js["wpp"] - chi * js["v"] / kappa
-    juxx = js["fj"] / kappa - juee
-    juxe = chi * js["wp"] + js["vp"] / kappa
+    _, J0, jf = transfer_minus_to_plus(kappa, kappa, -frame.curvature, js)
+    jtaylor = J0 + jf * js["fj"][:, None]   # T_plus - T_minus
     b = _basis_row(ex - frame.foot[:, 0], ey - frame.foot[:, 1], frame)
-    jpoly = (js["w"] * b[0] + juxi * b[1] + jueta * b[2]
-             + juxx * b[3] + juxe * b[4] + juee * b[5])
+    jpoly = sum(jtaylor[:, i] * b[i] for i in range(6))
     sgn = np.where(side[k] < 0, 1.0, -1.0)
     term = sgn * (kappa / h**2) * jpoly
     corr = np.zeros(len(side))

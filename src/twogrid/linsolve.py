@@ -6,9 +6,14 @@ import scipy.sparse.linalg as spla
 
 from .errors import NonConvergence, SingularMatrix
 
+_TOL = 1e-12            # residual contract of solve, relative to |b|_2
+_SIGN_RTOL = 1e-12      # audit tolerances, relative to a row's largest entry
+_ROW_SUM_RTOL = 1e-8
+_MAX_OFFENDERS = 50     # offenders listed per kind
 
-def solve(system, tol: float = 1e-12) -> np.ndarray:
-    """LU-solve the assembled system to ``|A u - b|_2 <= tol * |b|_2``.
+
+def solve(system) -> np.ndarray:
+    """LU-solve the assembled system to ``|A u - b|_2 <= 1e-12 * |b|_2``.
 
     The composite operators have a structurally symmetric pattern and
     (mostly) M-matrix rows, which need no row pivoting. So the first
@@ -35,10 +40,10 @@ def solve(system, tol: float = 1e-12) -> np.ndarray:
     try:
         return _refine(A, b, _factor(
             A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True}), tol)
+            options={"SymmetricMode": True}))
     except (SingularMatrix, NonConvergence):
         pass
-    return _refine(A, b, _factor(A), tol)
+    return _refine(A, b, _factor(A))
 
 
 def _factor(A, **opts):
@@ -48,14 +53,14 @@ def _factor(A, **opts):
         raise SingularMatrix(str(exc)) from exc
 
 
-def _refine(A, b, lu, tol: float) -> np.ndarray:
+def _refine(A, b, lu) -> np.ndarray:
     """Solve with the factors ``lu`` and refine to the contract of
     :func:`solve`: two float64 steps, then up to five longdouble ones."""
     u = lu.solve(b)
     if not np.all(np.isfinite(u)):
         raise SingularMatrix("solution contains non-finite entries")
     bnorm = float(np.linalg.norm(b))
-    bound = tol * (bnorm if bnorm > 0.0 else 1.0)
+    bound = _TOL * (bnorm if bnorm > 0.0 else 1.0)
     res = float(np.linalg.norm(A @ u - b))
     for _ in range(2):
         if res <= bound:
@@ -75,11 +80,10 @@ def _refine(A, b, lu, tol: float) -> np.ndarray:
         u_x = u_x - lu.solve(np.asarray(r_x, dtype=np.float64)).astype(
             np.longdouble)
     raise NonConvergence(
-        f"solve residual {res:.3e} exceeds {tol:.1e} * |b|_2 = {bound:.3e}")
+        f"solve residual {res:.3e} exceeds {_TOL:.1e} * |b|_2 = {bound:.3e}")
 
 
-def verify_m_matrix(system, sign_rtol: float = 1e-12,
-                    row_sum_rtol: float = 1e-8, max_offenders: int = 50) -> dict:
+def verify_m_matrix(system) -> dict:
     """Check the sign pattern and weak diagonal dominance of the operator.
 
     ``sign_ok`` requires every interior row to have a negative diagonal and
@@ -87,12 +91,14 @@ def verify_m_matrix(system, sign_rtol: float = 1e-12,
     of the Dirichlet-reduced block (interior rows restricted to interior
     columns) to be non-positive, with strict inequality on at least one row
     that couples to boundary data. Tolerances are relative to the largest
-    entry of each row.
+    entry of each row: 1e-12 for the signs, 1e-8 for the row sums.
 
-    Returns ``{sign_ok, row_sum_ok, offenders}`` where each offender is
-    ``{row, col, value, kind}`` with kind one of ``diagonal_sign``,
-    ``negative_offdiagonal``, ``row_sum`` (col is -1 for row-sum entries,
-    which concern the whole row).
+    Returns ``{sign_ok, row_sum_ok, offenders, offender_count}`` where each
+    offender is ``{row, col, value, kind}`` with kind one of
+    ``diagonal_sign``, ``negative_offdiagonal``, ``row_sum`` (col is -1 for
+    row-sum entries, which concern the whole row; row -1 marks a missing
+    strict row). The list holds the first 50 offenders of each kind;
+    ``offender_count`` counts all of them.
     """
     A = system.matrix.tocsr()
     n = A.shape[0]
@@ -105,9 +111,10 @@ def verify_m_matrix(system, sign_rtol: float = 1e-12,
 
     diag = A.diagonal()
     offdiag = coo.row != coo.col
-    neg_off = offdiag & (coo.data < -sign_rtol * row_abs_max[coo.row]) \
-        & interior[coo.row]
-    bad_diag_rows = np.nonzero(interior & (diag >= -sign_rtol * row_abs_max))[0]
+    neg_off = np.flatnonzero(
+        offdiag & (coo.data < -_SIGN_RTOL * row_abs_max[coo.row])
+        & interior[coo.row])
+    bad_diag_rows = np.nonzero(interior & (diag >= -_SIGN_RTOL * row_abs_max))[0]
 
     # row sums of the interior block, and couplings to boundary columns
     interior_entry = interior[coo.row] & interior[coo.col]
@@ -117,32 +124,28 @@ def verify_m_matrix(system, sign_rtol: float = 1e-12,
     bnd_coupled[coo.row[interior[coo.row] & system.boundary[coo.col]]] = True
 
     bad_sum_rows = np.nonzero(
-        interior & (int_row_sum > row_sum_rtol * row_abs_max))[0]
+        interior & (int_row_sum > _ROW_SUM_RTOL * row_abs_max))[0]
     strict = interior & bnd_coupled \
-        & (int_row_sum < -row_sum_rtol * row_abs_max)
+        & (int_row_sum < -_ROW_SUM_RTOL * row_abs_max)
     has_witness = bool(strict.any()) or not interior.any()
 
-    offenders = []
-    for row in bad_diag_rows[:max_offenders]:
-        offenders.append({"row": int(row), "col": int(row),
-                          "kind": "diagonal_sign", "value": float(diag[row])})
-    seen = 0
-    for k in np.nonzero(neg_off)[0]:
-        if seen >= max_offenders:
-            break
-        offenders.append({"row": int(coo.row[k]), "col": int(coo.col[k]),
-                          "kind": "negative_offdiagonal",
-                          "value": float(coo.data[k])})
-        seen += 1
-    for row in bad_sum_rows[:max_offenders]:
-        offenders.append({"row": int(row), "col": -1, "kind": "row_sum",
-                          "value": float(int_row_sum[row])})
+    cap = _MAX_OFFENDERS
+    offenders = [{"row": int(row), "col": int(row), "kind": "diagonal_sign",
+                  "value": float(diag[row])} for row in bad_diag_rows[:cap]]
+    offenders += [{"row": int(coo.row[k]), "col": int(coo.col[k]),
+                   "kind": "negative_offdiagonal", "value": float(coo.data[k])}
+                  for k in neg_off[:cap]]
+    offenders += [{"row": int(row), "col": -1, "kind": "row_sum",
+                   "value": float(int_row_sum[row])}
+                  for row in bad_sum_rows[:cap]]
     if not has_witness:
         offenders.append({"row": -1, "col": -1, "kind": "row_sum",
                           "value": 0.0})
 
     return {
-        "sign_ok": len(bad_diag_rows) == 0 and not neg_off.any(),
+        "sign_ok": len(bad_diag_rows) == 0 and len(neg_off) == 0,
         "row_sum_ok": len(bad_sum_rows) == 0 and has_witness,
-        "offenders": offenders[:3 * max_offenders],
+        "offenders": offenders,
+        "offender_count": len(bad_diag_rows) + len(neg_off)
+        + len(bad_sum_rows) + (not has_witness),
     }

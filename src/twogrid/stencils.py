@@ -110,21 +110,21 @@ def centered_nonuniform_1d(eps: float, p: float, q: float,
 # two-dimensional stencils
 # ---------------------------------------------------------------------------
 
-def nine_point_compact_2d(h: float, K: float, kappa: float = 1.0) -> Stencil:
-    """Fourth-order compact nine-point scheme on a uniform square grid.
+def nine_point_compact_2d(h: float, kappa: float = 1.0) -> Stencil:
+    """Fourth-order compact nine-point scheme for ``kappa Lap u = f`` on a
+    uniform square grid.
 
     Offset keys are ``(di, dj)`` node steps. The right side averages ``f``
-    over the cross with weights 8/12 center, 1/12 per edge; the reaction
-    term folds through the same weights.
+    over the cross with weights 8/12 center, 1/12 per edge.
     """
     alphas: Dict[Tuple[int, int], float] = {}
     betas: Dict[Tuple[int, int], float] = {(0, 0): 8.0 / 12.0}
     for di, dj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         alphas[(di, dj)] = kappa / (6.0 * h * h)
     for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        alphas[(di, dj)] = 4.0 * kappa / (6.0 * h * h) + K / 12.0
+        alphas[(di, dj)] = 4.0 * kappa / (6.0 * h * h)
         betas[(di, dj)] = 1.0 / 12.0
-    alphas[(0, 0)] = -20.0 * kappa / (6.0 * h * h) + K * betas[(0, 0)]
+    alphas[(0, 0)] = -20.0 * kappa / (6.0 * h * h)
     return Stencil(alphas=alphas, betas=betas)
 
 

@@ -219,7 +219,7 @@ def test_criterion_7():
     sums_ok &= abs(sum(st.alphas.values())) <= 1e-12 * max(
         abs(v) for v in st.alphas.values())
     sums_ok &= abs(sum(st.betas.values()) - 1.0) <= 1e-14
-    st = stencils.nine_point_compact_2d(0.125, 0.0, kappa=2.0)
+    st = stencils.nine_point_compact_2d(0.125, kappa=2.0)
     sums_ok &= abs(sum(st.alphas.values())) <= 1e-12 * max(
         abs(v) for v in st.alphas.values())
     sums_ok &= abs(sum(st.betas.values()) - 1.0) <= 1e-14
@@ -301,7 +301,7 @@ def test_criterion_8():
 
     xj = Fraction(1, 2)
     st_j, st_jp1 = iim_1d_irregular(km, kp, al, xj, h,
-                                    JumpData(C=Cj, Cbar=Cbar))
+                                    JumpData(C=Cj, Cbar=Cbar), xj + h)
     exact = True
     for row, xc in ((st_j, xj), (st_jp1, xj + h)):
         acc = sum(g * u_of(xc + off * h) for off, g in row.alphas.items())

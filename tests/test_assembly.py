@@ -91,8 +91,7 @@ def test_1d_rows_match_generators():
 
 def test_1d_layer_uses_centered_scheme():
     prob = problems.make_problem("boundary_layer_1d", {})
-    g = build_two_grid_1d(GridParams(N=10, r=4, lam=3.0), alpha=None,
-                          refine_edge="right")
+    g = build_two_grid_1d(GridParams(N=10, r=4, lam=3.0), alpha=None)
     sys_ = assemble(g, prob)
     i = 2  # interior coarse node, uniform spacing h
     st = stencils.centered_nonuniform_1d(prob.epsilon, prob.conv, prob.K,
@@ -110,7 +109,7 @@ def test_line_coarse_row_is_nine_point():
     cols = g.cols
     c = int(np.nonzero(cols.tags == NodeTag.COARSE_REGULAR)[0][0])
     i = 3 * g.ncol + c
-    st = stencils.nine_point_compact_2d(g.h, 0.0, prob.kappa_minus)
+    st = stencils.nine_point_compact_2d(g.h, prob.kappa_minus)
     got = row_dict(sys_, i)
     assert len(got) == 9
     for (dx, dy), a in st.alphas.items():
@@ -142,7 +141,7 @@ def test_tube_rows_match_generators():
     # coarse row: nine-point at stride r, kappa from the node's side
     i = int(np.nonzero(g.tags == NodeTag.COARSE_REGULAR)[0][0])
     kc = prob.kappa_minus if g.side[i] < 0 else prob.kappa_plus
-    st = stencils.nine_point_compact_2d(g.h, 0.0, 1.0)
+    st = stencils.nine_point_compact_2d(g.h)
     got = row_dict(sys_, i)
     for (dx, dy), a in st.alphas.items():
         j = int(g.id_of(int(g.codes[i]) + (dy * g.W + dx) * g.r)[0])
@@ -281,7 +280,7 @@ def reference_strip_rows(g, prob):
         t = cols.tags[c]
         kc = prob.kappa_minus if side_col[c] < 0 else prob.kappa_plus
         if t == NodeTag.COARSE_REGULAR:
-            st = stencils.nine_point_compact_2d(g.h, 0.0, kc)
+            st = stencils.nine_point_compact_2d(g.h, kc)
         elif t == NodeTag.BORDER:
             st = stencils.border_coeffs_2d(
                 float(cols.x[c] - cols.x[c - 1]),
@@ -332,8 +331,7 @@ SMALL_SYSTEMS = {
         build_two_grid_1d(GridParams(N=10, r=4, lam=2.0), alpha=0.55),
         stub_1d(sin_cos_source, kappa=(2.0, 5.0), jumps=JUMPS, K=1.5)),
     "layer 10/4": lambda: (
-        build_two_grid_1d(GridParams(N=10, r=4, lam=3.0), alpha=None,
-                          refine_edge="right"),
+        build_two_grid_1d(GridParams(N=10, r=4, lam=3.0), alpha=None),
         problems.make_problem("boundary_layer_1d", {})),
     "line 12/2": lambda: (
         build_line_two_grid_2d(GridParams(N=12, r=2, lam=2.0), 33.0 / 70.0),

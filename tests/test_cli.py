@@ -148,7 +148,7 @@ def test_derive_hanging_matches_library(capsys):
 def test_derive_border1d_nonuniform_second_difference(capsys):
     # with kappa=1 and K=0 the U-weights are the classic nonuniform
     # 3-point second difference 2/(h1(h1+h2)), -2/(h1 h2), 2/(h2(h1+h2))
-    rc, out, _ = run_cli(capsys, "derive-stencil", "--kind", "border1d",
+    rc, out, _ = run_cli(capsys, "derive-stencil", "--kind", "border-1d",
                          "--h1", "1", "--h2", "1/2")
     assert rc == 0
     got = json.loads(out)
@@ -157,13 +157,11 @@ def test_derive_border1d_nonuniform_second_difference(capsys):
     assert got["beta_sum"] == "1"
 
 
-def test_derive_border_dashed_alias(capsys):
-    rc1, out1, _ = run_cli(capsys, "derive-stencil", "--kind", "border1d",
-                           "--h1", "1", "--h2", "1/3")
-    rc2, out2, _ = run_cli(capsys, "derive-stencil", "--kind", "border-1d",
-                           "--h1", "1", "--h2", "1/3")
-    assert rc1 == rc2 == 0
-    assert out1 == out2
+def test_derive_kind_has_one_spelling(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["derive-stencil", "--kind", "border1d", "--h1", "1",
+              "--h2", "1/3"])
+    assert exc.value.code == 2
 
 
 def test_derive_border2d_matches_library(capsys):
@@ -178,11 +176,11 @@ def test_derive_border2d_matches_library(capsys):
 
 
 def test_derive_border2d_rejects_scaled_kappa(capsys):
-    rc, _, err = run_cli(capsys, "derive-stencil", "--kind", "border2d",
+    rc, _, err = run_cli(capsys, "derive-stencil", "--kind", "border-2d",
                          "--h1", "1", "--h2", "1/2", "--hy", "1",
                          "--kappa", "2")
     assert rc == 1
-    assert "border2d" in err
+    assert "border-2d" in err
 
 
 def test_derive_hanging_requires_r_and_j(capsys):

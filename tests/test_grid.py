@@ -107,9 +107,7 @@ def test_1d_h2_mode():
 
 
 def test_1d_layer_zone_at_right_edge():
-    g = build_two_grid_1d(GridParams(N=10, r=4, lam=3.0), alpha=None,
-                          refine_edge="right")
-    assert g.layer
+    g = build_two_grid_1d(GridParams(N=10, r=4, lam=3.0), alpha=None)
     assert g.n == 8 + 11 + 1
     c = tag_counts(g)
     assert c[NodeTag.BORDER] == 1
@@ -119,13 +117,21 @@ def test_1d_layer_zone_at_right_edge():
 
 def test_1d_layer_zone_too_wide():
     with pytest.raises(TubeTooWide):
-        build_two_grid_1d(GridParams(N=10, r=2, lam=10.0), alpha=None,
-                          refine_edge="right")
+        build_two_grid_1d(GridParams(N=10, r=2, lam=10.0), alpha=None)
+
+
+def test_1d_layer_grid_ends_exactly_at_b():
+    # 49 * (1/49) != 1 in floating point; the last node is b itself
+    g = build_two_grid_1d(GridParams(N=49, r=2, lam=2.0), alpha=None)
+    assert 49 * (1 / 49) != 1.0
+    assert g.x[-1] == 1.0
+    assert g.tags[-1] == NodeTag.BOUNDARY
+    assert (np.diff(g.x) > 0).all()
 
 
 def test_1d_alpha_required_and_in_domain():
     with pytest.raises(BadParams):
-        build_two_grid_1d(GridParams(N=10, r=2), alpha=None)
+        build_two_grid_1d(GridParams(N=10, r=2), alpha=0.0)
     with pytest.raises(BadParams):
         build_two_grid_1d(GridParams(N=10, r=2), alpha=1.5)
     with pytest.raises(BadParams):

@@ -99,6 +99,16 @@ def test_run_case_h2_mode_reports_effective_ratio():
     assert rep.r == 10
 
 
+@pytest.mark.parametrize("name, N, r, hf_mode, expect", [
+    ("line_interface_2d", 12, 2, "h2", 12),
+    ("peskin_circle", 20, 2, "ratio", 2),
+])
+def test_run_case_reports_ratio_of_spacings(name, N, r, hf_mode, expect):
+    rep = run_case(make_problem(name), N, r, hf_mode=hf_mode,
+                   check_operator=False)
+    assert rep.r == expect
+
+
 def test_build_grid_rejects_unknown_kind():
     prob = ProblemSpec(name="odd", kind="weird", domain=(0.0, 1.0),
                        f=lambda x, y, s: x, boundary=lambda x, y: 0.0 * x)
@@ -171,12 +181,22 @@ def test_to_json_nan_errors_become_null():
 def test_to_json_summarizes_operator_check():
     mm = {"sign_ok": True, "row_sum_ok": False,
           "offenders": [{"row": 1, "col": -1, "kind": "row_sum",
-                         "value": 0.5}] * 2}
+                         "value": 0.5}] * 2, "offender_count": 2}
     row = json.loads(to_json([report(m_matrix=mm)]))[0]
     assert row["m_matrix"] == {"sign_ok": True, "row_sum_ok": False,
                                "offender_count": 2}
     bare = json.loads(to_json([report()]))[0]
     assert "m_matrix" not in bare
+
+
+def test_to_json_counts_every_offender():
+    # the centered layer scheme at eps=1e-3 has a negative off-diagonal in
+    # 398 interior rows and a positive interior row sum in 399; the list
+    # keeps the first 50 of each kind
+    rep = run_case(make_problem("boundary_layer_1d"), 400, 2)
+    assert len(rep.m_matrix["offenders"]) == 100
+    row = json.loads(to_json([rep]))[0]
+    assert row["m_matrix"]["offender_count"] == 398 + 399
 
 
 def test_run_case_without_exact_solution_reports_nan():

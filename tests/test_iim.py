@@ -58,7 +58,7 @@ def lsq_slope(hs, errs):
 
 def test_1d_no_jump_reduces_to_standard():
     st_j, st_jp1 = iim.iim_1d_irregular(3.0, 3.0, 0.55, 0.5, 0.1,
-                                        iim.JumpData())
+                                        iim.JumpData(), 0.6)
     for st in (st_j, st_jp1):
         assert st.alphas[-1] == pytest.approx(300.0)
         assert st.alphas[0] == pytest.approx(-600.0)
@@ -83,7 +83,7 @@ def test_1d_exact_on_piecewise_quadratic():
         return (a + Cbar) + bp * (x - alpha) + d * (x - alpha) ** 2
 
     st_j, st_jp1 = iim.iim_1d_irregular(km, kp, alpha, xj, h,
-                                        iim.JumpData(C=C, Cbar=Cbar))
+                                        iim.JumpData(C=C, Cbar=Cbar), xj + h)
     for st, ctr in ((st_j, xj), (st_jp1, xj + h)):
         res = sum(g * u(ctr + k * h) for k, g in st.alphas.items())
         res -= f + st.correction
@@ -107,7 +107,8 @@ def test_1d_consistency_order_on_quartic():
         xj = np.floor(al / h) * h
         if xj + h <= al:
             xj += h
-        st_j, st_jp1 = iim.iim_1d_irregular(km, kp, al, xj, h, jumps)
+        st_j, st_jp1 = iim.iim_1d_irregular(km, kp, al, xj, h, jumps,
+                                            xj + h)
         r1 = sum(g * u(xj + k * h) for k, g in st_j.alphas.items())
         r1 -= 12 * xj**2 + st_j.correction
         r2 = sum(g * u(xj + h + k * h) for k, g in st_jp1.alphas.items())
@@ -119,14 +120,16 @@ def test_1d_consistency_order_on_quartic():
 
 def test_1d_rejects_alpha_outside_cell():
     with pytest.raises(BadParams):
-        iim.iim_1d_irregular(1.0, 2.0, 0.75, 0.5, 0.1, iim.JumpData())
+        iim.iim_1d_irregular(1.0, 2.0, 0.75, 0.5, 0.1, iim.JumpData(),
+                             0.6)
 
 
 def test_1d_degenerate_denominator():
     # a near-vanishing coefficient with the interface almost on the far node
     # drives the fitted denominator under the guard threshold
     with pytest.raises(DegenerateDenominator):
-        iim.iim_1d_irregular(1.0, 1e-6, 0.09999, 0.0, 0.1, iim.JumpData())
+        iim.iim_1d_irregular(1.0, 1e-6, 0.09999, 0.0, 0.1, iim.JumpData(),
+                             0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -185,7 +185,7 @@ def test_centered_exact_on_quadratic(h1, h2):
 # ---------------------------------------------------------------------------
 
 def test_nine_point_reference_weights():
-    st = stencils.nine_point_compact_2d(h=1.0, K=0.0)
+    st = stencils.nine_point_compact_2d(h=1.0)
     assert st.alphas[(1, 1)] == pytest.approx(1 / 6)
     assert st.alphas[(1, 0)] == pytest.approx(4 / 6)
     assert st.alphas[(0, 0)] == pytest.approx(-20 / 6)
@@ -197,7 +197,7 @@ def test_nine_point_exact_on_quartics():
     # Taylor oracle: the h**2 residual coefficient vanishes, so the scheme
     # annihilates x**4 + y**4 (and any quartic) up to float rounding in the
     # weights (the generator emits floats, terms are O(1/h**2))
-    st = stencils.nine_point_compact_2d(h=sympy.Rational(1, 3), K=0)
+    st = stencils.nine_point_compact_2d(h=sympy.Rational(1, 3))
     u = (X + 2) ** 4 + (Y - 1) ** 4
     res = residual_2d(st, u, x0=sympy.Rational(1, 7), y0=sympy.Rational(2, 5),
                       sx=sympy.Rational(1, 3), sy=sympy.Rational(1, 3))
@@ -205,7 +205,7 @@ def test_nine_point_exact_on_quartics():
 
 
 def test_nine_point_h4_error_on_sextic():
-    st = stencils.nine_point_compact_2d(h=T, K=0)
+    st = stencils.nine_point_compact_2d(h=T)
     res = residual_2d(st, X**6, x0=sympy.Integer(0), y0=sympy.Integer(0),
                       sx=T, sy=T)
     poly = sympy.Poly(res, T)
@@ -270,7 +270,7 @@ def test_strip_xgamma_override_and_correction():
 def test_border2d_uniform_limit_is_nine_point():
     h = 0.25
     st = stencils.border_coeffs_2d(h, h, h)
-    nine = stencils.nine_point_compact_2d(h, 0.0)
+    nine = stencils.nine_point_compact_2d(h)
     for off, a in nine.alphas.items():
         assert st.alphas[off] == pytest.approx(a, rel=1e-13)
     assert st.betas[(0, 0)] == pytest.approx(8 / 12)

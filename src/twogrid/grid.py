@@ -59,14 +59,19 @@ class GridParams:
     hf_mode: str = "ratio"
 
     def __post_init__(self) -> None:
+        for name in ("N", "r"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise BadParams(f"{name} must be an integer, got {value!r}")
         if self.N < 4:
             raise BadParams(f"need at least 4 coarse cells, got N={self.N}")
         if self.hf_mode not in ("ratio", "h2"):
             raise BadParams(f"unknown hf_mode {self.hf_mode!r}")
         if self.hf_mode == "ratio" and self.r < 2:
             raise BadParams(f"refinement ratio must be >= 2, got {self.r}")
-        if self.lam <= 0:
-            raise BadParams(f"tube half-width must be positive, got {self.lam}")
+        if not 0 < self.lam < math.inf:
+            raise BadParams("tube half-width must be positive and finite, "
+                            f"got {self.lam}")
 
 
 def _interval(domain) -> Tuple[float, float]:

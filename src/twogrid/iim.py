@@ -223,6 +223,7 @@ _CROSS_COLS = np.array([_RING2.index(off) for off in _CROSS])
 # of the ring
 _STAGES = tuple(np.array([_RING2.index(off) for off in offsets])
                 for offsets in (_BLOCK3, _BLOCK3 + _EXTENDED, _RING2))
+_REWARD = 1e6       # see _constrained_fit
 
 
 @dataclass
@@ -364,12 +365,14 @@ def _constrained_fit(A: np.ndarray, cand: np.ndarray, scale: np.ndarray,
     off-center weight (the constant-consistency row forces a zero row sum,
     so the diagonal is minus that total and monotonicity comes out maximally
     diagonally dominant). ``scale`` is each node's natural weight magnitude,
-    used to condition its program and to reject a vanishing diagonal. The
-    programs of all nodes are solved as one block-diagonal program; one
-    infeasible block makes the whole program infeasible, so such a program
-    is split in halves until the infeasible nodes stand alone. Returns
-    ``(g, ok)``: the ``(n, K)`` weights, zero outside each node's candidates
-    and for failed nodes, and whether each node's fit succeeded.
+    used to condition its program and to reject a vanishing diagonal. All
+    nodes share one block-diagonal program, always feasible since node
+    ``k``'s right side is scaled by ``t_k`` in ``[0, 1]`` at a reward of
+    ``_REWARD`` per unit: ``g = 0, t = 0`` solves it. A node with a stencil
+    takes ``t_k = 1`` and its own optimum (normalized off-center totals
+    reach 61.5 on the flower benchmarks), a node without one zero weights.
+    Returns ``(g, ok)``: the ``(n, K)`` weights, zero for failed nodes and
+    outside each node's candidates, and whether each node's fit succeeded.
     """
     from scipy.optimize import linprog
 
@@ -379,29 +382,24 @@ def _constrained_fit(A: np.ndarray, cand: np.ndarray, scale: np.ndarray,
     An = As / rownorm[:, :, None]
     bn = np.zeros((n, nrow))
     bn[:, -1] = 1.0 / rownorm[:, -1]
-    is_center = np.arange(K) == center
+    # one column per candidate, then node k's scale t_k on its last row
+    k, c = np.nonzero(cand)
+    m = len(k)
+    vals = np.concatenate([An[k, :, c].ravel(), -bn[:, -1]])
+    rows = np.concatenate([(nrow * k[:, None] + np.arange(nrow)).ravel(),
+                           nrow * np.arange(n) + nrow - 1])
+    cols = np.concatenate([np.repeat(np.arange(m), nrow), m + np.arange(n)])
+    nz = vals != 0.0
+    A_eq = sp.csc_matrix((vals[nz], (rows[nz], cols[nz])),
+                         shape=(nrow * n, m + n))
+    ctr = c == center
+    cost = np.concatenate([np.where(ctr, 0.0, 1.0), np.full(n, -_REWARD)])
+    lower = np.concatenate([np.where(ctr, -np.inf, 0.0), np.zeros(n)])
+    upper = np.concatenate([np.where(ctr, 0.0, np.inf), np.ones(n)])
+    res = linprog(cost, A_eq=A_eq, b_eq=np.zeros(nrow * n),
+                  bounds=np.column_stack([lower, upper]), method="highs")
     ghat = np.zeros((n, K))
-
-    def solve(idx):
-        k, c = np.nonzero(cand[idx])      # one program column per candidate
-        vals = An[idx[k], :, c]
-        rows = nrow * k[:, None] + np.arange(nrow)
-        cols = np.broadcast_to(np.arange(len(k))[:, None], vals.shape)
-        nz = vals != 0.0
-        A_eq = sp.csc_matrix((vals[nz], (rows[nz], cols[nz])),
-                             shape=(nrow * len(idx), len(k)))
-        ctr = is_center[c]
-        res = linprog(np.where(ctr, 0.0, 1.0), A_eq=A_eq, b_eq=bn[idx].ravel(),
-                      bounds=np.column_stack([np.where(ctr, -np.inf, 0.0),
-                                              np.where(ctr, 0.0, np.inf)]),
-                      method="highs")
-        if res.success:
-            ghat[idx[k], c] = res.x
-        elif len(idx) > 1:
-            solve(idx[:len(idx) // 2])
-            solve(idx[len(idx) // 2:])
-
-    solve(np.arange(n))
+    ghat[k, c] = res.x[:m] if res.success else 0.0
     # The program fixes each node's support, at most nrow columns since its
     # solutions are basic. The weights on the support are then the
     # least-squares solution of the node's own rows, so they do not depend

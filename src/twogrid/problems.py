@@ -60,6 +60,14 @@ def _take(params: Optional[dict], defaults: dict, name: str) -> dict:
     return out
 
 
+def _kappas(p: dict) -> Tuple[float, float]:
+    km, kp = float(p["kappa_minus"]), float(p["kappa_plus"])
+    if not (0 < km < math.inf and 0 < kp < math.inf):
+        raise BadParams("diffusion coefficients must be positive and finite, "
+                        f"got {km}, {kp}")
+    return km, kp
+
+
 # ---------------------------------------------------------------------------
 # 1D benchmarks
 # ---------------------------------------------------------------------------
@@ -87,11 +95,9 @@ def _piecewise_kappa_1d(params) -> ProblemSpec:
     p = _take(params, {"alpha": 17.0 / 30.0, "kappa_minus": 4.0,
                        "kappa_plus": 50.0}, "piecewise_kappa_1d")
     alpha = float(p["alpha"])
-    km, kp = float(p["kappa_minus"]), float(p["kappa_plus"])
+    km, kp = _kappas(p)
     if not 0 < alpha < 1:
         raise BadParams(f"alpha must be interior to (0, 1), got {alpha}")
-    if km <= 0 or kp <= 0:
-        raise BadParams("diffusion coefficients must be positive")
     shift = alpha**4 * (1.0 / km - 1.0 / kp)
 
     def exact(x, y, side):
@@ -166,9 +172,7 @@ def _peskin_circle(params) -> ProblemSpec:
 
 def _flower(params) -> ProblemSpec:
     p = _take(params, {"kappa_minus": 1.0, "kappa_plus": 10.0}, "flower")
-    km, kp = float(p["kappa_minus"]), float(p["kappa_plus"])
-    if km <= 0 or kp <= 0:
-        raise BadParams("diffusion coefficients must be positive")
+    km, kp = _kappas(p)
 
     def phi(x, y):
         x = np.asarray(x, dtype=float)
@@ -242,8 +246,8 @@ def _flower_jumps(km: float, kp: float) -> JumpData:
 def _internal_layer(params) -> ProblemSpec:
     p = _take(params, {"eps": 0.01}, "internal_layer")
     eps = float(p["eps"])
-    if eps <= 0:
-        raise BadParams(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise BadParams(f"eps must be positive and finite, got {eps}")
 
     def sigma(x, y):
         return (np.asarray(x, dtype=float) ** 2

@@ -511,8 +511,11 @@ def flower_nodes(km, kp, N, r):
 
 
 def test_fitted_stencils_take_one_linear_program(monkeypatch):
-    # every irregular node of the tube is fitted in one block-diagonal
-    # program when all of them are feasible on the 3x3 block
+    # each candidate stage fits all its nodes in one block-diagonal program,
+    # six rows per node, one column per candidate and one scale column per
+    # node; on the (1, 10) tube four nodes have no sign-feasible stencil on
+    # the 3x3 block or the 13-point set, and each wider stage takes one more
+    # program, never a retry
     import scipy.optimize
     calls = []
     linprog = scipy.optimize.linprog
@@ -522,10 +525,13 @@ def test_fitted_stencils_take_one_linear_program(monkeypatch):
         return linprog(*args, **kwargs)
 
     monkeypatch.setattr(scipy.optimize, "linprog", counted)
-    prob, g = flower_nodes(50.0, 1.0, 40, 2)
-    assemble(g, prob)
-    n_irr = int((g.tags == NodeTag.FINE_IRREGULAR).sum())
-    assert calls == [(6 * n_irr, 9 * n_irr)]
+    for (km, kp), wider in (((50.0, 1.0), ()), ((1.0, 10.0), (13, 25))):
+        calls.clear()
+        prob, g = flower_nodes(km, kp, 40, 2)
+        assemble(g, prob)
+        n_irr = int((g.tags == NodeTag.FINE_IRREGULAR).sum())
+        assert calls == ([(6 * n_irr, 10 * n_irr)]
+                         + [(6 * 4, (size + 1) * 4) for size in wider])
 
 
 def test_widened_fits_match_single_node_calls():

@@ -62,6 +62,8 @@ def test_run_exit_2_when_sign_pattern_fails(capsys):
     pytest.param(("run", "--param", "kappa_minus"), id="param-without-value"),
     pytest.param(("run", "--param", "kappa_minus=1/0"), id="param-over-zero"),
     pytest.param(("run", "--param", "kappa_minus=abc"), id="param-not-number"),
+    pytest.param(("run", "--lam", "nan"), id="lam-nan"),
+    pytest.param(("run", "--lam", "inf"), id="lam-inf"),
     pytest.param(("study", "--schedule", "10:x"), id="schedule-bad-ratio"),
     pytest.param(("study", "--schedule", "10:2,,20:2"),
                  id="schedule-empty-item"),

@@ -39,6 +39,26 @@ def test_params_validation():
         GridParams(N=10, r=2, hf_mode="cubed")
 
 
+@pytest.mark.parametrize("kwargs", [
+    pytest.param(dict(N=10, r=2, lam=float("nan")), id="lam-nan"),
+    pytest.param(dict(N=10, r=2, lam=float("inf")), id="lam-inf"),
+    pytest.param(dict(N=10, r=2, lam=-float("inf")), id="lam-minus-inf"),
+    pytest.param(dict(N=10.5, r=2), id="N-fractional"),
+    pytest.param(dict(N=10.0, r=2), id="N-float"),
+    pytest.param(dict(N=10, r=2.5), id="r-fractional"),
+    pytest.param(dict(N="10", r=2), id="N-string"),
+])
+def test_params_reject_non_finite_lam_and_non_integer_sizes(kwargs):
+    with pytest.raises(BadParams):
+        GridParams(**kwargs)
+
+
+def test_params_accept_numpy_integers():
+    p = GridParams(N=np.int64(10), r=np.int32(2), lam=np.float64(2.0))
+    assert np.array_equal(build_two_grid_1d(p, alpha=0.55).x,
+                          build_two_grid_1d(GridParams(N=10, r=2), 0.55).x)
+
+
 # ---------------------------------------------------------------------------
 # one dimension
 # ---------------------------------------------------------------------------

@@ -64,6 +64,24 @@ def test_parameter_overrides_and_validation():
         problems.make_problem("flower", {"petals": 9})
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "minus-inf"])
+@pytest.mark.parametrize("name, param", [
+    ("boundary_layer_1d", "eps"),
+    ("piecewise_kappa_1d", "alpha"),
+    ("piecewise_kappa_1d", "kappa_minus"),
+    ("piecewise_kappa_1d", "kappa_plus"),
+    ("line_interface_2d", "alpha"),
+    ("peskin_circle", "radius"),
+    ("flower", "kappa_minus"),
+    ("flower", "kappa_plus"),
+    ("internal_layer", "eps"),
+])
+def test_non_finite_parameters_are_rejected(name, param, value):
+    with pytest.raises(BadParams):
+        problems.make_problem(name, {param: value})
+
+
 def test_piecewise_exact_satisfies_jump_conditions():
     prob = problems.make_problem("piecewise_kappa_1d", {})
     a = prob.alpha

@@ -105,6 +105,10 @@ def convergence_study(problem: ProblemSpec,
 # with the immersed boundary method and the immersed interface method on a
 # uniform N x N grid. Static reference data for comparison output; these are
 # literature values and are never recomputed here.
+# Provenance: the values are transcribed as published and are not edited.
+# The IIM column does not fall steadily with N (2.3908e-3 at N=20, then
+# 8.3461e-3 at N=40, 2.4451e-4 at N=80, 6.6573e-4 at N=160), so it is not a
+# convergence sequence to fit orders to.
 _REFERENCE_ERRORS = {
     "peskin_circle": {
         "source": "published results, immersed boundary (IB) and immersed "

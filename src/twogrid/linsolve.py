@@ -7,6 +7,8 @@ import scipy.sparse.linalg as spla
 from .errors import NonConvergence, SingularMatrix
 
 _TOL = 1e-12            # residual contract of solve, relative to |b|_2
+_F64_STEPS = 10         # cap on float64 refinement steps
+_LD_STEPS = 5           # longdouble refinement steps
 _SIGN_RTOL = 1e-12      # audit tolerances, relative to a row's largest entry
 _ROW_SUM_RTOL = 1e-8
 _MAX_OFFENDERS = 50     # offenders listed per kind
@@ -16,69 +18,91 @@ def solve(system) -> np.ndarray:
     """LU-solve the assembled system to ``|A u - b|_2 <= 1e-12 * |b|_2``.
 
     The composite operators have a structurally symmetric pattern and
-    (mostly) M-matrix rows, which need no row pivoting. So the first
-    factorization orders ``A + A^T`` by multiple minimum degree and takes
-    the diagonal pivots as they come (``diag_pivot_thresh=0``); that
-    roughly halves the fill of COLAMD with partial pivoting. If it raises,
-    gives a non-finite solution or misses the contract after refinement,
-    the system is factored again with COLAMD and partial pivoting and
-    refined the same way.
+    (mostly) M-matrix rows, which need no row pivoting. So the factor is
+    made in float32 from ``A.astype(float32)``: it orders ``A + A^T`` by
+    multiple minimum degree and takes the diagonal pivots as they come
+    (``diag_pivot_thresh=0``), which roughly halves the fill of COLAMD with
+    partial pivoting, and its values take half the memory of a float64
+    factor.
 
-    Rows of the composite operator differ in scale by several orders of
-    magnitude (coarse vs fine spacing), so a single factorization pass can
-    leave a residual above the contract; iterative refinement with the same
-    factors is applied: two float64 steps, then up to five in extended
-    precision. The result is float64 unless the float64 steps miss the
-    bound; it is a longdouble vector on the worst-scaled systems (peskin
-    N=320 r=8, line h2 N=42), where even the rounded exact solution misses
-    the bound in double precision. Raises :class:`SingularMatrix` when the
-    fallback factorization fails or its solution is non-finite, and
-    :class:`NonConvergence` when its refinement misses the bound.
+    Iterative refinement with that factor recovers float64 accuracy
+    (Langou et al. 2006): residuals are computed in float64, scaled by their
+    max-norm before the float32 triangular solves and scaled back after.
+    The float64 steps stop when the contract is met, when a step no longer
+    halves the residual, or after 10 steps. If the float64 floor still
+    misses the contract, which happens on the worst-scaled systems (peskin
+    N=320 r=8, line h2 N=42), up to five more steps take their residuals
+    in extended precision, with corrections from the same factor, and the
+    result is a longdouble vector. Otherwise it is float64.
+
+    If the float32 factor raises, gives a non-finite solution or its
+    refinement misses the contract, the system is factored again in
+    float64 with COLAMD and partial pivoting and refined the same way.
+    Raises :class:`SingularMatrix` when that fallback factorization fails
+    or its solution is non-finite, and :class:`NonConvergence` when its
+    refinement misses the bound. ``system`` is not modified.
     """
     A = system.matrix.tocsc()
     b = system.rhs
     try:
         return _refine(A, b, _factor(
-            A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            A, np.float32, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
             options={"SymmetricMode": True}))
     except (SingularMatrix, NonConvergence):
         pass
-    return _refine(A, b, _factor(A))
+    return _refine(A, b, _factor(A, np.float64))
 
 
-def _factor(A, **opts):
+def _factor(A, dtype, **opts):
+    """``(splu(A.astype(dtype), **opts), dtype)``; the cast copy of ``A``
+    is freed once it is factored."""
     try:
-        return spla.splu(A, **opts)
+        return spla.splu(A.astype(dtype), **opts), dtype
     except RuntimeError as exc:
         raise SingularMatrix(str(exc)) from exc
 
 
-def _refine(A, b, lu) -> np.ndarray:
-    """Solve with the factors ``lu`` and refine to the contract of
-    :func:`solve`: two float64 steps, then up to five longdouble ones."""
-    u = lu.solve(b)
+def _correction(factor, r) -> np.ndarray:
+    """The float64 solution of ``A d = r`` with the factor. ``r`` is scaled
+    by its max-norm before it is cast to the factor's dtype, so a small
+    residual neither underflows nor loses digits in float32."""
+    lu, dtype = factor
+    scale = float(np.max(np.abs(r), initial=0.0))
+    if scale == 0.0:
+        return np.zeros(len(r))
+    return lu.solve((r / scale).astype(dtype)).astype(np.float64) * scale
+
+
+def _refine(A, b, factor) -> np.ndarray:
+    """Solve with ``factor`` and refine to the contract of :func:`solve`:
+    float64 steps while each one at least halves the residual, then up to
+    five longdouble ones."""
+    u = _correction(factor, b)
     if not np.all(np.isfinite(u)):
         raise SingularMatrix("solution contains non-finite entries")
     bnorm = float(np.linalg.norm(b))
     bound = _TOL * (bnorm if bnorm > 0.0 else 1.0)
-    res = float(np.linalg.norm(A @ u - b))
-    for _ in range(2):
+    r = b - A @ u
+    res = float(np.linalg.norm(r))
+    for _ in range(_F64_STEPS):
         if res <= bound:
             return u
-        u = u + lu.solve(b - A @ u)
-        res = float(np.linalg.norm(A @ u - b))
+        u = u + _correction(factor, r)
+        r = b - A @ u
+        last, res = res, float(np.linalg.norm(r))
+        if not res <= 0.5 * last:
+            break
     if res <= bound:
         return u
     A_x = A.astype(np.longdouble)
     b_x = b.astype(np.longdouble)
     u_x = u.astype(np.longdouble)
-    for _ in range(5):
-        r_x = A_x @ u_x - b_x
-        res = float(np.linalg.norm(np.asarray(r_x, dtype=np.float64)))
+    for _ in range(_LD_STEPS):
+        r = np.asarray(b_x - A_x @ u_x, dtype=np.float64)
+        res = float(np.linalg.norm(r))
         if res <= bound:
             return u_x
-        u_x = u_x - lu.solve(np.asarray(r_x, dtype=np.float64)).astype(
-            np.longdouble)
+        u_x = u_x + _correction(factor, r).astype(np.longdouble)
     raise NonConvergence(
         f"solve residual {res:.3e} exceeds {_TOL:.1e} * |b|_2 = {bound:.3e}")
 

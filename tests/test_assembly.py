@@ -3,10 +3,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
+from scipy.optimize import brentq
 
 from twogrid import problems, stencils
 from twogrid.assembly import _Builder, apply_dirichlet, assemble
-from twogrid.errors import BadParams, MissingNeighbor, TwoGridError
+from twogrid.errors import (BadParams, MissingNeighbor, MultipleCrossings,
+                            TwoGridError)
 from twogrid.grid import (Grid2DLine, GridParams, NodeTag,
                           build_line_two_grid_2d, build_tube_two_grid_2d,
                           build_two_grid_1d)
@@ -555,3 +557,25 @@ def test_widened_fits_match_single_node_calls():
                                               prob.kappa_plus, prob.jumps)
         assert w1.tobytes() == weights[k].tobytes()
         assert c1.tobytes() == corr[[k]].tobytes()
+
+
+@pytest.mark.parametrize("kappas", [(1.0, 10.0), (50.0, 1.0)])
+def test_flower_28_2_double_crossing_is_real(kappas):
+    # arm (1,0) of the fine node (-3/28, -11/28) ends on one side of the
+    # flower, but a petal valley pokes about 1e-3 through it, so the arm
+    # really meets r = rho(theta) twice: MultipleCrossings is the right answer
+    prob, g = flower_nodes(*kappas, 28, 2)
+    with pytest.raises(MultipleCrossings,
+                       match=r"arm \(1,0\) of node \(-0\.1071,-0\.3929\)"):
+        assemble(g, prob)
+
+    y = -11.0 / 28.0
+
+    def gap(x):   # r - rho(theta) along the arm, in closed form
+        return np.hypot(x, y) - 0.5 - 0.1 * np.sin(8.0 * np.arctan2(y, x))
+
+    xs = np.linspace(-3.0 / 28.0, -2.0 / 28.0, 2001)
+    flips = np.flatnonzero(np.diff(np.sign(gap(xs))))
+    assert np.sign(gap(xs[0])) == np.sign(gap(xs[-1]))
+    roots = [brentq(gap, xs[k], xs[k + 1]) for k in flips]
+    assert roots == pytest.approx([-0.0916, -0.0758], abs=5e-5)

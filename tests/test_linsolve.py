@@ -107,6 +107,92 @@ def test_symmetric_ordering_factors_once_with_less_fill(monkeypatch):
     assert fill <= 0.65 * (plain.L.nnz + plain.U.nnz)
 
 
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Every factorization ``solve`` makes, as (matrix dtype, ordering)."""
+    splu = linsolve.spla.splu
+    calls = []
+
+    def recording_splu(A, **kwargs):
+        calls.append((A.dtype, kwargs.get("permc_spec", "COLAMD")))
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(linsolve.spla, "splu", recording_splu)
+    return calls
+
+
+def test_first_factor_is_single_precision(splu_calls):
+    sys_ = assembled_1d()
+    solve(sys_)
+    assert splu_calls == [(np.float32, "MMD_AT_PLUS_A")]
+
+
+@pytest.mark.parametrize("name, N, r, hf_mode", [
+    ("line_interface_2d", 42, 2, "h2"),
+    ("piecewise_kappa_1d", 40, 16, "ratio"),
+])
+def test_worst_scaled_cells_meet_the_contract_in_single_precision(
+        splu_calls, name, N, r, hf_mode):
+    # the acceptance cells whose float32 refinement is slowest (line h2
+    # N=42 takes five float64 steps); both have a float64 residual floor
+    # above the contract (2.9e-12 and 1.6e-11 of |b|), so they finish in
+    # longdouble, with corrections from the same float32 factor
+    prob = problems.make_problem(name, {})
+    sys_ = assemble(build_grid(prob, N, r, 2.0, hf_mode), prob)
+    apply_dirichlet(sys_, prob.boundary)
+    u = solve(sys_)
+    assert splu_calls == [(np.float32, "MMD_AT_PLUS_A")]
+    assert u.dtype == np.longdouble
+    res = np.linalg.norm(np.asarray(
+        sys_.matrix.astype(np.longdouble) @ u - sys_.rhs, dtype=float))
+    assert res <= 1e-12 * np.linalg.norm(sys_.rhs)
+
+
+@pytest.mark.parametrize("scale", [1e-36, 1e36])
+def test_single_precision_path_is_scale_free(splu_calls, scale):
+    # |b| near float32's underflow and overflow: residuals are scaled by
+    # their max-norm before each float32 solve, so no fallback is needed
+    sys_ = assembled_1d()
+    sys_.rhs *= scale
+    u = solve(sys_)
+    assert splu_calls == [(np.float32, "MMD_AT_PLUS_A")]
+    res = np.linalg.norm(sys_.matrix @ u - sys_.rhs)
+    assert res <= 1e-12 * np.linalg.norm(sys_.rhs)
+
+
+def test_too_ill_conditioned_for_single_precision_falls_back(splu_calls):
+    # a 1D Laplacian shifted to 1e-9 from singular (cond 4e9): rounding
+    # its diagonal to float32 moves the smallest eigenvalue by up to 6e-8,
+    # so refinement with the float32 factor cannot converge; the float64
+    # COLAMD factor meets the contract
+    n = 100
+    lam1 = 2.0 - 2.0 * np.cos(np.pi / (n + 1))
+    off = np.ones(n - 1)
+    A = sp.diags([off, np.full(n, lam1 - 2.0 - 1e-9), off], [-1, 0, 1],
+                 format="csr")
+    assert np.linalg.cond(A.toarray()) > 1e9
+    x = np.random.default_rng(0).uniform(0.5, 1.5, n)
+    sys_ = SimpleNamespace(matrix=A, rhs=A @ x)
+    u = solve(sys_)
+    assert splu_calls == [(np.float32, "MMD_AT_PLUS_A"),
+                          (np.float64, "COLAMD")]
+    assert u.dtype == np.float64
+    res = np.linalg.norm(A @ u - sys_.rhs)
+    assert res <= 1e-12 * np.linalg.norm(sys_.rhs)
+
+
+def test_solve_leaves_the_system_untouched():
+    sys_ = assembled_1d()
+    matrix, rhs = sys_.matrix, sys_.rhs
+    before = [a.tobytes() for a in (matrix.data, matrix.indices,
+                                    matrix.indptr, rhs)]
+    solve(sys_)
+    assert sys_.matrix is matrix and sys_.rhs is rhs
+    assert matrix.dtype == np.float64 and matrix.format == "csr"
+    assert [a.tobytes() for a in (matrix.data, matrix.indices,
+                                  matrix.indptr, rhs)] == before
+
+
 # ---------------------------------------------------------------------------
 # verify_m_matrix
 # ---------------------------------------------------------------------------

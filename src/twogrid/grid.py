@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Optional, Tuple, Union
 
@@ -86,14 +86,6 @@ def _square(domain) -> Tuple[Tuple[float, float], Tuple[float, float]]:
         iv = _interval(domain)
         return iv, iv
     return _interval(domain[0]), _interval(domain[1])
-
-
-def _find(sorted_codes: np.ndarray, codes) -> np.ndarray:
-    """Positions of ``codes`` in the sorted array ``sorted_codes``; -1 where
-    a code is absent."""
-    pos = np.searchsorted(sorted_codes, codes)
-    pos = np.clip(pos, 0, len(sorted_codes) - 1)
-    return np.where(sorted_codes[pos] == codes, pos, -1)
 
 
 def _effective_ratio(params: GridParams, h: float) -> int:
@@ -265,6 +257,8 @@ class Grid2DTube:
     side: np.ndarray            # -1 where phi <= 0, +1 elsewhere
     hang_axis: np.ndarray       # 0: between x-neighbors, 1: y; -1 elsewhere
     hang_j: np.ndarray          # fine offset from the lower/left coarse node
+    words: np.ndarray = field(repr=False)   # node bitmap, bit c = code c
+    rank: np.ndarray = field(repr=False)    # int32 nodes before each word
 
     @property
     def n(self) -> int:
@@ -275,8 +269,14 @@ class Grid2DTube:
 
     def id_of(self, codes) -> np.ndarray:
         """Node ids for fine-lattice codes; -1 where no node exists."""
-        return _find(self.codes,
-                     np.atleast_1d(np.asarray(codes, dtype=np.int64)))
+        # as uint64 a negative code wraps past W**2; bit c & 63 of its word
+        # shifted up to bit 63 keeps the node bits at or below it
+        c = np.atleast_1d(np.asarray(codes, dtype=np.int64)).view(np.uint64)
+        word = c >> 6
+        kept = self.words.take(word, mode="clip") << (63 - (c & 63))
+        hit = (kept >> 63).astype(bool) & (c < self.W * self.W)
+        ids = self.rank.take(word, mode="clip") + np.bitwise_count(kept)
+        return np.where(hit, ids - 1, -1).astype(np.int64)
 
 
 def build_tube_two_grid_2d(params: GridParams, ls: LevelSet) -> Grid2DTube:
@@ -284,7 +284,8 @@ def build_tube_two_grid_2d(params: GridParams, ls: LevelSet) -> Grid2DTube:
 
     Every coarse node within ``lam * h`` of the interface (inclusive, as
     measured by ``|phi|``) is a patch parent; parents must stay two coarse
-    cells clear of the boundary or :class:`TubeTooWide` is raised.
+    cells clear of the boundary or :class:`TubeTooWide` is raised, so no
+    patch reaches the boundary.
     """
     if params.hf_mode != "ratio":
         raise BadParams("tube grids support only hf_mode='ratio'")
@@ -307,78 +308,76 @@ def build_tube_two_grid_2d(params: GridParams, ls: LevelSet) -> Grid2DTube:
         raise TubeTooWide("refinement patches reach within two coarse cells "
                           "of the boundary; shrink lam or refine")
 
+    # patch[py, px] is the union of the patches; the node bitmap adds the
+    # coarse lattice and is padded to whole 64-bit words
     off = np.arange(-r, r + 1)
-    OX, OY = np.meshgrid(off, off, indexing="ij")
-    patch_px = (pi[:, None, None] * r + OX[None]).ravel()
-    patch_py = (pj[:, None, None] * r + OY[None]).ravel()
-    rcodes = np.unique(patch_py.astype(np.int64) * W + patch_px)
+    patch = np.zeros((W, W), dtype=bool)
+    patch[(pj * r)[:, None, None] + off[:, None],
+          (pi * r)[:, None, None] + off] = True
+    in_patch = patch.ravel()
+    flat = np.zeros(-(-W * W // 64) * 64, dtype=bool)
+    flat[:W * W] = in_patch
+    flat[:W * W].reshape(W, W)[::r, ::r] = True
+    codes = np.flatnonzero(flat)
 
-    ccodes = (CJ.ravel().astype(np.int64) * r * W + CI.ravel() * r)
-    codes = np.unique(np.concatenate([rcodes, ccodes]))
-
-    px = (codes % W).astype(np.int64)
-    py = (codes // W).astype(np.int64)
+    px = codes % W
+    py = codes // W
     x = ax + px * h_f
     y = ay + py * h_f
     phi = np.asarray(ls.phi(x, y), dtype=float)
     side = np.where(phi <= 0.0, -1, 1).astype(np.int8)
 
-    inR = _find(rcodes, codes) >= 0
-    fine4 = np.all([_find(rcodes, codes + d) >= 0 for d in (1, -1, W, -W)],
-                   axis=0)
-    coincident = (px % r == 0) & (py % r == 0)
-
-    tags = np.full(len(codes), NodeTag.COARSE_REGULAR, dtype=np.int8)
-    hang_axis = np.full(len(codes), -1, dtype=np.int8)
-    hang_j = np.zeros(len(codes), dtype=np.int32)
-
-    fine_cls = inR & fine4
-    hanging = inR & ~fine4 & ~coincident
-    tags[fine_cls] = NodeTag.FINE_REGULAR
-
+    # patch nodes sit r >= 2 steps inside, so their arms stay on the lattice
+    inR = in_patch[codes]
+    arms = (1, -1, W, -W)
+    fine4 = np.zeros(len(codes), dtype=bool)
+    fine4[inR] = np.all([in_patch[codes[inR] + d] for d in arms], axis=0)
     on_xline = py % r == 0
     on_yline = px % r == 0
-    bad = hanging & ~on_xline & ~on_yline
-    if bad.any():
+
+    fine_cls = inR & fine4
+    hanging = inR & ~fine4 & ~(on_xline & on_yline)
+    if (hanging & ~on_xline & ~on_yline).any():
         raise MissingNeighbor("tube rim left the coarse lattice lines, so a "
                               "hanging node has no coarse neighbours")
     hx = hanging & on_xline
     hy = hanging & on_yline & ~on_xline
-    tags[hanging] = NodeTag.HANGING
-    hang_axis[hx] = 0
-    hang_axis[hy] = 1
-    hang_j[hx] = px[hx] % r
-    hang_j[hy] = py[hy] % r
+    hang_axis = np.select([hx, hy], [0, 1], -1).astype(np.int8)
+    hang_j = np.select([hx, hy], [px % r, py % r], 0).astype(np.int32)
 
-    # fine nodes whose arms change side are irregular
-    idx_fine = np.nonzero(fine_cls)[0]
-    if len(idx_fine):
-        own = side[idx_fine]
-        irr = np.zeros(len(idx_fine), dtype=bool)
-        for delta in (1, -1, W, -W):
-            irr |= side[_find(codes, codes[idx_fine] + delta)] != own
-        tags[idx_fine[irr]] = NodeTag.FINE_IRREGULAR
+    tags = np.full(len(codes), NodeTag.COARSE_REGULAR, dtype=np.int8)
+    tags[fine_cls] = NodeTag.FINE_REGULAR
+    tags[hanging] = NodeTag.HANGING
+
+    # fine nodes whose arms change side are irregular; the arms are nodes
+    side_at = np.zeros(W * W, dtype=np.int8)
+    side_at[codes] = side
+    fc = codes[fine_cls]
+    irr = np.any([side_at[fc + d] != side_at[fc] for d in arms], axis=0)
+    tags[np.flatnonzero(fine_cls)[irr]] = NodeTag.FINE_IRREGULAR
 
     on_boundary = (px == 0) | (px == N * r) | (py == 0) | (py == N * r)
-    if (on_boundary & inR).any():
-        raise TubeTooWide("refinement patches touch the boundary")
     tags[on_boundary] = NodeTag.BOUNDARY
+
+    words = np.packbits(flat, bitorder="little").view("<u8")
+    rank = np.zeros(len(words), dtype=np.int32)
+    np.cumsum(np.bitwise_count(words[:-1]), out=rank[1:], dtype=np.int32)
 
     return Grid2DTube(params=params, ls=ls, N=N, h=h, h_f=h_f, r=r, W=W,
                       codes=codes, px=px, py=py, x=x, y=y, tags=tags,
-                      side=side, hang_axis=hang_axis, hang_j=hang_j)
+                      side=side, hang_axis=hang_axis, hang_j=hang_j,
+                      words=words, rank=rank)
 
 
 Grid = Union[Grid1D, Grid2DLine, Grid2DTube]
 
 
 def dump_grid_json(grid: Grid, path: str) -> None:
-    """Write the node list as JSON records ``{id, x, y, tag}``."""
-    ys = grid.y
-    rows = [
-        {"id": int(i), "x": float(grid.x[i]), "y": float(ys[i]),
-         "tag": TAG_NAMES[NodeTag(int(grid.tags[i]))]}
-        for i in range(grid.n)
-    ]
+    """Write the node list as compact JSON records ``{id, x, y, tag}``."""
+    names = list(TAG_NAMES.values())
+    rows = [{"id": i, "x": x, "y": y, "tag": names[t]}
+            for i, (x, y, t) in enumerate(zip(grid.x.tolist(),
+                                              grid.y.tolist(),
+                                              grid.tags.tolist()))]
     with open(path, "w") as fh:
-        json.dump(rows, fh, indent=1)
+        fh.write(json.dumps(rows, separators=(",", ":")))

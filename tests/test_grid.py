@@ -3,12 +3,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
-from twogrid.errors import BadParams, EmptyTube, TubeTooWide
+from twogrid.errors import (BadParams, EmptyTube, MissingNeighbor,
+                            TubeTooWide, TwoGridError)
 from twogrid.geometry import LevelSet
-from twogrid.grid import (GridParams, NodeTag, build_line_two_grid_2d,
-                          build_tube_two_grid_2d, build_two_grid_1d,
-                          dump_grid_json)
+from twogrid.grid import (TAG_NAMES, GridParams, NodeTag,
+                          build_line_two_grid_2d, build_tube_two_grid_2d,
+                          build_two_grid_1d, dump_grid_json)
+from twogrid.problems import make_problem
 
 
 def tag_counts(grid):
@@ -276,6 +280,110 @@ def test_tube_invariants_on_circle():
         assert (g.id_of(g.codes[fine] + delta) >= 0).all()
 
 
+def search_ids(codes, queries):
+    """Node ids by binary search over the sorted ``codes``; -1 if absent."""
+    queries = np.asarray(queries, dtype=np.int64)
+    pos = np.clip(np.searchsorted(codes, queries), 0, len(codes) - 1)
+    return np.where(codes[pos] == queries, pos, -1)
+
+
+def reference_tube_grid(params, ls):
+    """The tube grid built by sorting and searching lattice codes: the
+    construction the bitmap builder replaced, kept as its oracle."""
+    (ax, bx), (ay, _) = (params.domain if np.ndim(params.domain[0])
+                         else (params.domain, params.domain))
+    N, r = params.N, params.r
+    h = (bx - ax) / N
+    h_f, W = h / r, N * r + 1
+    ii = np.arange(N + 1)
+    CI, CJ = np.meshgrid(ii, ii, indexing="ij")
+    pmask = np.abs(ls.phi(ax + CI * h, ay + CJ * h)) <= params.lam * h + 1e-12
+    if not pmask.any():
+        raise EmptyTube("empty")
+    pi, pj = CI[pmask], CJ[pmask]
+    if pi.min() < 2 or pi.max() > N - 2 or pj.min() < 2 or pj.max() > N - 2:
+        raise TubeTooWide("too wide")
+    off = np.arange(-r, r + 1)
+    OX, OY = np.meshgrid(off, off, indexing="ij")
+    patch_px = (pi[:, None, None] * r + OX[None]).ravel()
+    patch_py = (pj[:, None, None] * r + OY[None]).ravel()
+    rcodes = np.unique(patch_py.astype(np.int64) * W + patch_px)
+    ccodes = CJ.ravel().astype(np.int64) * r * W + CI.ravel() * r
+    codes = np.unique(np.concatenate([rcodes, ccodes]))
+
+    px, py = codes % W, codes // W
+    side = np.where(ls.phi(ax + px * h_f, ay + py * h_f) <= 0.0,
+                    -1, 1).astype(np.int8)
+    inR = search_ids(rcodes, codes) >= 0
+    fine4 = np.all([search_ids(rcodes, codes + d) >= 0
+                    for d in (1, -1, W, -W)], axis=0)
+    coincident = (px % r == 0) & (py % r == 0)
+    tags = np.full(len(codes), NodeTag.COARSE_REGULAR, dtype=np.int8)
+    hang_axis = np.full(len(codes), -1, dtype=np.int8)
+    hang_j = np.zeros(len(codes), dtype=np.int32)
+    fine_cls = inR & fine4
+    hanging = inR & ~fine4 & ~coincident
+    tags[fine_cls] = NodeTag.FINE_REGULAR
+    on_xline, on_yline = py % r == 0, px % r == 0
+    if (hanging & ~on_xline & ~on_yline).any():
+        raise MissingNeighbor("off the lines")
+    hx = hanging & on_xline
+    hy = hanging & on_yline & ~on_xline
+    tags[hanging] = NodeTag.HANGING
+    hang_axis[hx], hang_axis[hy] = 0, 1
+    hang_j[hx], hang_j[hy] = px[hx] % r, py[hy] % r
+    idx_fine = np.nonzero(fine_cls)[0]
+    irr = np.zeros(len(idx_fine), dtype=bool)
+    for d in (1, -1, W, -W):
+        irr |= side[search_ids(codes, codes[idx_fine] + d)] != side[idx_fine]
+    tags[idx_fine[irr]] = NodeTag.FINE_IRREGULAR
+    tags[(px == 0) | (px == N * r) | (py == 0) | (py == N * r)] = \
+        NodeTag.BOUNDARY
+    return dict(codes=codes, px=px, py=py, tags=tags, side=side,
+                hang_axis=hang_axis, hang_j=hang_j)
+
+
+def assert_matches_reference(params, ls):
+    try:
+        want = reference_tube_grid(params, ls)
+    except TwoGridError as exc:
+        with pytest.raises(type(exc)):
+            build_tube_two_grid_2d(params, ls)
+        return
+    g = build_tube_two_grid_2d(params, ls)
+    for name, ref in want.items():
+        got = getattr(g, name)
+        assert got.dtype == ref.dtype, name
+        assert np.array_equal(got, ref), name
+
+
+TUBE_PROBLEMS = [
+    ("peskin_circle", {}, 2.0),
+    ("flower", {"kappa_minus": 1.0, "kappa_plus": 10.0}, 2.0),
+    ("flower", {"kappa_minus": 50.0, "kappa_plus": 1.0}, 2.0),
+    ("internal_layer", {}, 4.0),
+]
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 8])
+@pytest.mark.parametrize("name,params,lam", TUBE_PROBLEMS)
+def test_tube_grid_matches_sort_and_search_reference(name, params, lam, r):
+    prob = make_problem(name, params)
+    gp = GridParams(N=40, r=r, lam=lam, domain=prob.domain)
+    want = reference_tube_grid(gp, prob.interface)
+    assert len(want["codes"]) > 0
+    assert_matches_reference(gp, prob.interface)
+
+
+@settings(max_examples=60, deadline=None)
+@given(radius=hs.floats(0.05, 0.95), N=hs.integers(10, 40),
+       r=hs.integers(2, 8), lam=hs.floats(0.25, 6.0))
+def test_tube_grid_matches_reference_or_fails_alike(radius, N, r, lam):
+    prob = make_problem("peskin_circle", {"radius": radius})
+    assert_matches_reference(
+        GridParams(N=N, r=r, lam=lam, domain=prob.domain), prob.interface)
+
+
 def test_tube_id_of_roundtrip_and_miss():
     ls = circle_ls()
     g = build_tube_two_grid_2d(
@@ -284,6 +392,46 @@ def test_tube_id_of_roundtrip_and_miss():
     assert (ids == np.arange(g.n)).all()
     missing = int(g.codes[-1]) + 1
     assert g.id_of(missing) == -1
+
+    W2 = g.W * g.W
+    assert W2 % 64 != 0            # the last 64-bit word is partial
+    assert g.id_of(-1) == -1
+    assert (g.id_of([-W2, -64, -63, -1]) == -1).all()
+    beyond = [W2, W2 + 1, len(g.words) * 64 - 1, len(g.words) * 64,
+              2 * W2, 2**40]
+    assert (g.id_of(beyond) == -1).all()
+    # the last lattice point is the top-right corner, in the partial word
+    tail = np.arange(W2 // 64 * 64, W2)
+    assert (g.id_of(tail) == search_ids(g.codes, tail)).all()
+    assert g.id_of(W2 - 1) == g.n - 1
+
+    # coarse-lattice points off the tube are nodes; fine ones are not
+    lattice = np.zeros((g.W, g.W), dtype=bool)
+    lattice[::g.r, ::g.r] = True
+    patch = np.isin(np.arange(W2), g.codes[np.isin(
+        g.tags, (NodeTag.FINE_REGULAR, NodeTag.FINE_IRREGULAR,
+                 NodeTag.HANGING))])
+    off_coarse = np.flatnonzero(lattice.ravel() & ~patch)
+    assert len(off_coarse) > 0
+    assert (g.codes[g.id_of(off_coarse)] == off_coarse).all()
+    assert np.isin(g.tags[g.id_of(off_coarse)],
+                   (NodeTag.COARSE_REGULAR, NodeTag.BOUNDARY)).all()
+
+    # every code, in and around the lattice, against binary search
+    sweep = np.arange(-2 * g.W, W2 + 2 * g.W)
+    assert np.array_equal(g.id_of(sweep), search_ids(g.codes, sweep))
+    assert np.array_equal(g.id_of(sweep.reshape(-1, g.W)),
+                          search_ids(g.codes, sweep).reshape(-1, g.W))
+    assert g.id_of(sweep).dtype == np.int64
+
+
+def test_tube_lookup_state_is_a_bitmap_not_a_lattice():
+    g = build_tube_two_grid_2d(
+        GridParams(N=40, r=8, lam=2.0, domain=(-1.0, 1.0)), ls=circle_ls())
+    W2 = g.W * g.W
+    lookup = sum(v.nbytes for v in vars(g).values()
+                 if isinstance(v, np.ndarray) and v.shape != (g.n,))
+    assert 0 < lookup <= W2 / 8 + W2 / 16 + 64
 
 
 def test_tube_failure_modes():
@@ -318,3 +466,14 @@ def test_dump_grid_json_roundtrip(tmp_path):
         "hanging", "boundary"}
     xs = np.array([row["x"] for row in rows])
     assert xs == pytest.approx(g.x)
+
+    g = build_tube_two_grid_2d(
+        GridParams(N=20, r=4, lam=2.0, domain=(-1.0, 1.0)), ls=circle_ls())
+    dump_grid_json(g, str(path))
+    rows = json.loads(path.read_text())
+    assert [row["id"] for row in rows] == list(range(g.n))
+    assert [row["tag"] for row in rows] == [
+        TAG_NAMES[NodeTag(t)] for t in g.tags.tolist()]
+    assert np.array_equal([row["x"] for row in rows], g.x)
+    assert np.array_equal([row["y"] for row in rows], g.y)
+    assert {row["tag"] for row in rows} >= {"hanging", "fine_irregular"}

@@ -113,13 +113,14 @@ def _d1_central(f: Callable, d: float):
     return (-f(2 * d) + 8 * f(d) - 8 * f(-d) + f(-2 * d)) / (12 * d)
 
 
-def _curvature(ls: LevelSet, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _curvature(ls: LevelSet, x: np.ndarray, y: np.ndarray, gx: np.ndarray,
+               gy: np.ndarray) -> np.ndarray:
+    """Curvature at ``(x, y)``, where the gradient is ``(gx, gy)``."""
     d = 1e-3
     f = ls.phi
     fxx = _d2_central(lambda t: f(x + t, y), d)
     fyy = _d2_central(lambda t: f(x, y + t), d)
     fxy = _d1_central(lambda s: _d1_central(lambda t: f(x + s, y + t), d), d)
-    gx, gy = _grad(ls, x, y)
     gn = np.hypot(gx, gy)
     return np.asarray((fxx * gy**2 - 2.0 * gx * gy * fxy + fyy * gx**2) / gn**3,
                       dtype=float)
@@ -148,88 +149,52 @@ def _point(x: np.ndarray, y: np.ndarray, k: int) -> str:
 def project_to_interface(ls: LevelSet, p) -> InterfaceFrame:
     """Orthogonal projection of ``p`` onto the zero set of ``ls``.
 
-    Damped Newton iteration on the coupled conditions ``phi(X) = 0`` and
-    ``(X - p) . tangent(X) = 0``, run for all points of the batch at once;
-    a point leaves the iteration once its residual is below ``1e-12``, and
-    each point halves its own step until the residual drops. Raises
-    :class:`NonConvergence`, naming the first point that failed, if a
-    point's gradient vanishes, its line search stalls, or it does not
+    Undamped Newton iteration on ``F0 = phi / |grad phi|`` and
+    ``F1 = (X - p) . t``, run for all points of the batch at once from the
+    nearest interface sample. The Jacobian has the rows ``n`` and
+    ``(1 - kappa d) t``, where ``d = (X - p) . n`` (Saye, CAMCoS 9, 2014),
+    so a step is ``X -= F0 n + F1 / (1 - kappa d) t``. A point leaves the
+    iteration once ``max(|F0|, |F1|) < 1e-12`` and reports the normal and
+    curvature of that iterate. Raises :class:`NonConvergence`, naming the
+    first point that failed, if a point's gradient vanishes or it does not
     converge within 50 Newton steps.
     """
     px, py, single = _xy(p)
     X, Y = _nearest_samples(ls, px, py)
-
-    # a few gradient-descent steps onto the curve before the coupled solve;
-    # a point whose gradient vanishes stops descending
-    live = np.arange(len(X))
-    for _ in range(3):
-        gx, gy = _grad(ls, X[live], Y[live])
-        gn2 = gx * gx + gy * gy
-        keep = gn2 != 0.0
-        live, gx, gy, gn2 = live[keep], gx[keep], gy[keep], gn2[keep]
-        step = np.asarray(ls.phi(X[live], Y[live]), dtype=float) / gn2
-        X[live] = X[live] - step * gx
-        Y[live] = Y[live] - step * gy
-
-    def residual(idx, Xk, Yk):
-        """``max |F|``, ``F`` and the unit normal at ``(Xk, Yk)`` for the
-        points ``idx`` of the batch."""
-        gx, gy = _grad(ls, Xk, Yk)
+    m = len(X)
+    NX, NY, K = np.empty(m), np.empty(m), np.empty(m)
+    act = np.arange(m)
+    for _ in range(_NEWTON_STEPS):
+        x, y = X[act], Y[act]
+        gx, gy = _grad(ls, x, y)
         gn = np.hypot(gx, gy)
         if (gn == 0.0).any():
-            k = idx[np.argmax(gn == 0.0)]
+            k = act[np.argmax(gn == 0.0)]
             raise NonConvergence("level-set gradient vanished during "
                                  f"projection of {_point(px, py, k)}")
         nx, ny = gx / gn, gy / gn
-        F0 = np.asarray(ls.phi(Xk, Yk), dtype=float) / gn
-        F1 = (Xk - px[idx]) * -ny + (Yk - py[idx]) * nx
-        return np.maximum(np.abs(F0), np.abs(F1)), F0, F1, nx, ny
-
-    m = len(X)
-    NX, NY = np.empty(m), np.empty(m)
-    done = np.zeros(m, dtype=bool)
-    act = np.arange(m)
-    res, F0, F1, nx, ny = residual(act, X, Y)
-    for _ in range(_NEWTON_STEPS):
-        conv = res < 1e-12
-        cidx = act[conv]
-        NX[cidx], NY[cidx] = nx[conv], ny[conv]
-        done[cidx] = True
+        kappa = _curvature(ls, x, y, gx, gy)
+        lx, ly = x - px[act], y - py[act]
+        F0 = np.asarray(ls.phi(x, y), dtype=float) / gn
+        F1 = -lx * ny + ly * nx
+        conv = np.maximum(np.abs(F0), np.abs(F1)) < 1e-12
+        c = act[conv]
+        NX[c], NY[c], K[c] = nx[conv], ny[conv], kappa[conv]
         keep = ~conv
-        act, res, F0, F1, nx, ny = (a[keep] for a in (act, res, F0, F1, nx, ny))
+        act, x, y, lx, ly, nx, ny, kappa, F0, F1 = (
+            a[keep] for a in (act, x, y, lx, ly, nx, ny, kappa, F0, F1))
         if not len(act):
             break
-        # the Jacobian has the orthonormal rows n and t = (-n_y, n_x), so
-        # its inverse is its transpose
-        sx = -(F0 * nx - F1 * ny)
-        sy = -(F0 * ny + F1 * nx)
-        pend = np.arange(len(act))
-        lam = np.ones(len(act))
-        for _ in range(30):
-            k = act[pend]
-            Xn = X[k] + lam[pend] * sx[pend]
-            Yn = Y[k] + lam[pend] * sy[pend]
-            rn, G0, G1, mx, my = residual(k, Xn, Yn)
-            ok = rn < res[pend]
-            acc = pend[ok]
-            X[act[acc]], Y[act[acc]] = Xn[ok], Yn[ok]
-            res[acc], F0[acc], F1[acc] = rn[ok], G0[ok], G1[ok]
-            nx[acc], ny[acc] = mx[ok], my[ok]
-            pend = pend[~ok]
-            if not len(pend):
-                break
-            lam[pend] *= 0.5  # damping
-        else:
-            raise NonConvergence("projection line search stalled at "
-                                 f"{_point(px, py, act[pend[0]])}")
-    if not done.all():
+        s = F1 / (1.0 - kappa * (lx * nx + ly * ny))
+        X[act] = x - F0 * nx + s * ny
+        Y[act] = y - F0 * ny - s * nx
+    else:
         raise NonConvergence(
-            f"projection of {_point(px, py, int(np.argmin(done)))} did not "
-            f"converge in {_NEWTON_STEPS} iterations")
-    kappa = _curvature(ls, X, Y)
+            f"projection of {_point(px, py, act[0])} did not converge in "
+            f"{_NEWTON_STEPS} iterations")
     return InterfaceFrame(foot=_pts(X, Y, single), normal=_pts(NX, NY, single),
                           tangent=_pts(-NY, NX, single),
-                          curvature=float(kappa[0]) if single else kappa)
+                          curvature=float(K[0]) if single else K)
 
 
 def segment_crossing(ls: LevelSet, a, b) -> np.ndarray:

@@ -25,7 +25,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import BadParams, EmptyTube, MissingNeighbor, TubeTooWide
+from .errors import BadParams, EmptyTube, TubeTooWide
 from .geometry import LevelSet
 
 
@@ -336,10 +336,9 @@ def build_tube_two_grid_2d(params: GridParams, ls: LevelSet) -> Grid2DTube:
     on_yline = px % r == 0
 
     fine_cls = inR & fine4
+    # a patch node missing a 4-neighbour lies on its patch's edge, which is
+    # a coarse lattice line
     hanging = inR & ~fine4 & ~(on_xline & on_yline)
-    if (hanging & ~on_xline & ~on_yline).any():
-        raise MissingNeighbor("tube rim left the coarse lattice lines, so a "
-                              "hanging node has no coarse neighbours")
     hx = hanging & on_xline
     hy = hanging & on_yline & ~on_xline
     hang_axis = np.select([hx, hy], [0, 1], -1).astype(np.int8)

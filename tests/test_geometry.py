@@ -72,6 +72,21 @@ def test_frame_orthonormality():
             np.array([-fr.normal[1], fr.normal[0]]))
 
 
+def assert_closest_foot(ls, p, foot, tangent, d_sweep):
+    # the foot is on the curve, as near to p as a dense sweep of the curve
+    # finds, and the leg from p to it is orthogonal to the curve
+    p = np.asarray(p, dtype=float)
+    assert abs(ls.phi(foot[0], foot[1])) < 1e-10
+    assert float(np.hypot(*(foot - p))) == pytest.approx(d_sweep, abs=1e-8)
+    assert abs((p - foot) @ tangent) < 1e-10
+
+
+def flower_sweep_distance(p):
+    th = np.linspace(-np.pi, np.pi, 200_000, endpoint=False)
+    rho = 0.5 + 0.1 * np.sin(8.0 * th)
+    return np.hypot(rho * np.cos(th) - p[0], rho * np.sin(th) - p[1]).min()
+
+
 @pytest.mark.parametrize("theta,off", [(0.1, 0.05), (1.2, -0.08),
                                        (3.34, 0.06), (-2.0, -0.05),
                                        (np.pi / 16, 0.08)])
@@ -83,16 +98,34 @@ def test_flower_projection_minimizes_distance(theta, off):
     rad = 0.5 + 0.1 * np.sin(8.0 * theta) + off
     p = (rad * np.cos(theta), rad * np.sin(theta))
     fr = project_to_interface(ls, p)
-    assert abs(ls.phi(fr.foot[0], fr.foot[1])) < 1e-10
-    th = np.linspace(-np.pi, np.pi, 200_000, endpoint=False)
-    rho = 0.5 + 0.1 * np.sin(8.0 * th)
-    d_sweep = np.hypot(rho * np.cos(th) - p[0], rho * np.sin(th) - p[1]).min()
-    d_foot = float(np.hypot(fr.foot[0] - p[0], fr.foot[1] - p[1]))
-    assert d_foot <= d_sweep + 1e-8
-    assert d_foot >= d_sweep - 1e-8
-    # the leg from p to its foot is orthogonal to the curve
-    leg = np.asarray(p, dtype=float) - fr.foot
-    assert abs(leg @ fr.tangent) < 1e-9
+    assert_closest_foot(ls, p, fr.foot, fr.tangent, flower_sweep_distance(p))
+
+
+@pytest.mark.parametrize("p", [(0.125, -0.625), (-0.0625, -0.375),
+                               (-1 / 12, -5 / 12)])
+def test_flower_projection_at_petal_tip_and_valleys(p):
+    # a petal tip and two valleys where 1 - kappa d at the foot is 1.73,
+    # 1.71 and 0.13 (kappa 19.4, -33.1, -34.9): Newton steps that leave out
+    # the factor 1 / (1 - kappa d) shrink the error too slowly to converge
+    ls = flower_ls()
+    fr = project_to_interface(ls, p)
+    assert_closest_foot(ls, p, fr.foot, fr.tangent, flower_sweep_distance(p))
+
+
+def test_ellipse_projection_of_random_points():
+    # 400 points over [-1, 1]^2, some of them near the ellipse's centre and
+    # its medial axis, projected in one batch
+    a, b = 0.8, 0.5
+    th = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
+    ls = LevelSet(phi=lambda x, y: (x / a) ** 2 + (y / b) ** 2 - 1.0,
+                  samples=np.column_stack([a * np.cos(th), b * np.sin(th)]))
+    pts = np.random.default_rng(0).uniform(-1.0, 1.0, (400, 2))
+    batch = project_to_interface(ls, pts)
+    t = np.linspace(0.0, 2 * np.pi, 400_000, endpoint=False)
+    ex, ey = a * np.cos(t), b * np.sin(t)
+    for p, foot, tangent in zip(pts, batch.foot, batch.tangent):
+        assert_closest_foot(ls, p, foot, tangent,
+                            np.hypot(ex - p[0], ey - p[1]).min())
 
 
 def test_curvature_sign_follows_orientation():

@@ -36,6 +36,15 @@ def _number(text: str) -> float:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+def _fraction(text: str, flag: str) -> Fraction:
+    """Parse an exact rational such as ``1/40`` given to ``flag``."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise BadParams(f"{flag} expects a rational number, got {text!r}") \
+            from None
+
+
 def _parse_params(pairs) -> dict:
     params = {}
     for pair in pairs or ():
@@ -153,7 +162,7 @@ def _stencil_json(st) -> str:
 
 
 def _cmd_derive(args) -> int:
-    kappa, K = Fraction(args.kappa), Fraction(args.K)
+    kappa, K = _fraction(args.kappa, "--kappa"), _fraction(args.K, "--K")
     if args.kind == "hanging":
         if args.r is None or args.j is None:
             raise TwoGridError("hanging stencils need --r and --j")
@@ -161,8 +170,8 @@ def _cmd_derive(args) -> int:
     elif args.kind == "border-1d":
         if not (args.h1 and args.h2):
             raise TwoGridError("border-1d needs --h1 and --h2")
-        st = stencils.border_coeffs_1d(Fraction(args.h1), Fraction(args.h2),
-                                       kappa, K)
+        st = stencils.border_coeffs_1d(_fraction(args.h1, "--h1"),
+                                       _fraction(args.h2, "--h2"), kappa, K)
     else:
         if not (args.h1 and args.h2 and args.hy):
             raise TwoGridError("border-2d needs --h1, --h2 and --hy")
@@ -170,7 +179,8 @@ def _cmd_derive(args) -> int:
             raise TwoGridError("border-2d is derived for kappa=1, K=0; "
                                "scale the U-weights by kappa afterwards")
         st = stencils.derive_border_coeffs_2d(
-            Fraction(args.h1), Fraction(args.h2), Fraction(args.hy))
+            _fraction(args.h1, "--h1"), _fraction(args.h2, "--h2"),
+            _fraction(args.hy, "--hy"))
     _write_or_print(_stencil_json(st), args.out)
     return 0
 

@@ -11,15 +11,16 @@ Conventions used throughout the package:
 * curvature is ``div(grad phi / |grad phi|)`` at the foot point, which is
   positive for a circle enclosing the minus side (``1/R``).
 
-Every query takes a batch of points: an ``(m, 2)`` array gives results with
-a leading axis of length ``m``, and a single point of shape ``(2,)`` is a
-batch of one whose results drop that axis. Each point's result depends on
-that point alone, bit for bit, whatever else is in the batch.
+Every query takes a batch of points, an ``(m, 2)`` array (``m`` may be 0),
+and gives results with a leading axis of length ``m``; any other shape
+raises :class:`BadParams`. Each point's result depends on that point alone,
+bit for bit, whatever else is in the batch. Gradients and curvature come
+from finite differences of ``phi``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -40,9 +41,6 @@ class LevelSet:
     ----------
     phi : callable
         ``phi(x, y) -> float``; must also accept numpy arrays elementwise.
-    grad : callable, optional
-        ``grad(x, y) -> (gx, gy)``; like ``phi``, must also accept numpy
-        arrays elementwise. Finite differences are used when absent.
     samples : array_like, optional
         Points on (or near) the interface used as initial guesses for
         projection; shape ``(m, 2)``.
@@ -52,7 +50,6 @@ class LevelSet:
     """
 
     phi: Callable[[float, float], float]
-    grad: Optional[Callable[[float, float], tuple]] = None
     samples: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
@@ -66,37 +63,28 @@ class InterfaceFrame:
 
     ``normal`` points toward ``phi > 0``; ``tangent`` is the normal rotated
     90 degrees counterclockwise; ``curvature`` is the divergence of the unit
-    normal field at the foot. For a batch, ``foot``, ``normal`` and
-    ``tangent`` have shape ``(m, 2)`` and ``curvature`` shape ``(m,)``.
+    normal field at the foot. ``foot``, ``normal`` and ``tangent`` have
+    shape ``(m, 2)`` and ``curvature`` shape ``(m,)``.
     """
 
     foot: np.ndarray
     normal: np.ndarray
     tangent: np.ndarray
-    curvature: Union[float, np.ndarray]
+    curvature: np.ndarray
 
 
 def _xy(p) -> tuple:
-    """Contiguous coordinate arrays of a point batch, and whether ``p`` was
-    a single point. Contiguous copies keep every elementwise kernel on the
-    same code path whatever the batch size."""
+    """Contiguous coordinate arrays of an ``(m, 2)`` point batch. Contiguous
+    copies keep every elementwise kernel on the same code path whatever the
+    batch size."""
     P = np.asarray(p, dtype=float)
-    single = P.ndim == 1
-    P = P.reshape(-1, 2)
-    return (np.ascontiguousarray(P[:, 0]), np.ascontiguousarray(P[:, 1]),
-            single)
-
-
-def _pts(x: np.ndarray, y: np.ndarray, single: bool) -> np.ndarray:
-    P = np.column_stack([x, y])
-    return P[0] if single else P
+    if P.ndim != 2 or P.shape[1] != 2:
+        raise BadParams(f"expected an (m, 2) batch of points, got shape "
+                        f"{P.shape}")
+    return np.ascontiguousarray(P[:, 0]), np.ascontiguousarray(P[:, 1])
 
 
 def _grad(ls: LevelSet, x: np.ndarray, y: np.ndarray) -> tuple:
-    if ls.grad is not None:
-        gx, gy = ls.grad(x, y)
-        return (np.broadcast_to(np.asarray(gx, dtype=float), np.shape(x)),
-                np.broadcast_to(np.asarray(gy, dtype=float), np.shape(x)))
     d = 1e-4
     f = ls.phi
     gx = _d1_central(lambda t: f(x + t, y), d)
@@ -159,7 +147,7 @@ def project_to_interface(ls: LevelSet, p) -> InterfaceFrame:
     first point that failed, if a point's gradient vanishes or it does not
     converge within 50 Newton steps.
     """
-    px, py, single = _xy(p)
+    px, py = _xy(p)
     X, Y = _nearest_samples(ls, px, py)
     m = len(X)
     NX, NY, K = np.empty(m), np.empty(m), np.empty(m)
@@ -192,13 +180,14 @@ def project_to_interface(ls: LevelSet, p) -> InterfaceFrame:
         raise NonConvergence(
             f"projection of {_point(px, py, act[0])} did not converge in "
             f"{_NEWTON_STEPS} iterations")
-    return InterfaceFrame(foot=_pts(X, Y, single), normal=_pts(NX, NY, single),
-                          tangent=_pts(-NY, NX, single),
-                          curvature=float(K[0]) if single else K)
+    return InterfaceFrame(foot=np.column_stack([X, Y]),
+                          normal=np.column_stack([NX, NY]),
+                          tangent=np.column_stack([-NY, NX]), curvature=K)
 
 
 def segment_crossing(ls: LevelSet, a, b) -> np.ndarray:
-    """Root of ``phi`` along each segment from ``a`` to ``b``.
+    """Root of ``phi`` along each segment from ``a[k]`` to ``b[k]``, for two
+    ``(m, 2)`` batches of endpoints.
 
     The endpoints of every segment must straddle the zero set; a segment
     whose endpoints do not raises :class:`BadParams`. An endpoint where
@@ -206,8 +195,10 @@ def segment_crossing(ls: LevelSet, a, b) -> np.ndarray:
     segment parameter runs for all segments at once until the bracket is
     narrower than ``1e-15``. Returns the crossing points.
     """
-    ax, ay, single = _xy(a)
-    bx, by, _ = _xy(b)
+    ax, ay = _xy(a)
+    bx, by = _xy(b)
+    if len(ax) != len(bx):
+        raise BadParams(f"{len(ax)} segment starts but {len(bx)} ends")
     fa = np.asarray(ls.phi(ax, ay), dtype=float)
     fb = np.asarray(ls.phi(bx, by), dtype=float)
     if (fa * fb > 0.0).any():
@@ -236,4 +227,4 @@ def segment_crossing(ls: LevelSet, a, b) -> np.ndarray:
         act, lo, hi, flo, fhi = act[keep], lo[keep], hi[keep], flo[keep], fhi[keep]
     X = np.where(fa == 0.0, ax, np.where(fb == 0.0, bx, ax + t * dx))
     Y = np.where(fa == 0.0, ay, np.where(fb == 0.0, by, ay + t * dy))
-    return _pts(X, Y, single)
+    return np.column_stack([X, Y])

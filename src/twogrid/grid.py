@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Optional, Tuple, Union
@@ -69,9 +70,10 @@ class GridParams:
             raise BadParams(f"unknown hf_mode {self.hf_mode!r}")
         if self.hf_mode == "ratio" and self.r < 2:
             raise BadParams(f"refinement ratio must be >= 2, got {self.r}")
-        if not 0 < self.lam < math.inf:
+        lam = self.lam
+        if not (isinstance(lam, numbers.Real) and 0 < lam < math.inf):
             raise BadParams("tube half-width must be positive and finite, "
-                            f"got {self.lam}")
+                            f"got {lam!r}")
 
 
 def _interval(domain) -> Tuple[float, float]:

@@ -129,12 +129,12 @@ def _ev(q: ScalarOrField, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def jump_scalars(jumps: JumpData, frame: InterfaceFrame) -> dict:
     """Evaluate w, v, [f] and the tangential derivatives at a frame's feet.
 
-    Every value has the shape of ``frame.foot[..., 0]``: one per foot of a
-    batch, a 0-d array for a single frame. A derivative that ``jumps`` does
-    not give is zero, which :class:`JumpData` allows only for scalar jumps.
+    Every value has shape ``(m,)``, one per foot of the batch. A derivative
+    that ``jumps`` does not give is zero, which :class:`JumpData` allows
+    only for scalar jumps.
     """
-    x = np.ascontiguousarray(frame.foot[..., 0])
-    y = np.ascontiguousarray(frame.foot[..., 1])
+    x = np.ascontiguousarray(frame.foot[:, 0])
+    y = np.ascontiguousarray(frame.foot[:, 1])
     fields = {"w": jumps.w, "v": jumps.v, "fj": jumps.fjump,
               "wp": jumps.wp, "wpp": jumps.wpp, "vp": jumps.vp}
     return {name: _ev(0.0 if q is None else q, x, y)
@@ -198,9 +198,9 @@ def transfer_from_side(side, km: float, kp: float, chi, js: dict):
 def _basis_row(dx, dy, frame: InterfaceFrame) -> np.ndarray:
     """Taylor monomials ``(1, xi, eta, xi^2/2, xi eta, eta^2/2)`` of the
     offsets ``(dx, dy)`` in each foot's frame, stacked on a new first axis;
-    ``dx`` and ``dy`` broadcast against ``frame.normal[..., 0]``."""
-    xi = dx * frame.normal[..., 0] + dy * frame.normal[..., 1]
-    eta = dx * frame.tangent[..., 0] + dy * frame.tangent[..., 1]
+    ``dx`` and ``dy`` broadcast against ``frame.normal[:, 0]``."""
+    xi = dx * frame.normal[:, 0] + dy * frame.normal[:, 1]
+    eta = dx * frame.tangent[:, 0] + dy * frame.tangent[:, 1]
     return np.stack(np.broadcast_arrays(
         1.0, xi, eta, 0.5 * xi * xi, xi * eta, 0.5 * eta * eta))
 

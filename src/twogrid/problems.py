@@ -14,9 +14,9 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import BadParams, NoExactSolution, UnknownProblem
-from .geometry import LevelSet
+from .geometry import LevelSet, project_to_interface
 from .grid import NodeTag
-from .iim import JumpData
+from .iim import JumpData, jump_scalars
 
 
 @dataclass
@@ -56,12 +56,17 @@ def _take(params: Optional[dict], defaults: dict, name: str) -> dict:
         raise BadParams(f"{name}: unknown parameters {sorted(unknown)}; "
                         f"accepted: {sorted(defaults)}")
     out = dict(defaults)
-    out.update(params)
+    for key, value in params.items():
+        try:
+            out[key] = float(value)
+        except (TypeError, ValueError):
+            raise BadParams(f"{name}: parameter {key!r} must be a number, "
+                            f"got {value!r}") from None
     return out
 
 
 def _kappas(p: dict) -> Tuple[float, float]:
-    km, kp = float(p["kappa_minus"]), float(p["kappa_plus"])
+    km, kp = p["kappa_minus"], p["kappa_plus"]
     if not (0 < km < math.inf and 0 < kp < math.inf):
         raise BadParams("diffusion coefficients must be positive and finite, "
                         f"got {km}, {kp}")
@@ -74,7 +79,7 @@ def _kappas(p: dict) -> Tuple[float, float]:
 
 def _boundary_layer_1d(params) -> ProblemSpec:
     p = _take(params, {"eps": 1e-3}, "boundary_layer_1d")
-    eps = float(p["eps"])
+    eps = p["eps"]
     if not 0 < eps <= 0.25:
         raise BadParams(f"eps must be in (0, 1/4], got {eps}")
     m = (1.0 + math.sqrt(1.0 - 4.0 * eps)) / (2.0 * eps)
@@ -94,7 +99,7 @@ def _boundary_layer_1d(params) -> ProblemSpec:
 def _piecewise_kappa_1d(params) -> ProblemSpec:
     p = _take(params, {"alpha": 17.0 / 30.0, "kappa_minus": 4.0,
                        "kappa_plus": 50.0}, "piecewise_kappa_1d")
-    alpha = float(p["alpha"])
+    alpha = p["alpha"]
     km, kp = _kappas(p)
     if not 0 < alpha < 1:
         raise BadParams(f"alpha must be interior to (0, 1), got {alpha}")
@@ -119,7 +124,7 @@ def _piecewise_kappa_1d(params) -> ProblemSpec:
 
 def _line_interface_2d(params) -> ProblemSpec:
     p = _take(params, {"alpha": 33.0 / 70.0}, "line_interface_2d")
-    alpha = float(p["alpha"])
+    alpha = p["alpha"]
     if not 0 < alpha < 1:
         raise BadParams(f"alpha must be interior to (0, 1), got {alpha}")
 
@@ -140,16 +145,12 @@ def _line_interface_2d(params) -> ProblemSpec:
 
 def _peskin_circle(params) -> ProblemSpec:
     p = _take(params, {"radius": 0.5}, "peskin_circle")
-    R = float(p["radius"])
+    R = p["radius"]
     if not 0 < R < 1:
         raise BadParams(f"radius must be in (0, 1), got {R}")
 
     def phi(x, y):
         return np.hypot(x, y) - R
-
-    def grad(x, y):
-        r = np.maximum(np.hypot(x, y), 1e-300)
-        return x / r, y / r
 
     ts = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
     samples = np.column_stack([R * np.cos(ts), R * np.sin(ts)])
@@ -167,7 +168,7 @@ def _peskin_circle(params) -> ProblemSpec:
         boundary=lambda x, y: exact(x, y, 1),
         exact=exact,
         jumps=JumpData(w=0.0, v=1.0 / R, fjump=0.0),
-        interface=LevelSet(phi=phi, grad=grad, samples=samples))
+        interface=LevelSet(phi=phi, samples=samples))
 
 
 def _flower(params) -> ProblemSpec:
@@ -245,7 +246,7 @@ def _flower_jumps(km: float, kp: float) -> JumpData:
 
 def _internal_layer(params) -> ProblemSpec:
     p = _take(params, {"eps": 0.01}, "internal_layer")
-    eps = float(p["eps"])
+    eps = p["eps"]
     if not 0 < eps < math.inf:
         raise BadParams(f"eps must be positive and finite, got {eps}")
 
@@ -357,23 +358,6 @@ def _sample_off_interface(problem: ProblemSpec, rng, n: int, pad: float,
     return xs, ys, side
 
 
-def _jump_value(val, px: float, py: float) -> float:
-    return float(val(px, py)) if callable(val) else float(val)
-
-
-def _interface_normal(problem: ProblemSpec, px: float, py: float, hd: float):
-    ls = problem.interface
-    if ls.grad is not None:
-        gx, gy = ls.grad(px, py)
-    else:
-        gx = _fd_axis(lambda x, y, s: ls.phi(x, y), px, py, 0, hd,
-                      _FD_D1, 1, 0)
-        gy = _fd_axis(lambda x, y, s: ls.phi(x, y), px, py, 0, hd,
-                      _FD_D1, 1, 1)
-    norm = math.hypot(float(gx), float(gy))
-    return float(gx) / norm, float(gy) / norm
-
-
 def selfcheck(problem: ProblemSpec, n: int = 100, seed: int = 0) -> dict:
     """Spot-check the closed-form data of a fixture against its own PDE.
 
@@ -381,8 +365,10 @@ def selfcheck(problem: ProblemSpec, n: int = 100, seed: int = 0) -> dict:
     central differences at ``n`` random points away from the interface or
     layer and compares with ``f``; where jump data is prescribed, the value,
     flux and source jumps of the closed forms are compared against it on
-    interface points. Residuals are relative with the denominator floored
-    at one. Returns ``{n, pde_max_rel[, jump_max_rel]}``.
+    interface points (for a curve, the projections of 20 of its samples,
+    with the flux taken along the projection's normal). Residuals are
+    relative with the denominator floored at one. Returns
+    ``{n, pde_max_rel[, jump_max_rel]}``.
     """
     if problem.exact is None:
         raise NoExactSolution(f"{problem.name} has no closed-form solution")
@@ -412,24 +398,25 @@ def selfcheck(problem: ProblemSpec, n: int = 100, seed: int = 0) -> dict:
     worst = 0.0
     if problem.dim == 2 and problem.interface is not None:
         rows = problem.interface.samples
+        if rows is None:
+            raise BadParams(f"{problem.name}: the jump check needs interface "
+                            "samples")
         picks = rng.choice(len(rows), size=min(20, len(rows)), replace=False)
-        for px, py in rows[picks]:
-            nx, ny = _interface_normal(problem, px, py, hd)
-            du = (float(problem.exact(px, py, 1))
-                  - float(problem.exact(px, py, -1)))
-            worst = max(worst, abs(du - _jump_value(problem.jumps.w, px, py)))
-            line = lambda t, s: problem.exact(px + t * nx, py + t * ny, s)
-            flux = (problem.kappa_plus
-                    * _fd_axis(lambda t, _, s: line(t, s), 0.0, 0.0, 1,
-                               hd, _FD_D1, 1, 0)
-                    - problem.kappa_minus
-                    * _fd_axis(lambda t, _, s: line(t, s), 0.0, 0.0, -1,
-                               hd, _FD_D1, 1, 0))
-            vref = _jump_value(problem.jumps.v, px, py)
-            worst = max(worst, abs(float(flux) - vref) / max(1.0, abs(vref)))
-            df = (float(problem.f(px, py, 1)) - float(problem.f(px, py, -1)))
-            worst = max(worst, abs(
-                df - _jump_value(problem.jumps.fjump, px, py)))
+        frame = project_to_interface(problem.interface, rows[picks])
+        js = jump_scalars(problem.jumps, frame)
+        px, py = frame.foot.T
+        nx, ny = frame.normal.T
+        line = lambda t, _, s: problem.exact(px + t * nx, py + t * ny, s)
+        du = problem.exact(px, py, 1) - problem.exact(px, py, -1)
+        flux = (problem.kappa_plus * _fd_axis(line, 0.0, 0.0, 1, hd, _FD_D1,
+                                              1, 0)
+                - problem.kappa_minus * _fd_axis(line, 0.0, 0.0, -1, hd,
+                                                 _FD_D1, 1, 0))
+        df = problem.f(px, py, 1) - problem.f(px, py, -1)
+        worst = max(np.abs(du - js["w"]).max(),
+                    (np.abs(flux - js["v"])
+                     / np.maximum(1.0, np.abs(js["v"]))).max(),
+                    np.abs(df - js["fj"]).max())
     elif problem.alpha is not None:
         ys = (rng.uniform(*problem.domain[1], size=8)
               if problem.dim == 2 else np.zeros(8))
@@ -444,7 +431,7 @@ def selfcheck(problem: ProblemSpec, n: int = 100, seed: int = 0) -> dict:
                     * _fd_axis(problem.exact, a, py, -1, hd, _FD_D1, 1, 0))
             worst = max(worst, abs(float(flux) - problem.jumps.C)
                         / max(1.0, abs(problem.jumps.C)))
-    out["jump_max_rel"] = worst
+    out["jump_max_rel"] = float(worst)
     return out
 
 

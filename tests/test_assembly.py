@@ -9,6 +9,7 @@ from twogrid import problems, stencils
 from twogrid.assembly import _Builder, apply_dirichlet, assemble
 from twogrid.errors import (BadParams, MissingNeighbor, MultipleCrossings,
                             NonConvergence, TwoGridError)
+from twogrid.geometry import LevelSet
 from twogrid.grid import (Grid2DLine, GridParams, NodeTag,
                           build_line_two_grid_2d, build_tube_two_grid_2d,
                           build_two_grid_1d)
@@ -504,6 +505,47 @@ def test_tube_diagonals_are_negative_or_the_failure_is_typed(shape, N, r,
         sys_ = assemble(g, prob)
     except TwoGridError as exc:
         assert not isinstance(exc, NonConvergence), exc
+        return
+    assert (sys_.matrix.diagonal()[~sys_.boundary] < 0.0).all()
+
+
+def star_problem(R, modes, kappa, seeded):
+    """A star-shaped interface rho(theta) = R + sum a sin(k theta + p),
+    given by its level set alone, with seed samples or without."""
+    def rho(th):
+        return R + sum(a * np.sin(k * th + p) for k, a, p in modes)
+
+    th = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+    samples = (np.column_stack([rho(th) * np.cos(th), rho(th) * np.sin(th)])
+               if seeded else None)
+    ls = LevelSet(phi=lambda x, y: np.hypot(x, y) - rho(np.arctan2(y, x)),
+                  samples=samples)
+    return ProblemSpec(
+        name="star", kind="tube", domain=((-1.0, 1.0), (-1.0, 1.0)),
+        f=lambda x, y, side: np.where(np.asarray(side) < 0, 4.0, 1.0 + x),
+        boundary=lambda x, y: 0.0 * x, kappa_minus=kappa[0],
+        kappa_plus=kappa[1], jumps=JumpData(w=0.5, v=1.0, fjump=-1.0),
+        interface=ls)
+
+
+@settings(max_examples=25, deadline=None)
+@given(R=hs.floats(0.3, 0.6),
+       modes=hs.lists(hs.tuples(hs.integers(1, 6), hs.floats(-0.08, 0.08),
+                                hs.floats(0.0, 2.0 * np.pi)),
+                      min_size=1, max_size=3),
+       kappa=hs.sampled_from([(1.0, 1.0), (1.0, 10.0), (50.0, 1.0)]),
+       seeded=hs.booleans(), N=hs.integers(12, 32), r=hs.integers(2, 3))
+def test_star_interfaces_assemble_or_fail_typed(R, modes, kappa, seeded, N,
+                                                r):
+    # curves known only through phi: every gradient, normal and curvature
+    # comes from finite differences
+    prob = star_problem(R, modes, kappa, seeded)
+    try:
+        g = build_tube_two_grid_2d(
+            GridParams(N=N, r=r, lam=2.0, domain=prob.domain),
+            prob.interface)
+        sys_ = assemble(g, prob)
+    except TwoGridError:
         return
     assert (sys_.matrix.diagonal()[~sys_.boundary] < 0.0).all()
 

@@ -185,6 +185,19 @@ def test_derive_border2d_rejects_scaled_kappa(capsys):
     assert "border-2d" in err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--h1", "abc"), ("--h2", "1/0"), ("--hy", "x"),
+    ("--kappa", "1/0"), ("--K", "nan"),
+])
+def test_derive_exit_1_on_malformed_number(capsys, flag, value):
+    args = {"--h1": "1", "--h2": "1/2", "--hy": "1", "--kappa": "1",
+            "--K": "0", flag: value}
+    rc, out, err = run_cli(capsys, "derive-stencil", "--kind", "border-2d",
+                           *(a for kv in args.items() for a in kv))
+    assert rc == 1 and out == ""
+    assert err == f"error: {flag} expects a rational number, got {value!r}\n"
+
+
 def test_derive_hanging_requires_r_and_j(capsys):
     rc, _, err = run_cli(capsys, "derive-stencil", "--kind", "hanging")
     assert rc == 1

@@ -1,4 +1,5 @@
 """Level-set projection, frames, curvature, and crossings."""
+import dataclasses
 import math
 import os
 import subprocess
@@ -15,19 +16,22 @@ from twogrid.geometry import (InterfaceFrame, LevelSet, project_to_interface,
 from twogrid.grid import GridParams, NodeTag, build_tube_two_grid_2d
 
 
-def circle_ls(R=0.5, analytic_grad=True):
-    def phi(x, y):
-        return np.hypot(x, y) - R
-
-    grad = None
-    if analytic_grad:
-        def grad(x, y):
-            rr = np.hypot(x, y)
-            return (x / rr, y / rr)
-
+def circle_ls(R=0.5):
     th = np.linspace(0.0, 2 * np.pi, 360, endpoint=False)
     pts = np.column_stack([R * np.cos(th), R * np.sin(th)])
-    return LevelSet(phi=phi, grad=grad, samples=pts)
+    return LevelSet(phi=lambda x, y: np.hypot(x, y) - R, samples=pts)
+
+
+def project_one(ls, p):
+    """The frame of a batch of one point, with the batch axis dropped."""
+    fr = project_to_interface(ls, np.asarray([p], dtype=float))
+    return InterfaceFrame(foot=fr.foot[0], normal=fr.normal[0],
+                          tangent=fr.tangent[0], curvature=fr.curvature[0])
+
+
+def cross_one(ls, a, b):
+    return segment_crossing(ls, np.asarray([a], dtype=float),
+                            np.asarray([b], dtype=float))[0]
 
 
 def flower_ls():
@@ -46,7 +50,7 @@ def flower_ls():
 def test_circle_projection_is_radial(p):
     # analytic oracle: the foot of a point p is R * p / |p|
     ls = circle_ls()
-    fr = project_to_interface(ls, p)
+    fr = project_one(ls, p)
     expect = 0.5 * np.asarray(p) / np.hypot(*p)
     assert fr.foot == pytest.approx(expect, abs=1e-11)
     assert fr.normal == pytest.approx(np.asarray(p) / np.hypot(*p), abs=1e-10)
@@ -54,17 +58,22 @@ def test_circle_projection_is_radial(p):
 
 
 def test_circle_projection_without_analytic_gradient():
-    ls = circle_ls(analytic_grad=False)
-    fr = project_to_interface(ls, (0.7, 0.9))
-    expect = 0.5 * np.asarray([0.7, 0.9]) / np.hypot(0.7, 0.9)
-    assert fr.foot == pytest.approx(expect, abs=1e-9)
+    # the finite-difference gradient is the only one: the normal and the
+    # curvature agree with the closed forms p / |p| and 1 / R
+    ls = circle_ls()
+    fr = project_one(ls, (0.7, 0.9))
+    expect = np.asarray([0.7, 0.9]) / np.hypot(0.7, 0.9)
+    assert fr.foot == pytest.approx(0.5 * expect, abs=1e-12)
+    assert fr.normal == pytest.approx(expect, abs=1e-10)
+    assert fr.curvature == pytest.approx(2.0, rel=1e-7)
+    assert [f.name for f in dataclasses.fields(LevelSet)] == ["phi",
+                                                               "samples"]
 
 
 def test_frame_orthonormality():
     ls = flower_ls()
     for p in [(0.55, 0.1), (0.0, -0.62), (-0.3, 0.3), (0.2, 0.2)]:
-        fr = project_to_interface(ls, p)
-        assert isinstance(fr, InterfaceFrame)
+        fr = project_one(ls, p)
         assert np.hypot(*fr.normal) == pytest.approx(1.0, abs=1e-12)
         assert np.hypot(*fr.tangent) == pytest.approx(1.0, abs=1e-12)
         assert fr.normal @ fr.tangent == pytest.approx(0.0, abs=1e-12)
@@ -97,7 +106,7 @@ def test_flower_projection_minimizes_distance(theta, off):
     ls = flower_ls()
     rad = 0.5 + 0.1 * np.sin(8.0 * theta) + off
     p = (rad * np.cos(theta), rad * np.sin(theta))
-    fr = project_to_interface(ls, p)
+    fr = project_one(ls, p)
     assert_closest_foot(ls, p, fr.foot, fr.tangent, flower_sweep_distance(p))
 
 
@@ -108,7 +117,7 @@ def test_flower_projection_at_petal_tip_and_valleys(p):
     # 1.71 and 0.13 (kappa 19.4, -33.1, -34.9): Newton steps that leave out
     # the factor 1 / (1 - kappa d) shrink the error too slowly to converge
     ls = flower_ls()
-    fr = project_to_interface(ls, p)
+    fr = project_one(ls, p)
     assert_closest_foot(ls, p, fr.foot, fr.tangent, flower_sweep_distance(p))
 
 
@@ -134,9 +143,9 @@ def test_curvature_sign_follows_orientation():
     inward = LevelSet(phi=lambda x, y: R - np.hypot(x, y))
     outward = LevelSet(phi=lambda x, y: np.hypot(x, y) - R)
     pt = (R, 0.0)
-    assert project_to_interface(outward, pt).curvature == pytest.approx(
+    assert project_one(outward, pt).curvature == pytest.approx(
         1.0 / R, rel=1e-6)
-    assert project_to_interface(inward, pt).curvature == pytest.approx(
+    assert project_one(inward, pt).curvature == pytest.approx(
         -1.0 / R, rel=1e-6)
 
 
@@ -144,45 +153,45 @@ def test_curvature_of_ellipse_vertex():
     # analytic oracle: curvature of x^2/a^2 + y^2/b^2 = 1 at (a, 0) is a/b^2
     a, b = 0.8, 0.5
     ls = LevelSet(phi=lambda x, y: (x / a) ** 2 + (y / b) ** 2 - 1.0)
-    assert project_to_interface(ls, (a, 0.0)).curvature == pytest.approx(
+    assert project_one(ls, (a, 0.0)).curvature == pytest.approx(
         a / b**2, rel=1e-6)
 
 
 def test_segment_crossing_on_vertical_line():
     ls = LevelSet(phi=lambda x, y: x - 33.0 / 70.0)
-    hit = segment_crossing(ls, (0.0, 0.3), (1.0, 0.3))
+    hit = cross_one(ls, (0.0, 0.3), (1.0, 0.3))
     assert hit == pytest.approx((33.0 / 70.0, 0.3), abs=1e-14)
 
 
 def test_segment_crossing_on_circle():
     ls = circle_ls()
-    hit = segment_crossing(ls, (0.0, 0.0), (1.0, 0.0))
+    hit = cross_one(ls, (0.0, 0.0), (1.0, 0.0))
     assert hit == pytest.approx((0.5, 0.0), abs=1e-12)
 
 
 def test_segment_crossing_returns_exact_endpoint():
     ls = circle_ls()
-    hit = segment_crossing(ls, (0.5, 0.0), (1.0, 0.0))
+    hit = cross_one(ls, (0.5, 0.0), (1.0, 0.0))
     assert hit == pytest.approx((0.5, 0.0), abs=0.0)
 
 
 def test_segment_crossing_rejects_same_side():
     ls = circle_ls()
     with pytest.raises(BadParams):
-        segment_crossing(ls, (0.6, 0.0), (1.0, 0.0))
+        cross_one(ls, (0.6, 0.0), (1.0, 0.0))
 
 
 def test_projection_reports_vanishing_gradient():
     ls = LevelSet(phi=lambda x, y: x * x + y * y + 1.0)
     with pytest.raises(NonConvergence):
-        project_to_interface(ls, (0.0, 0.0))
+        project_one(ls, (0.0, 0.0))
 
 
 def test_projection_from_far_point_uses_samples():
     # a start point far outside still lands on the circle thanks to the
     # nearest-sample warm start
     ls = circle_ls()
-    fr = project_to_interface(ls, (40.0, 0.0))
+    fr = project_one(ls, (40.0, 0.0))
     assert fr.foot == pytest.approx((0.5, 0.0), abs=1e-10)
     assert math.copysign(1.0, fr.normal[0]) == 1.0
 
@@ -208,12 +217,12 @@ def test_batched_projection_matches_single_points(name, N, r, chunk,
     batch = project_to_interface(ls, pts)
     assert batch.foot.shape == pts.shape and batch.curvature.shape == (
         len(pts),)
-    for k, p in enumerate(pts):
-        fr = project_to_interface(ls, p)
-        assert np.array_equal(fr.foot, batch.foot[k])
-        assert np.array_equal(fr.normal, batch.normal[k])
-        assert np.array_equal(fr.tangent, batch.tangent[k])
-        assert fr.curvature == batch.curvature[k]
+    for k in range(len(pts)):
+        fr = project_to_interface(ls, pts[k:k + 1])
+        assert np.array_equal(fr.foot, batch.foot[k:k + 1])
+        assert np.array_equal(fr.normal, batch.normal[k:k + 1])
+        assert np.array_equal(fr.tangent, batch.tangent[k:k + 1])
+        assert np.array_equal(fr.curvature, batch.curvature[k:k + 1])
 
 
 def test_batched_crossings_match_single_segments():
@@ -226,16 +235,43 @@ def test_batched_crossings_match_single_segments():
     assert np.array_equal(hits[5], a[5])
     assert np.hypot(hits[:, 0], hits[:, 1]) == pytest.approx(0.5, abs=1e-14)
     for k in range(len(a)):
-        assert np.array_equal(segment_crossing(ls, a[k], b[k]), hits[k])
+        assert np.array_equal(segment_crossing(ls, a[k:k + 1], b[k:k + 1]),
+                              hits[k:k + 1])
 
 
 def test_batch_with_one_unprojectable_point_names_it():
     # the circle's center has a vanishing finite-difference gradient
-    ls = circle_ls(analytic_grad=False)
+    ls = circle_ls()
     ls.samples = None
     pts = np.array([(0.7, 0.9), (0.1, -0.2), (0.0, 0.0), (-0.45, 0.05)])
     with pytest.raises(NonConvergence, match=r"point 2 \(0, 0\)"):
         project_to_interface(ls, pts)
+
+
+@pytest.mark.parametrize("shape", [(2,), (3,), (1, 3), (2, 2, 2), ()])
+def test_queries_take_only_point_batches(shape):
+    # a single point is a batch of one; no other shape is accepted
+    ls = circle_ls()
+    bad = np.full(shape, 0.7)
+    with pytest.raises(BadParams, match=r"\(m, 2\) batch"):
+        project_to_interface(ls, bad)
+    with pytest.raises(BadParams, match=r"\(m, 2\) batch"):
+        segment_crossing(ls, bad, bad)
+
+
+def test_empty_batches_give_empty_results():
+    ls = circle_ls()
+    none = np.empty((0, 2))
+    fr = project_to_interface(ls, none)
+    assert fr.foot.shape == fr.normal.shape == fr.tangent.shape == (0, 2)
+    assert fr.curvature.shape == (0,)
+    assert segment_crossing(ls, none, none).shape == (0, 2)
+
+
+def test_segment_crossing_rejects_unpaired_ends():
+    ls = circle_ls()
+    with pytest.raises(BadParams, match="2 segment starts but 1 ends"):
+        segment_crossing(ls, np.zeros((2, 2)), np.ones((1, 2)))
 
 
 def test_import_leaves_scipy_optimize_unloaded():

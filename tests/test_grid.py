@@ -23,9 +23,7 @@ def tag_counts(grid):
 
 
 def circle_ls(R=0.5):
-    return LevelSet(phi=lambda x, y: np.hypot(x, y) - R,
-                    grad=lambda x, y: (x / np.hypot(x, y),
-                                       y / np.hypot(x, y)))
+    return LevelSet(phi=lambda x, y: np.hypot(x, y) - R)
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +49,8 @@ def test_params_validation():
     pytest.param(dict(N=10.0, r=2), id="N-float"),
     pytest.param(dict(N=10, r=2.5), id="r-fractional"),
     pytest.param(dict(N="10", r=2), id="N-string"),
+    pytest.param(dict(N=10, r=2, lam="2"), id="lam-string"),
+    pytest.param(dict(N=10, r=2, lam=None), id="lam-none"),
 ])
 def test_params_reject_non_finite_lam_and_non_integer_sizes(kwargs):
     with pytest.raises(BadParams):

@@ -71,6 +71,11 @@ def test_run_case_check_operator_toggle():
     assert rep.m_matrix is None
 
 
+def test_run_case_rejects_non_numeric_lam():
+    with pytest.raises(BadParams, match="half-width"):
+        run_case(make_problem("peskin_circle"), 40, 2, lam="2")
+
+
 def test_run_case_is_deterministic():
     prob = make_problem("piecewise_kappa_1d")
     a = run_case(prob, 10, 4)

@@ -15,14 +15,11 @@ ALL_NEIGHBORS = {(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)
 
 def line_ls(alpha):
     return LevelSet(phi=lambda x, y: x - alpha,
-                    grad=lambda x, y: (1.0, 0.0),
                     samples=[[alpha, t] for t in np.linspace(0.0, 1.0, 50)])
 
 
 def circle_ls(R=0.5):
-    return LevelSet(phi=lambda x, y: np.hypot(x, y) - R,
-                    grad=lambda x, y: (x / np.hypot(x, y),
-                                       y / np.hypot(x, y)))
+    return LevelSet(phi=lambda x, y: np.hypot(x, y) - R)
 
 
 def node_at(x, y, h_f, side, ls, available=ALL_NEIGHBORS):
@@ -181,19 +178,19 @@ def test_field_jumps_need_their_tangential_derivatives():
     # scalar jumps have zero tangential derivatives
     ls = circle_ls()
     js = iim.jump_scalars(iim.JumpData(w=0.3, v=1.0),
-                          project_to_interface(ls, (0.5, 0.0)))
-    assert (js["w"], js["v"], js["wp"], js["wpp"], js["vp"]) == (
+                          project_to_interface(ls, [(0.5, 0.0)]))
+    assert tuple(js[k][0] for k in ("w", "v", "wp", "wpp", "vp")) == (
         0.3, 1.0, 0.0, 0.0, 0.0)
 
 
 def test_jump_scalars_prefers_supplied_derivatives():
     ls = circle_ls()
-    frame = project_to_interface(ls, (0.5, 0.0))
+    frame = project_to_interface(ls, [(0.5, 0.0)])
     jd = iim.JumpData(w=lambda x, y: x, v=lambda x, y: y,
                       wp=lambda x, y: 11.0, wpp=lambda x, y: 12.0,
                       vp=lambda x, y: 13.0)
     js = iim.jump_scalars(jd, frame)
-    assert (js["wp"], js["wpp"], js["vp"]) == (11.0, 12.0, 13.0)
+    assert tuple(js[k][0] for k in ("wp", "wpp", "vp")) == (11.0, 12.0, 13.0)
 
 
 # ---------------------------------------------------------------------------

@@ -27,13 +27,15 @@ def test_unknown_problem():
 @pytest.mark.parametrize("name", problems.problem_names())
 def test_selfcheck_every_fixture(name):
     # sixth-order finite differences applied to the closed-form solution
-    # must reproduce f, and the prescribed jumps, to near rounding
+    # must reproduce f, and the prescribed jumps, to near rounding; the
+    # flux jump is differenced along the projection's normal, which is
+    # within 2e-10 of the flower's closed-form normal
     prob = problems.make_problem(name, {})
     rep = problems.selfcheck(prob, n=60, seed=3)
     assert rep["n"] == 60
     assert rep["pde_max_rel"] < 1e-7, rep
     if "jump_max_rel" in rep:
-        assert rep["jump_max_rel"] < 1e-7, rep
+        assert rep["jump_max_rel"] < 1e-9, rep
 
 
 def test_selfcheck_catches_wrong_rhs():
@@ -62,6 +64,18 @@ def test_parameter_overrides_and_validation():
         problems.make_problem("peskin_circle", {"radius": 1.2})
     with pytest.raises(BadParams):
         problems.make_problem("flower", {"petals": 9})
+
+
+@pytest.mark.parametrize("name, params", [
+    ("boundary_layer_1d", {"eps": "abc"}),
+    ("peskin_circle", {"radius": None}),
+    ("flower", {"kappa_plus": 1j}),
+    ("piecewise_kappa_1d", {"alpha": [0.5]}),
+])
+def test_non_numeric_parameters_are_rejected(name, params):
+    key, = params
+    with pytest.raises(BadParams, match=f"parameter '{key}' must be a number"):
+        problems.make_problem(name, params)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
@@ -203,11 +217,8 @@ def test_flower_run_leaves_sympy_unloaded():
                           timeout=120).returncode == 0
 
 
-def test_peskin_gradient_accepts_arrays():
-    # level-set gradients are evaluated on whole batches of points
-    grad = problems.make_problem("peskin_circle", {}).interface.grad
-    x = np.array([0.3, -0.7, 0.0, 1e-320, 0.25])
-    y = np.array([0.4, 0.1, 0.0, 0.0, -0.9])
-    gx, gy = grad(x, y)
-    one = np.array([grad(float(a), float(b)) for a, b in zip(x, y)])
-    assert np.array_equal(np.column_stack([gx, gy]), one)
+def test_selfcheck_needs_interface_samples():
+    prob = problems.make_problem("peskin_circle", {})
+    prob.interface.samples = None
+    with pytest.raises(BadParams, match="samples"):
+        problems.selfcheck(prob)

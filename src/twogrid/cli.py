@@ -28,14 +28,6 @@ from .harness import (convergence_study, reference_errors, run_case, to_csv,
 from .problems import make_problem, problem_names
 
 
-def _number(text: str) -> float:
-    """Parse a float that may be written as a fraction like ``17/30``."""
-    try:
-        return float(Fraction(text))
-    except ZeroDivisionError:   # argparse reports a ValueError as bad input
-        raise ValueError(f"zero denominator in {text!r}") from None
-
-
 def _fraction(text: str, flag: str) -> Fraction:
     """Parse an exact rational such as ``1/40`` given to ``flag``."""
     try:
@@ -46,14 +38,13 @@ def _fraction(text: str, flag: str) -> Fraction:
 
 
 def _parse_params(pairs) -> dict:
+    """``--param key=value`` pairs as a dict of exact rationals; a value
+    may be written as a fraction like ``17/30``."""
     params = {}
     for pair in pairs or ():
-        key, eq, value = pair.partition("=")
-        try:
-            params[key.strip()] = _number(value if eq else "")
-        except ValueError:
-            raise BadParams(f"--param expects key=number, got {pair!r}") \
-                from None
+        key, _, value = pair.partition("=")
+        key = key.strip()
+        params[key] = _fraction(value, f"--param {key}")
     return params
 
 
@@ -78,32 +69,18 @@ def _write_or_print(text: str, path) -> None:
 
 def _add_case_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--problem", required=True, choices=problem_names())
-    p.add_argument("--lam", "--lambda", dest="lam", type=float, default=2.0,
+    p.add_argument("--lam", type=float, default=2.0,
                    help="tube half-width in coarse cells (default 2)")
     p.add_argument("--hf-mode", choices=("ratio", "h2"), default="ratio",
                    help="fine spacing: h/r or h**2")
-    p.add_argument("--kappa-minus", type=_number,
-                   help="diffusion coefficient inside the interface")
-    p.add_argument("--kappa-plus", type=_number,
-                   help="diffusion coefficient outside the interface")
-    p.add_argument("--eps", type=_number,
-                   help="layer width parameter (layer problems)")
     p.add_argument("--param", action="append", metavar="KEY=VALUE",
-                   help="problem parameter override, repeatable "
-                        "(e.g. --param alpha=17/30)")
+                   help="problem parameter, repeatable (e.g. --param "
+                        "alpha=17/30, --param kappa_minus=7/2, --param "
+                        "eps=1/100)")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--no-check", action="store_true",
                    help="skip the M-matrix verification")
-
-
-def _case_params(args) -> dict:
-    params = _parse_params(args.param)
-    for key in ("kappa_minus", "kappa_plus", "eps"):
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = value
-    return params
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,7 +177,7 @@ def _emit_reports(reports, args) -> None:
 
 
 def _cmd_run(args) -> int:
-    problem = make_problem(args.problem, _case_params(args))
+    problem = make_problem(args.problem, _parse_params(args.param))
     res = run_case(problem, args.N, args.r, lam=args.lam,
                    hf_mode=args.hf_mode, check_operator=not args.no_check,
                    detail=True)
@@ -221,7 +198,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    problem = make_problem(args.problem, _case_params(args))
+    problem = make_problem(args.problem, _parse_params(args.param))
     reports = convergence_study(
         problem, _parse_schedule(args.schedule), lam=args.lam,
         hf_mode=args.hf_mode, check_operator=not args.no_check)

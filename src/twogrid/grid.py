@@ -251,8 +251,6 @@ class Grid2DTube:
     r: int
     W: int                      # row stride of the global fine lattice
     codes: np.ndarray           # sorted: code = py * W + px
-    px: np.ndarray
-    py: np.ndarray
     x: np.ndarray
     y: np.ndarray
     tags: np.ndarray
@@ -365,9 +363,9 @@ def build_tube_two_grid_2d(params: GridParams, ls: LevelSet) -> Grid2DTube:
     np.cumsum(np.bitwise_count(words[:-1]), out=rank[1:], dtype=np.int32)
 
     return Grid2DTube(params=params, ls=ls, N=N, h=h, h_f=h_f, r=r, W=W,
-                      codes=codes, px=px, py=py, x=x, y=y, tags=tags,
-                      side=side, hang_axis=hang_axis, hang_j=hang_j,
-                      words=words, rank=rank)
+                      codes=codes, x=x, y=y, tags=tags, side=side,
+                      hang_axis=hang_axis, hang_j=hang_j, words=words,
+                      rank=rank)
 
 
 Grid = Union[Grid1D, Grid2DLine, Grid2DTube]

@@ -10,7 +10,6 @@ from types import SimpleNamespace
 from typing import List, Optional, Sequence, Tuple
 
 from .assembly import apply_dirichlet, assemble
-from .errors import BadParams
 from .grid import (GridParams, build_line_two_grid_2d, build_tube_two_grid_2d,
                    build_two_grid_1d)
 from .linsolve import solve, verify_m_matrix
@@ -35,15 +34,15 @@ class CaseReport:
 
 def build_grid(problem: ProblemSpec, N: int, r: int, lam: float = 2.0,
                hf_mode: str = "ratio"):
+    """The mesh the problem's geometry asks for: a 1D grid, or a tube
+    around ``interface``, or a strip along the line ``x = alpha``."""
     params = GridParams(N=N, r=r, lam=lam, domain=problem.domain,
                         hf_mode=hf_mode)
-    if problem.kind in ("interface_1d", "layer_1d"):
+    if problem.dim == 1:
         return build_two_grid_1d(params, problem.alpha)
-    if problem.kind == "line":
-        return build_line_two_grid_2d(params, problem.alpha)
-    if problem.kind == "tube":
+    if problem.interface is not None:
         return build_tube_two_grid_2d(params, problem.interface)
-    raise BadParams(f"problem kind {problem.kind!r} has no grid builder")
+    return build_line_two_grid_2d(params, problem.alpha)
 
 
 def run_case(problem: ProblemSpec, N: int, r: int, lam: float = 2.0,

@@ -1,14 +1,15 @@
 """Interface-fitted stencils for nodes whose arms cross the interface.
 
-One dimension: closed-form three-point coefficients for a diffusion
-coefficient that jumps at ``alpha``, with right-side corrections built from
-the prescribed value jump ``Cbar = [u]`` and flux jump ``C = [kappa u']``.
-
-Two dimensions: the solution's Taylor data on one side of the interface
-determines the data on the other side through the jump conditions
+Both dimensions impose the jump conditions
 
     [u] = w(s),   [kappa du/dn] = v(s)      (s = arclength)
 
+One dimension: closed-form three-point coefficients for a diffusion
+coefficient that jumps at ``alpha``, with right-side corrections built from
+the scalar jumps ``w`` and ``v``.
+
+Two dimensions: the solution's Taylor data on one side of the interface
+determines the data on the other side through the jump conditions
 together with the PDE ``kappa Lap u = f`` on each side (no reaction term
 here). The affine transfer between the two six-component Taylor vectors is
 the engine behind both 2D stencil builders: a corrected five-point scheme
@@ -44,21 +45,18 @@ _RING2 = tuple((di, dj) for dj in (-2, -1, 0, 1, 2) for di in (-2, -1, 0, 1, 2))
 class JumpData:
     """Prescribed interface jumps, always oriented plus-side minus minus-side.
 
-    ``w`` and ``v`` are the value and flux jumps (scalars or fields evaluated
-    on the interface); ``C`` and ``Cbar`` are their one-dimensional scalar
-    counterparts (flux and value respectively). ``wp``, ``wpp``, ``vp`` are
-    the arclength derivatives along the canonical tangent: a field ``w``
-    needs ``wp`` and ``wpp``, and a field ``v`` needs ``vp``, else
-    :class:`BadParams` is raised; a scalar jump's derivatives default to
-    zero. ``fjump`` is the jump of the right-hand side across the interface.
+    ``w`` and ``v`` are the value and flux jumps, scalars or fields evaluated
+    on the interface; a point or straight-line interface takes scalars.
+    ``wp``, ``wpp``, ``vp`` are the arclength derivatives along the
+    canonical tangent: a field ``w`` needs ``wp`` and ``wpp``, and a field
+    ``v`` needs ``vp``, else :class:`BadParams` is raised; a scalar jump's
+    derivatives default to zero. ``fjump`` is the jump of the right-hand side across the interface.
     A field is called with coordinate arrays, all feet of a batch at once,
     and must evaluate elementwise.
     """
 
     w: ScalarOrField = 0.0
     v: ScalarOrField = 0.0
-    C: float = 0.0
-    Cbar: float = 0.0
     wp: Optional[Field] = None
     wpp: Optional[Field] = None
     vp: Optional[Field] = None
@@ -89,6 +87,9 @@ def iim_1d_irregular(kminus: float, kplus: float, alpha: float, xj: float,
     """
     if not xj <= alpha < x_next:
         raise BadParams(f"alpha={alpha} not in [{xj}, {x_next})")
+    if callable(jumps.w) or callable(jumps.v):
+        raise BadParams("a point or straight-line interface takes scalar "
+                        "jumps w and v")
     dk = kplus - kminus
     xjm1, xjp1, xjp2 = xj - h_f, xj + h_f, xj + 2 * h_f
 
@@ -107,8 +108,8 @@ def iim_1d_irregular(kminus: float, kplus: float, alpha: float, xj: float,
 
     # corrections: jump polynomial of the one arm that lands across the
     # interface, written from the center node's side
-    corr_j = gj[2] * (jumps.Cbar + (xjp1 - alpha) * jumps.C / kplus)
-    corr_jp1 = -gjp1[0] * (jumps.Cbar + (xj - alpha) * jumps.C / kminus)
+    corr_j = gj[2] * (jumps.w + (xjp1 - alpha) * jumps.v / kplus)
+    corr_jp1 = -gjp1[0] * (jumps.w + (xj - alpha) * jumps.v / kminus)
 
     st_j = Stencil(alphas={-1: gj[0], 0: gj[1], 1: gj[2]},
                    betas={0: 1.0}, correction=corr_j)

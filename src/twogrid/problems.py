@@ -14,7 +14,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import BadParams, NoExactSolution, UnknownProblem
-from .geometry import LevelSet, project_to_interface
+from .geometry import InterfaceFrame, LevelSet, project_to_interface
 from .grid import NodeTag
 from .iim import JumpData, jump_scalars
 
@@ -23,14 +23,17 @@ from .iim import JumpData, jump_scalars
 class ProblemSpec:
     """A benchmark instance: coefficients, data, geometry, exact solution.
 
-    ``kind`` selects the mesh builder: ``interface_1d``, ``layer_1d``,
-    ``line`` or ``tube``. ``epsilon``/``conv`` are only set for singularly
-    perturbed problems (``eps u'' + conv u' + K u = f``); elliptic interface
-    problems use ``kappa_minus``/``kappa_plus`` and ``K``.
+    The geometry selects the mesh: a 1D ``domain`` ``(a, b)`` is refined
+    around the point ``alpha`` or, without one, at the right end for a
+    boundary layer; a 2D domain ``((ax, bx), (ay, by))`` around the zero set
+    of ``interface`` or the line ``x = alpha``, exactly one of which it
+    names. An ``alpha`` interface carries ``jumps``, and ``jumps`` need an
+    interface. ``epsilon``/``conv`` are only set for singularly perturbed
+    problems (``eps u'' + conv u' + K u = f``); elliptic interface problems
+    use ``kappa_minus``/``kappa_plus`` and ``K``.
     """
 
     name: str
-    kind: str
     domain: Tuple
     f: Callable
     boundary: Callable
@@ -44,9 +47,19 @@ class ProblemSpec:
     epsilon: Optional[float] = None
     conv: float = 0.0
 
+    def __post_init__(self) -> None:
+        if self.dim == 2 and (self.interface is None) == (self.alpha is None):
+            raise BadParams(f"{self.name}: a 2D problem needs exactly one of "
+                            "interface and alpha")
+        if self.alpha is not None and self.jumps is None:
+            raise BadParams(f"{self.name}: an alpha interface needs jumps")
+        if (self.jumps is not None and self.alpha is None
+                and self.interface is None):
+            raise BadParams(f"{self.name}: jumps need an interface")
+
     @property
     def dim(self) -> int:
-        return 1 if self.kind.endswith("_1d") else 2
+        return np.ndim(self.domain)
 
 
 def _take(params: Optional[dict], defaults: dict, name: str) -> dict:
@@ -59,7 +72,7 @@ def _take(params: Optional[dict], defaults: dict, name: str) -> dict:
     for key, value in params.items():
         try:
             out[key] = float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise BadParams(f"{name}: parameter {key!r} must be a number, "
                             f"got {value!r}") from None
     return out
@@ -90,7 +103,7 @@ def _boundary_layer_1d(params) -> ProblemSpec:
         return c1 + c2 * np.exp(m * (np.asarray(x, dtype=float) - 1.0))
 
     return ProblemSpec(
-        name="boundary_layer_1d", kind="layer_1d", domain=(0.0, 1.0),
+        name="boundary_layer_1d", domain=(0.0, 1.0),
         f=lambda x, y, side: c1 + 0.0 * np.asarray(x, dtype=float),
         boundary=lambda x, y: exact(x, y, 1),
         exact=exact, epsilon=eps, conv=-1.0, K=1.0)
@@ -110,12 +123,12 @@ def _piecewise_kappa_1d(params) -> ProblemSpec:
         return np.where(np.asarray(side) < 0, x**4 / km, x**4 / kp + shift)
 
     return ProblemSpec(
-        name="piecewise_kappa_1d", kind="interface_1d", domain=(0.0, 1.0),
+        name="piecewise_kappa_1d", domain=(0.0, 1.0),
         f=lambda x, y, side: 12.0 * np.asarray(x, dtype=float) ** 2,
         boundary=lambda x, y: exact(x, y, np.where(
             np.asarray(x, dtype=float) <= alpha, -1, 1)),
         exact=exact, kappa_minus=km, kappa_plus=kp,
-        jumps=JumpData(C=0.0, Cbar=0.0), alpha=alpha)
+        jumps=JumpData(w=0.0, v=0.0), alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +148,12 @@ def _line_interface_2d(params) -> ProblemSpec:
                         x * (alpha - 1.0) + base, alpha * (x - 1.0) + base)
 
     return ProblemSpec(
-        name="line_interface_2d", kind="line", domain=((0.0, 1.0), (0.0, 1.0)),
+        name="line_interface_2d", domain=((0.0, 1.0), (0.0, 1.0)),
         f=lambda x, y, side: (-np.pi**2 * np.sin(np.pi * np.asarray(y, float))
                               + 0.0 * np.asarray(x, dtype=float)),
         boundary=lambda x, y: exact(x, y, np.where(
             np.asarray(x, dtype=float) <= alpha, -1, 1)),
-        exact=exact, jumps=JumpData(C=1.0, Cbar=0.0), alpha=alpha)
+        exact=exact, jumps=JumpData(w=0.0, v=1.0), alpha=alpha)
 
 
 def _peskin_circle(params) -> ProblemSpec:
@@ -162,8 +175,7 @@ def _peskin_circle(params) -> ProblemSpec:
                         1.0 + np.log(np.sqrt(r2) / R))
 
     return ProblemSpec(
-        name="peskin_circle", kind="tube",
-        domain=((-1.0, 1.0), (-1.0, 1.0)),
+        name="peskin_circle", domain=((-1.0, 1.0), (-1.0, 1.0)),
         f=lambda x, y, side: 0.0 * np.asarray(x, dtype=float),
         boundary=lambda x, y: exact(x, y, 1),
         exact=exact,
@@ -198,7 +210,7 @@ def _flower(params) -> ProblemSpec:
     jumps = _flower_jumps(km, kp)
 
     return ProblemSpec(
-        name="flower", kind="tube", domain=((-1.0, 1.0), (-1.0, 1.0)),
+        name="flower", domain=((-1.0, 1.0), (-1.0, 1.0)),
         f=lambda x, y, side: np.where(
             np.asarray(side) < 0, 4.0,
             16.0 * (np.asarray(x, float) ** 2 + np.asarray(y, float) ** 2)),
@@ -272,7 +284,7 @@ def _internal_layer(params) -> ProblemSpec:
     samples = 0.5 * np.column_stack([np.cos(ts), np.sin(ts)])
 
     return ProblemSpec(
-        name="internal_layer", kind="tube", domain=((-1.0, 1.0), (-1.0, 1.0)),
+        name="internal_layer", domain=((-1.0, 1.0), (-1.0, 1.0)),
         f=f, boundary=lambda x, y: exact(x, y, 1), exact=exact,
         interface=LevelSet(phi=phi, samples=samples))
 
@@ -326,7 +338,7 @@ def _sample_off_interface(problem: ProblemSpec, rng, n: int, pad: float,
     interface or layer by ``margin``. Returns (x, y, side)."""
     if problem.dim == 1:
         a, b = problem.domain
-        hi = b - pad - (margin if problem.kind == "layer_1d" else 0.0)
+        hi = b - pad - (margin if problem.alpha is None else 0.0)
         xs = np.empty(0)
         while len(xs) < n:
             cand = rng.uniform(a + pad, hi, size=2 * n)
@@ -343,10 +355,8 @@ def _sample_off_interface(problem: ProblemSpec, rng, n: int, pad: float,
             cy = rng.uniform(ay + pad, by - pad, size=4 * n)
             if problem.alpha is not None:
                 keep = np.abs(cx - problem.alpha) >= margin
-            elif problem.interface is not None:
-                keep = np.abs(problem.interface.phi(cx, cy)) >= margin
             else:
-                keep = np.ones(len(cx), dtype=bool)
+                keep = np.abs(problem.interface.phi(cx, cy)) >= margin
             xs = np.concatenate([xs, cx[keep]])[:n]
             ys = np.concatenate([ys, cy[keep]])[:n]
     if problem.alpha is not None:
@@ -365,10 +375,10 @@ def selfcheck(problem: ProblemSpec, n: int = 100, seed: int = 0) -> dict:
     central differences at ``n`` random points away from the interface or
     layer and compares with ``f``; where jump data is prescribed, the value,
     flux and source jumps of the closed forms are compared against it on
-    interface points (for a curve, the projections of 20 of its samples,
-    with the flux taken along the projection's normal). Residuals are
-    relative with the denominator floored at one. Returns
-    ``{n, pde_max_rel[, jump_max_rel]}``.
+    interface points: the projections of 20 samples of a curve, or 8
+    random points of the line ``x = alpha`` (the point itself in 1D), with
+    the flux taken along the normal. Residuals are relative with the
+    denominator floored at one. Returns ``{n, pde_max_rel[, jump_max_rel]}``.
     """
     if problem.exact is None:
         raise NoExactSolution(f"{problem.name} has no closed-form solution")
@@ -395,42 +405,33 @@ def selfcheck(problem: ProblemSpec, n: int = 100, seed: int = 0) -> dict:
 
     if problem.jumps is None:
         return out
-    worst = 0.0
-    if problem.dim == 2 and problem.interface is not None:
+    if problem.interface is not None:
         rows = problem.interface.samples
         if rows is None:
             raise BadParams(f"{problem.name}: the jump check needs interface "
                             "samples")
         picks = rng.choice(len(rows), size=min(20, len(rows)), replace=False)
         frame = project_to_interface(problem.interface, rows[picks])
-        js = jump_scalars(problem.jumps, frame)
-        px, py = frame.foot.T
-        nx, ny = frame.normal.T
-        line = lambda t, _, s: problem.exact(px + t * nx, py + t * ny, s)
-        du = problem.exact(px, py, 1) - problem.exact(px, py, -1)
-        flux = (problem.kappa_plus * _fd_axis(line, 0.0, 0.0, 1, hd, _FD_D1,
-                                              1, 0)
-                - problem.kappa_minus * _fd_axis(line, 0.0, 0.0, -1, hd,
-                                                 _FD_D1, 1, 0))
-        df = problem.f(px, py, 1) - problem.f(px, py, -1)
-        worst = max(np.abs(du - js["w"]).max(),
-                    (np.abs(flux - js["v"])
-                     / np.maximum(1.0, np.abs(js["v"]))).max(),
-                    np.abs(df - js["fj"]).max())
-    elif problem.alpha is not None:
+    else:
         ys = (rng.uniform(*problem.domain[1], size=8)
               if problem.dim == 2 else np.zeros(8))
-        for py in ys:
-            a = problem.alpha
-            du = (float(problem.exact(a, py, 1))
-                  - float(problem.exact(a, py, -1)))
-            worst = max(worst, abs(du - problem.jumps.Cbar))
-            flux = (problem.kappa_plus
-                    * _fd_axis(problem.exact, a, py, 1, hd, _FD_D1, 1, 0)
-                    - problem.kappa_minus
-                    * _fd_axis(problem.exact, a, py, -1, hd, _FD_D1, 1, 0))
-            worst = max(worst, abs(float(flux) - problem.jumps.C)
-                        / max(1.0, abs(problem.jumps.C)))
+        frame = InterfaceFrame(
+            foot=np.column_stack([np.full(8, problem.alpha), ys]),
+            normal=np.tile([1.0, 0.0], (8, 1)),
+            tangent=np.tile([0.0, 1.0], (8, 1)), curvature=np.zeros(8))
+    js = jump_scalars(problem.jumps, frame)
+    px, py = frame.foot.T
+    nx, ny = frame.normal.T
+    line = lambda t, _, s: problem.exact(px + t * nx, py + t * ny, s)
+    du = problem.exact(px, py, 1) - problem.exact(px, py, -1)
+    flux = (problem.kappa_plus * _fd_axis(line, 0.0, 0.0, 1, hd, _FD_D1, 1, 0)
+            - problem.kappa_minus * _fd_axis(line, 0.0, 0.0, -1, hd, _FD_D1,
+                                             1, 0))
+    df = problem.f(px, py, 1) - problem.f(px, py, -1)
+    worst = max(np.abs(du - js["w"]).max(),
+                (np.abs(flux - js["v"])
+                 / np.maximum(1.0, np.abs(js["v"]))).max(),
+                np.abs(df - js["fj"]).max())
     out["jump_max_rel"] = float(worst)
     return out
 

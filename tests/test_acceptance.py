@@ -301,7 +301,7 @@ def test_criterion_8():
 
     xj = Fraction(1, 2)
     st_j, st_jp1 = iim_1d_irregular(km, kp, al, xj, h,
-                                    JumpData(C=Cj, Cbar=Cbar), xj + h)
+                                    JumpData(w=Cbar, v=Cj), xj + h)
     exact = True
     for row, xc in ((st_j, xj), (st_jp1, xj + h)):
         acc = sum(g * u_of(xc + off * h) for off, g in row.alphas.items())

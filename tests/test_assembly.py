@@ -1,4 +1,6 @@
 """Assembly: row contents against the stencil generators, invariants."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,12 +10,12 @@ from scipy.optimize import brentq
 from twogrid import problems, stencils
 from twogrid.assembly import _Builder, apply_dirichlet, assemble
 from twogrid.errors import (BadParams, MissingNeighbor, MultipleCrossings,
-                            NonConvergence, TwoGridError)
+                            NonConvergence, SignViolation, TwoGridError)
 from twogrid.geometry import LevelSet
 from twogrid.grid import (Grid2DLine, GridParams, NodeTag,
                           build_line_two_grid_2d, build_tube_two_grid_2d,
                           build_two_grid_1d)
-from twogrid.harness import run_case
+from twogrid.harness import build_grid, run_case
 from twogrid.iim import (_RING2, IrregularNodes, JumpData,
                          iim_1d_irregular, iim_discontinuous_stencil_2d,
                          singular_source_stencil_2d)
@@ -21,7 +23,7 @@ from twogrid.problems import ProblemSpec
 
 
 def stub_1d(f, kappa=(1.0, 1.0), alpha=0.55, jumps=None, K=0.0):
-    return ProblemSpec(name="stub", kind="interface_1d", domain=(0.0, 1.0),
+    return ProblemSpec(name="stub", domain=(0.0, 1.0),
                        f=f, boundary=lambda x, y: 0.0 * x,
                        kappa_minus=kappa[0], kappa_plus=kappa[1], K=K,
                        jumps=jumps or JumpData(), alpha=alpha)
@@ -190,12 +192,36 @@ def test_tube_without_interface_folds_irregular_nodes():
 def test_2d_rejects_reaction_term():
     prob = problems.make_problem("line_interface_2d", {})
     g = build_line_two_grid_2d(GridParams(N=6, r=2, lam=2.0), prob.alpha)
-    bad = ProblemSpec(name="bad", kind="line", domain=prob.domain,
+    bad = ProblemSpec(name="bad", domain=prob.domain,
                       f=prob.f, boundary=prob.boundary, K=1.0,
                       kappa_minus=1.0, kappa_plus=1.0, jumps=JumpData(),
                       alpha=prob.alpha)
     with pytest.raises(BadParams):
         assemble(g, bad)
+
+
+def test_tube_rejects_reaction_term():
+    prob = replace(problems.make_problem("peskin_circle"), K=1.0)
+    g = build_grid(prob, 20, 2)
+    with pytest.raises(BadParams, match="only K == 0"):
+        assemble(g, prob)
+
+
+def test_strip_rejects_oblong_coarse_cells():
+    prob = replace(problems.make_problem("line_interface_2d"),
+                   domain=((0.0, 1.0), (0.0, 2.0)))
+    g = build_grid(prob, 10, 2)
+    with pytest.raises(BadParams, match="need square cells"):
+        assemble(g, prob)
+
+
+def test_no_sign_feasible_fitted_stencil():
+    # a one-cell tube around the flower leaves one fine node without a
+    # monotone stencil on all of its 5x5 ring
+    prob = problems.make_problem("flower")
+    g = build_grid(prob, 10, 2, lam=1.0)
+    with pytest.raises(SignViolation, match=r"at \(-0\.5,-0\.1\)"):
+        assemble(g, prob)
 
 
 def test_apply_dirichlet_only_touches_boundary():
@@ -325,7 +351,7 @@ def sin_cos_source(x, y, side):
     return np.sin(3.0 * x) * np.cos(2.0 * y) + side
 
 
-JUMPS = JumpData(C=0.7, Cbar=-0.3)
+JUMPS = JumpData(w=-0.3, v=0.7)
 SMALL_SYSTEMS = {
     "piecewise 10/2": lambda: (
         build_two_grid_1d(GridParams(N=10, r=2, lam=2.0), 17.0 / 30.0),
@@ -521,7 +547,7 @@ def star_problem(R, modes, kappa, seeded):
     ls = LevelSet(phi=lambda x, y: np.hypot(x, y) - rho(np.arctan2(y, x)),
                   samples=samples)
     return ProblemSpec(
-        name="star", kind="tube", domain=((-1.0, 1.0), (-1.0, 1.0)),
+        name="star", domain=((-1.0, 1.0), (-1.0, 1.0)),
         f=lambda x, y, side: np.where(np.asarray(side) < 0, 4.0, 1.0 + x),
         boundary=lambda x, y: 0.0 * x, kappa_minus=kappa[0],
         kappa_plus=kappa[1], jumps=JumpData(w=0.5, v=1.0, fjump=-1.0),

@@ -83,23 +83,39 @@ def test_unknown_problem_is_an_argparse_error(capsys):
 
 
 @pytest.mark.parametrize("value", ["abc", "1/0"])
-def test_bad_named_number_is_an_argparse_error(capsys, value):
+def test_bad_param_number_exits_1(capsys, value):
+    rc, out, err = run_cli(capsys, "run", "--problem", "piecewise_kappa_1d",
+                           "--N", "10", "--param", f"kappa_minus={value}")
+    assert rc == 1 and out == ""
+    assert err == ("error: --param kappa_minus expects a rational number, "
+                   f"got {value!r}\n")
+
+
+@pytest.mark.parametrize("flag", ["--kappa-minus", "--kappa-plus", "--eps",
+                                  "--lambda"])
+def test_case_parameters_have_one_spelling(capsys, flag):
     with pytest.raises(SystemExit) as exc:
-        main(["run", "--problem", "piecewise_kappa_1d", "--N", "10",
-              "--kappa-minus", value])
+        main(["run", "--problem", "piecewise_kappa_1d", "--N", "10", flag,
+              "2"])
     assert exc.value.code == 2
-    assert "invalid _number value" in capsys.readouterr().err
 
 
 def test_named_flags_accept_fractions(tmp_path, capsys):
     path = tmp_path / "case.json"
     rc, _, _ = run_cli(capsys, "run", "--problem", "piecewise_kappa_1d",
-                       "--N", "10", "--r", "4", "--kappa-minus", "7/2",
-                       "--kappa-plus", "9", "--format", "json",
+                       "--N", "10", "--r", "4", "--param", "kappa_minus=7/2",
+                       "--param", "kappa_plus=9", "--format", "json",
                        "--out", str(path))
     assert rc == 0
     row = json.loads(path.read_text())[0]
     assert 0 < row["err_coarse"] < 1e-3
+
+
+def test_run_exit_2_when_no_sign_feasible_stencil(capsys):
+    rc, out, err = run_cli(capsys, "run", "--problem", "flower", "--N", "10",
+                           "--r", "2", "--lam", "1")
+    assert rc == 2 and out == ""
+    assert err == "error: no sign-feasible fitted stencil at (-0.5,-0.1)\n"
 
 
 def test_run_h2_mode_reports_effective_ratio(capsys):

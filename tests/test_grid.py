@@ -214,7 +214,7 @@ def test_tube_nodes_match_brute_force():
     g = build_tube_two_grid_2d(GridParams(N=N, r=r, lam=lam, domain=dom),
                                ls=ls)
     patch, allnodes = brute_force_tube_sets(N, r, lam, dom, ls.phi)
-    got = set(zip(g.px.tolist(), g.py.tolist()))
+    got = set(zip((g.codes % g.W).tolist(), (g.codes // g.W).tolist()))
     assert got == allnodes
     assert g.n == len(allnodes)
 
@@ -246,7 +246,8 @@ def test_tube_invariants_on_circle():
         GridParams(N=N, r=r, lam=2.0, domain=(-1.0, 1.0)), ls=ls)
 
     coarse = g.tags == NodeTag.COARSE_REGULAR
-    assert ((g.px[coarse] % r == 0) & (g.py[coarse] % r == 0)).all()
+    px, py = g.codes % g.W, g.codes // g.W
+    assert ((px[coarse] % r == 0) & (py[coarse] % r == 0)).all()
 
     hang = g.tags == NodeTag.HANGING
     assert hang.any()
@@ -339,7 +340,7 @@ def reference_tube_grid(params, ls):
     tags[idx_fine[irr]] = NodeTag.FINE_IRREGULAR
     tags[(px == 0) | (px == N * r) | (py == 0) | (py == N * r)] = \
         NodeTag.BOUNDARY
-    return dict(codes=codes, px=px, py=py, tags=tags, side=side,
+    return dict(codes=codes, tags=tags, side=side,
                 hang_axis=hang_axis, hang_j=hang_j)
 
 

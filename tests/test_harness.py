@@ -6,6 +6,7 @@ import pytest
 
 from twogrid import harness
 from twogrid.errors import BadParams
+from twogrid.grid import Grid1D, Grid2DLine, Grid2DTube
 from twogrid.harness import (CaseReport, convergence_study, reference_errors,
                              run_case, to_csv, to_json)
 from twogrid.problems import ProblemSpec, make_problem
@@ -114,11 +115,13 @@ def test_run_case_reports_ratio_of_spacings(name, N, r, hf_mode, expect):
     assert rep.r == expect
 
 
-def test_build_grid_rejects_unknown_kind():
-    prob = ProblemSpec(name="odd", kind="weird", domain=(0.0, 1.0),
-                       f=lambda x, y, s: x, boundary=lambda x, y: 0.0 * x)
-    with pytest.raises(BadParams):
-        harness.build_grid(prob, 10, 2)
+def test_build_grid_follows_the_geometry():
+    # a 1D domain, an interface curve or the line x = alpha picks the mesh
+    cases = {"piecewise_kappa_1d": Grid1D, "boundary_layer_1d": Grid1D,
+             "peskin_circle": Grid2DTube, "line_interface_2d": Grid2DLine}
+    for name, grid_type in cases.items():
+        grid = harness.build_grid(make_problem(name), 20, 2)
+        assert type(grid) is grid_type, name
 
 
 def test_convergence_study_attaches_orders():
@@ -206,7 +209,7 @@ def test_to_json_counts_every_offender():
 
 def test_run_case_without_exact_solution_reports_nan():
     prob = make_problem("piecewise_kappa_1d")
-    blind = ProblemSpec(name=prob.name, kind=prob.kind, domain=prob.domain,
+    blind = ProblemSpec(name=prob.name, domain=prob.domain,
                         f=prob.f, boundary=prob.boundary, exact=None,
                         kappa_minus=prob.kappa_minus,
                         kappa_plus=prob.kappa_plus, jumps=prob.jumps,

@@ -80,7 +80,7 @@ def test_1d_exact_on_piecewise_quadratic():
         return (a + Cbar) + bp * (x - alpha) + d * (x - alpha) ** 2
 
     st_j, st_jp1 = iim.iim_1d_irregular(km, kp, alpha, xj, h,
-                                        iim.JumpData(C=C, Cbar=Cbar), xj + h)
+                                        iim.JumpData(w=Cbar, v=C), xj + h)
     for st, ctr in ((st_j, xj), (st_jp1, xj + h)):
         res = sum(g * u(ctr + k * h) for k, g in st.alphas.items())
         res -= f + st.correction
@@ -93,7 +93,7 @@ def test_1d_consistency_order_on_quartic():
     # least-squares slope across four dyadic levels
     km, kp, al = 4.0, 50.0, 17.0 / 30.0
     Cbar = al**4 * (1.0 / kp - 1.0 / km)
-    jumps = iim.JumpData(C=0.0, Cbar=Cbar)
+    jumps = iim.JumpData(w=Cbar, v=0.0)
 
     def u(x):
         return x**4 / km if x <= al else x**4 / kp
@@ -119,6 +119,17 @@ def test_1d_rejects_alpha_outside_cell():
     with pytest.raises(BadParams):
         iim.iim_1d_irregular(1.0, 2.0, 0.75, 0.5, 0.1, iim.JumpData(),
                              0.6)
+
+
+@pytest.mark.parametrize("jumps", [
+    iim.JumpData(w=lambda x, y: x, wp=lambda x, y: 0 * x,
+                 wpp=lambda x, y: 0 * x),
+    iim.JumpData(v=lambda x, y: x, vp=lambda x, y: 0 * x),
+], ids=["w", "v"])
+def test_1d_rejects_field_jumps(jumps):
+    # the pair, and each row of a strip, take one scalar pair of jumps
+    with pytest.raises(BadParams, match="scalar jumps"):
+        iim.iim_1d_irregular(1.0, 2.0, 0.55, 0.5, 0.1, jumps, 0.6)
 
 
 def test_1d_degenerate_denominator():

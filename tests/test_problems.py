@@ -11,6 +11,7 @@ import sympy
 from twogrid import problems
 from twogrid.errors import BadParams, NoExactSolution, UnknownProblem
 from twogrid.grid import GridParams, NodeTag, build_two_grid_1d
+from twogrid.iim import JumpData
 
 
 def test_registry_names():
@@ -38,10 +39,34 @@ def test_selfcheck_every_fixture(name):
         assert rep["jump_max_rel"] < 1e-9, rep
 
 
+def test_2d_spec_needs_exactly_one_interface():
+    prob = problems.make_problem("peskin_circle", {})
+    base = dict(name="odd", domain=prob.domain, f=prob.f,
+                boundary=prob.boundary, jumps=prob.jumps)
+    for geometry in ({}, {"interface": prob.interface, "alpha": 0.3}):
+        with pytest.raises(BadParams, match="exactly one of interface"):
+            problems.ProblemSpec(**base, **geometry)
+
+
+@pytest.mark.parametrize("name", ["piecewise_kappa_1d", "line_interface_2d"])
+def test_alpha_spec_needs_jumps(name):
+    prob = problems.make_problem(name, {})
+    with pytest.raises(BadParams, match="alpha interface needs jumps"):
+        problems.ProblemSpec(name="odd", domain=prob.domain, f=prob.f,
+                             boundary=prob.boundary, alpha=prob.alpha)
+
+
+def test_jumps_need_an_interface():
+    prob = problems.make_problem("boundary_layer_1d", {})
+    with pytest.raises(BadParams, match="jumps need an interface"):
+        problems.ProblemSpec(name="odd", domain=prob.domain, f=prob.f,
+                             boundary=prob.boundary, jumps=JumpData())
+
+
 def test_selfcheck_catches_wrong_rhs():
     prob = problems.make_problem("piecewise_kappa_1d", {})
     broken = problems.ProblemSpec(
-        name="broken", kind=prob.kind, domain=prob.domain,
+        name="broken", domain=prob.domain,
         f=lambda x, y, s: 11.0 * np.asarray(x, float) ** 2,
         boundary=prob.boundary, exact=prob.exact,
         kappa_minus=prob.kappa_minus, kappa_plus=prob.kappa_plus,
@@ -71,6 +96,7 @@ def test_parameter_overrides_and_validation():
     ("peskin_circle", {"radius": None}),
     ("flower", {"kappa_plus": 1j}),
     ("piecewise_kappa_1d", {"alpha": [0.5]}),
+    ("piecewise_kappa_1d", {"kappa_minus": 10**400}),
 ])
 def test_non_numeric_parameters_are_rejected(name, params):
     key, = params
@@ -151,7 +177,7 @@ def test_exact_error_class_split():
 def test_exact_error_requires_closed_form():
     prob = problems.make_problem("piecewise_kappa_1d", {})
     anon = problems.ProblemSpec(
-        name="anon", kind=prob.kind, domain=prob.domain, f=prob.f,
+        name="anon", domain=prob.domain, f=prob.f,
         boundary=prob.boundary, exact=None, jumps=prob.jumps,
         alpha=prob.alpha)
     g = build_two_grid_1d(GridParams(N=10, r=2, lam=2.0), alpha=prob.alpha)

@@ -6,10 +6,9 @@ rational transition stencils gluing the two together.
 """
 from .assembly import SparseSystem, apply_dirichlet, assemble
 from .errors import (BadParams, DegenerateDenominator, EmptyTube,
-                     InconsistentSystem, MissingNeighbor, MultipleCrossings,
-                     NoExactSolution, NonConvergence, SignViolation,
-                     SingularMatrix, TubeTooWide, TwoGridError,
-                     UnknownProblem)
+                     MissingNeighbor, MultipleCrossings, NoExactSolution,
+                     NonConvergence, SignViolation, SingularMatrix,
+                     TubeTooWide, TwoGridError, UnknownProblem)
 from .geometry import InterfaceFrame, LevelSet, project_to_interface
 from .grid import (Grid1D, Grid2DLine, Grid2DTube, GridParams, NodeTag,
                    build_line_two_grid_2d, build_tube_two_grid_2d,
@@ -23,9 +22,8 @@ from .problems import (ProblemSpec, exact_error, make_problem,
                        problem_names, selfcheck)
 from .stencils import (Stencil, border_coeffs_1d, border_coeffs_2d,
                        centered_nonuniform_1d, compact4_uniform_1d,
-                       derive_border_coeffs_2d, derive_hanging_coeffs,
-                       hanging_coeffs, nine_point_compact_2d,
-                       strip_mixed_order_2d)
+                       derive_hanging_coeffs, hanging_coeffs,
+                       nine_point_compact_2d, strip_mixed_order_2d)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -37,6 +37,15 @@ def _fraction(text: str, flag: str) -> Fraction:
             from None
 
 
+def _real(text: str, flag: str) -> float:
+    """Parse ``text`` like :func:`_fraction` and return it as a float."""
+    try:
+        return float(_fraction(text, flag))
+    except OverflowError:
+        raise BadParams(f"{flag} is too large for a float, got {text!r}") \
+            from None
+
+
 def _parse_params(pairs) -> dict:
     """``--param key=value`` pairs as a dict of exact rationals; a value
     may be written as a fraction like ``17/30``."""
@@ -69,8 +78,9 @@ def _write_or_print(text: str, path) -> None:
 
 def _add_case_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--problem", required=True, choices=problem_names())
-    p.add_argument("--lam", type=float, default=2.0,
-                   help="tube half-width in coarse cells (default 2)")
+    p.add_argument("--lam", default="2",
+                   help="tube half-width in coarse cells, may be a fraction "
+                        "like 3/2 (default 2)")
     p.add_argument("--hf-mode", choices=("ratio", "h2"), default="ratio",
                    help="fine spacing: h/r or h**2")
     p.add_argument("--param", action="append", metavar="KEY=VALUE",
@@ -155,7 +165,7 @@ def _cmd_derive(args) -> int:
         if kappa != 1 or K != 0:
             raise TwoGridError("border-2d is derived for kappa=1, K=0; "
                                "scale the U-weights by kappa afterwards")
-        st = stencils.derive_border_coeffs_2d(
+        st = stencils.border_coeffs_2d(
             _fraction(args.h1, "--h1"), _fraction(args.h2, "--h2"),
             _fraction(args.hy, "--hy"))
     _write_or_print(_stencil_json(st), args.out)
@@ -215,6 +225,8 @@ def _cmd_study(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.command in ("run", "study"):
+            args.lam = _real(args.lam, "--lam")
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "study":

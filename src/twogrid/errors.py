@@ -18,10 +18,6 @@ class TubeTooWide(TwoGridError):
     """The refinement tube reaches too close to the domain boundary."""
 
 
-class InconsistentSystem(TwoGridError):
-    """A stencil derivation system has no (unique) solution."""
-
-
 class SignViolation(TwoGridError):
     """A stencil could not be given the sign pattern needed for monotonicity."""
 

@@ -27,8 +27,8 @@ class ProblemSpec:
     around the point ``alpha`` or, without one, at the right end for a
     boundary layer; a 2D domain ``((ax, bx), (ay, by))`` around the zero set
     of ``interface`` or the line ``x = alpha``, exactly one of which it
-    names. An ``alpha`` interface carries ``jumps``, and ``jumps`` need an
-    interface. ``epsilon``/``conv`` are only set for singularly perturbed
+    names; a 1D problem names no ``interface``. An ``alpha`` interface
+    carries ``jumps``, and ``jumps`` need an interface. ``epsilon``/``conv`` are only set for singularly perturbed
     problems (``eps u'' + conv u' + K u = f``); elliptic interface problems
     use ``kappa_minus``/``kappa_plus`` and ``K``.
     """
@@ -48,6 +48,9 @@ class ProblemSpec:
     conv: float = 0.0
 
     def __post_init__(self) -> None:
+        if self.dim == 1 and self.interface is not None:
+            raise BadParams(f"{self.name}: a 1D problem has no interface "
+                            "curve; its interface is the point alpha")
         if self.dim == 2 and (self.interface is None) == (self.alpha is None):
             raise BadParams(f"{self.name}: a 2D problem needs exactly one of "
                             "interface and alpha")

@@ -12,9 +12,9 @@ convention throughout: negative diagonal, nonnegative off-diagonal entries
 (the assembled operator approximates ``kappa * Lap u + K u``).
 
 The transition ("hanging") stencils that tie fine tube nodes to the coarse
-lattice are exact rationals in closed form for every refinement ratio; an
-exact rational derivation engine reproduces them and extends them to a
-reaction term and a general ``kappa``.
+lattice, and the border rows at a mesh-size jump, are closed forms: exact
+rationals for every refinement ratio and for rational spacings, with a
+general ``kappa`` and reaction term folded in where the scheme allows.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import BadParams, InconsistentSystem
+from .errors import BadParams
 
 Number = Union[float, Fraction]
 
@@ -168,7 +168,8 @@ def border_coeffs_2d(h1: float, h2: float, h_y: float) -> Stencil:
     ``di`` in (-1, 0, 1) mapping to physical x-offsets ``(-h1, 0, +h2)``.
     The f-weights sum to one and reduce to the nine-point averaging when
     ``h1 == h2 == h_y``. Derived by matching all monomials through total
-    degree four; see :func:`derive_border_coeffs_2d` for the exact version.
+    degree four. Arithmetic is type-preserving: Fraction spacings give exact
+    rational coefficients.
     """
     if np.any(h1 <= 0) or np.any(h2 <= 0) or h_y <= 0:
         raise BadParams("spacings must be positive")
@@ -187,29 +188,15 @@ def border_coeffs_2d(h1: float, h2: float, h_y: float) -> Stencil:
         (-1, 0): (h1 * h1 + h1 * h2 - h2 * h2) / (6 * h1 * s),
         (0, 0): s * s / (6 * h1 * h2),
         (1, 0): (-h1 * h1 + h1 * h2 + h2 * h2) / (6 * h2 * s),
-        (0, -1): 1.0 / 12.0,
-        (0, 1): 1.0 / 12.0,
+        (0, -1): Fraction(1, 12),
+        (0, 1): Fraction(1, 12),
     }
     return Stencil(alphas=alphas, betas=betas)
 
 
 # ---------------------------------------------------------------------------
-# transition (hanging-node) stencils: closed form and derivation engine
+# transition (hanging-node) stencils
 # ---------------------------------------------------------------------------
-
-def _hanging_stencil_from_row(row: Tuple[Fraction, ...], r: int, j: int) -> Stencil:
-    """``row`` = (corner_left, corner_right, mid_left, mid_right, self,
-    beta_left, beta_right) at coarse spacing 1, on fine-step offsets."""
-    a1, a2, a3, a4, a5, b1, b2 = row
-    alphas = {
-        (-j, -r): a1, (r - j, -r): a2,
-        (-j, 0): a3, (r - j, 0): a4,
-        (-j, r): a1, (r - j, r): a2,
-        (0, 0): a5,
-    }
-    betas = {(-j, 0): b1, (r - j, 0): b2}
-    return Stencil(alphas=alphas, betas=betas, correction=Fraction(0))
-
 
 def hanging_coeffs(r: int, j: int) -> Stencil:
     """Seven-point transition stencil for a tube-edge fine node, any ratio.
@@ -224,129 +211,37 @@ def hanging_coeffs(r: int, j: int) -> Stencil:
 
     With ``d = j/r``: corners and f-weights ``(2-d)/3`` left, ``(1+d)/3``
     right; middles ``2(d**2-2d+3)/(3d)`` and ``2(d**2+2)/(3(1-d))``; center
-    ``2/(d(d-1))``. Equals :func:`derive_hanging_coeffs` at kappa=1, K=0.
+    ``2/(d(d-1))``. These are the unique y-symmetric weights on this support
+    that are exact on every monomial of total degree <= 4 except ``x**4``
+    and ``y**4``, with f-weights summing to one.
     """
     r, j = int(r), int(j)
     if not 1 <= j <= r - 1:
         raise BadParams(f"offset j={j} out of range for ratio {r}")
     d = Fraction(j, r)
     left, right = (2 - d) / 3, (1 + d) / 3
-    row = (left, right, 2 * (d * d - 2 * d + 3) / (3 * d),
-           2 * (d * d + 2) / (3 * (1 - d)), 2 / (d * (d - 1)), left, right)
-    return _hanging_stencil_from_row(row, r, j)
-
-
-def _solve_exact(rows, rhs):
-    """Gaussian elimination over exact rationals; raises on singular systems."""
-    n = len(rows)
-    A = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(rows, rhs)]
-    for col in range(n):
-        piv = next((k for k in range(col, n) if A[k][col] != 0), None)
-        if piv is None:
-            raise InconsistentSystem("derivation system is singular")
-        A[col], A[piv] = A[piv], A[col]
-        pv = A[col][col]
-        A[col] = [v / pv for v in A[col]]
-        for k in range(n):
-            if k != col and A[k][col] != 0:
-                fac = A[k][col]
-                A[k] = [vk - fac * vc for vk, vc in zip(A[k], A[col])]
-    return [A[k][n] for k in range(n)]
-
-
-def _mono(k1: int, k2: int, x: Fraction, y: Fraction) -> Fraction:
-    return x**k1 * y**k2
-
-
-def _lap(k1: int, k2: int, x: Fraction, y: Fraction) -> Fraction:
-    """Laplacian of the monomial ``x**k1 * y**k2`` at ``(x, y)``."""
-    out = Fraction(0)
-    if k1 >= 2:
-        out += k1 * (k1 - 1) * x ** (k1 - 2) * y**k2
-    if k2 >= 2:
-        out += k2 * (k2 - 1) * x**k1 * y ** (k2 - 2)
-    return out
+    alphas = {
+        (-j, -r): left, (r - j, -r): right,
+        (-j, 0): 2 * (d * d - 2 * d + 3) / (3 * d),
+        (r - j, 0): 2 * (d * d + 2) / (3 * (1 - d)),
+        (-j, r): left, (r - j, r): right,
+        (0, 0): 2 / (d * (d - 1)),
+    }
+    betas = {(-j, 0): left, (r - j, 0): right}
+    return Stencil(alphas=alphas, betas=betas, correction=Fraction(0))
 
 
 def derive_hanging_coeffs(r: int, j: int, kappa=1, K=0) -> Stencil:
-    """Derive the transition stencil from scratch in exact rational arithmetic.
+    """Transition stencil of :func:`hanging_coeffs` for ``kappa Lap u + K u``.
 
-    Builds the scheme ``sum alpha u = sum beta (kappa Lap u + K u)`` on the
-    seven-point support, symmetric in y, that annihilates every monomial of
-    total degree <= 4 except the pure ``x**4`` and ``y**4`` terms, with the
-    f-weights summing to one. The system is square and uniquely solvable for
-    any ratio ``r >= 2``; with ``kappa=1, K=0`` it reproduces the closed
-    form of :func:`hanging_coeffs` exactly. Geometry is normalized to a
-    coarse spacing of one, like the closed form.
+    Every U-weight is ``kappa * a + K * beta`` at its offset and the
+    f-weights are unchanged: the reaction term is folded onto the left side
+    through the f-weights, as in :func:`compact4_uniform_1d`. Exact rationals
+    for rational ``kappa`` and ``K``; ``kappa=1, K=0`` gives
+    :func:`hanging_coeffs` itself.
     """
-    r, j = int(r), int(j)
-    if not 1 <= j <= r - 1:
-        raise BadParams(f"offset j={j} out of range for ratio {r}")
-    kap = Fraction(kappa)
-    KK = Fraction(K)
-    d2 = Fraction(j, r)   # distance to the left coarse neighbor
-    d1 = 1 - d2           # distance to the right one
-
-    def source(k1: int, k2: int, x: Fraction, y: Fraction) -> Fraction:
-        return kap * _lap(k1, k2, x, y) + KK * _mono(k1, k2, x, y)
-
-    # y-odd monomials hold by symmetry; x**4 and y**4 are released
-    monos = [(0, 0), (1, 0), (2, 0), (3, 0), (0, 2), (1, 2), (2, 2)]
-    one = Fraction(1)
-    rows, rhs = [], []
-    for k1, k2 in monos:
-        rows.append([
-            _mono(k1, k2, -d2, one) + _mono(k1, k2, -d2, -one),  # corner pair, left
-            _mono(k1, k2, d1, one) + _mono(k1, k2, d1, -one),    # corner pair, right
-            _mono(k1, k2, -d2, Fraction(0)),                     # mid left
-            _mono(k1, k2, d1, Fraction(0)),                      # mid right
-            _mono(k1, k2, Fraction(0), Fraction(0)),             # self
-            -source(k1, k2, -d2, Fraction(0)),                   # beta left
-            -source(k1, k2, d1, Fraction(0)),                    # beta right
-            -source(k1, k2, Fraction(0), Fraction(0)),           # beta self
-        ])
-        rhs.append(Fraction(0))
-    rows.append([Fraction(0)] * 5 + [Fraction(1)] * 3)
-    rhs.append(Fraction(1))
-    a1, a2, a3, a4, a5, b1, b2, b3 = _solve_exact(rows, rhs)
-
-    st = _hanging_stencil_from_row((a1, a2, a3, a4, a5, b1, b2), r, j)
-    if b3 != 0:
-        st.betas[(0, 0)] = b3
-    return st
-
-
-def derive_border_coeffs_2d(h1: Fraction, h2: Fraction, h_y: Fraction) -> Stencil:
-    """Exact-rational version of :func:`border_coeffs_2d`.
-
-    Solves the same degree-four matching system (y-symmetric U-weights on the
-    3x3 patch, f-weights on the x-triple and the two y-neighbors) by exact
-    elimination instead of evaluating the closed forms. Used by the CLI and
-    as a cross-check in the test suite.
-    """
-    h1, h2, h_y = Fraction(h1), Fraction(h2), Fraction(h_y)
-    if h1 <= 0 or h2 <= 0 or h_y <= 0:
-        raise BadParams("spacings must be positive")
-
-    # unknowns: aW aC aE (dy=0), aWn aCn aEn (dy=+-1 pairs),
-    #           bW bC bE (dy=0), bCn (dy=+-1 pair)
-    monos = [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (0, 2), (0, 4), (1, 2), (2, 2)]
-    xs = (-h1, Fraction(0), h2)
-    rows, rhs = [], []
-    for k1, k2 in monos:
-        row = [_mono(k1, k2, x, Fraction(0)) for x in xs]
-        row += [_mono(k1, k2, x, h_y) + _mono(k1, k2, x, -h_y) for x in xs]
-        row += [-_lap(k1, k2, x, Fraction(0)) for x in xs]
-        row += [-(_lap(k1, k2, Fraction(0), h_y) + _lap(k1, k2, Fraction(0), -h_y))]
-        rows.append(row)
-        rhs.append(Fraction(0))
-    rows.append([Fraction(0)] * 6 + [Fraction(1)] * 3 + [Fraction(2)])
-    rhs.append(Fraction(1))
-    aW, aC, aE, aWn, aCn, aEn, bW, bC, bE, bCn = _solve_exact(rows, rhs)
-    alphas = {(-1, 0): aW, (0, 0): aC, (1, 0): aE}
-    for dj in (-1, 1):
-        alphas[(-1, dj)] = aWn
-        alphas[(0, dj)] = aCn
-        alphas[(1, dj)] = aEn
-    betas = {(-1, 0): bW, (0, 0): bC, (1, 0): bE, (0, -1): bCn, (0, 1): bCn}
-    return Stencil(alphas=alphas, betas=betas, correction=Fraction(0))
+    st = hanging_coeffs(r, j)
+    kappa, K = Fraction(kappa), Fraction(K)
+    alphas = {k: kappa * a + K * st.betas.get(k, 0)
+              for k, a in st.alphas.items()}
+    return Stencil(alphas=alphas, betas=st.betas, correction=st.correction)

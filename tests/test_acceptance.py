@@ -14,6 +14,7 @@ from math import gcd
 import numpy as np
 import sympy
 
+from derivation import eliminate_hanging
 from twogrid import stencils
 from twogrid.assembly import apply_dirichlet, assemble
 from twogrid.harness import build_grid, run_case
@@ -55,13 +56,14 @@ def interior_error(problem, N, r, **kw):
 
 
 def test_criterion_1():
-    # the tabulated transition rows are reproduced by the exact-rational
-    # derivation for every offset at ratios 2, 4, 8, 16
+    # the closed-form transition rows are reproduced by the exact-rational
+    # elimination (tests/derivation.py) for every offset at ratios 2, 4, 8,
+    # 16
     t0 = time.perf_counter()
     bad = []
     for r in (2, 4, 8, 16):
         for j in range(1, r):
-            der = stencils.derive_hanging_coeffs(r, j)
+            der = eliminate_hanging(r, j)
             tab = stencils.hanging_coeffs(r, j)
             if der.alphas != tab.alphas or der.betas != tab.betas:
                 bad.append((r, j))
@@ -257,10 +259,9 @@ def test_criterion_7():
 def test_criterion_8():
     checks = {}
 
-    # derivation engine reproduces the transition table (symbolic oracle)
+    # the elimination engine reproduces the transition table (exact oracle)
     checks["table_vs_derivation"] = all(
-        stencils.derive_hanging_coeffs(r, j).alphas
-        == stencils.hanging_coeffs(r, j).alphas
+        eliminate_hanging(r, j).alphas == stencils.hanging_coeffs(r, j).alphas
         for r in (2, 4, 8, 16) for j in range(1, r))
 
     # released pure-quartic residuals of the transition stencil, frozen

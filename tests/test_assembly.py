@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 from scipy.optimize import brentq
 
+from derivation import eliminate_hanging
 from twogrid import problems, stencils
 from twogrid.assembly import _Builder, apply_dirichlet, assemble
 from twogrid.errors import (BadParams, MissingNeighbor, MultipleCrossings,
@@ -458,8 +459,8 @@ def reference_tube_rows(g, prob):
 
     out = {}
     hanging = np.nonzero(g.tags == NodeTag.HANGING)[0]
-    # the derivation engine, independent of the closed form, as the oracle
-    rows = {j: stencils.derive_hanging_coeffs(g.r, j)
+    # the elimination engine, independent of the closed form, as the oracle
+    rows = {j: eliminate_hanging(g.r, j)
             for j in set(g.hang_j[hanging].tolist())}
     for i in hanging:
         st = rows[int(g.hang_j[i])]

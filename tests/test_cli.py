@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from derivation import eliminate_border_2d, eliminate_hanging
 from twogrid import stencils
 from twogrid.cli import main, _parse_schedule
 
@@ -64,6 +65,7 @@ def test_run_exit_2_when_sign_pattern_fails(capsys):
     pytest.param(("run", "--param", "kappa_minus=abc"), id="param-not-number"),
     pytest.param(("run", "--lam", "nan"), id="lam-nan"),
     pytest.param(("run", "--lam", "inf"), id="lam-inf"),
+    pytest.param(("run", "--lam", "1e400"), id="lam-overflow"),
     pytest.param(("study", "--schedule", "10:x"), id="schedule-bad-ratio"),
     pytest.param(("study", "--schedule", "10:2,,20:2"),
                  id="schedule-empty-item"),
@@ -109,6 +111,21 @@ def test_named_flags_accept_fractions(tmp_path, capsys):
     assert rc == 0
     row = json.loads(path.read_text())[0]
     assert 0 < row["err_coarse"] < 1e-3
+
+
+def test_lam_is_a_rational_number(capsys):
+    rc, out, _ = run_cli(capsys, "run", "--problem", "piecewise_kappa_1d",
+                         "--N", "10", "--r", "4", "--lam", "3/2")
+    assert rc == 0
+    assert out.splitlines()[1].startswith("10,4,1.5,")
+    rc, out, _ = run_cli(capsys, "study", "--problem", "piecewise_kappa_1d",
+                         "--schedule", "10:4", "--lam", "3/2")
+    assert rc == 0
+    assert out.splitlines()[1].startswith("10,4,1.5,")
+    rc, out, err = run_cli(capsys, "run", "--problem", "piecewise_kappa_1d",
+                           "--N", "10", "--lam", "abc")
+    assert rc == 1 and out == ""
+    assert err == "error: --lam expects a rational number, got 'abc'\n"
 
 
 def test_run_exit_2_when_no_sign_feasible_stencil(capsys):
@@ -163,6 +180,22 @@ def test_derive_hanging_matches_library(capsys):
     assert got["beta_sum"] == "1"
 
 
+def test_derive_hanging_with_reaction_matches_elimination(capsys):
+    rc, out, _ = run_cli(capsys, "derive-stencil", "--kind", "hanging",
+                         "--r", "4", "--j", "1", "--kappa", "7/2",
+                         "--K", "3/2")
+    assert rc == 0
+    st = eliminate_hanging(4, 1, kappa=Fraction(7, 2), K=Fraction(3, 2))
+    assert json.loads(out) == {
+        "alphas": {f"{k[0]},{k[1]}": str(v)
+                   for k, v in sorted(st.alphas.items())},
+        "betas": {f"{k[0]},{k[1]}": str(v)
+                  for k, v in sorted(st.betas.items())},
+        "alpha_sum": "3/2",
+        "beta_sum": "1",
+    }
+
+
 def test_derive_border1d_nonuniform_second_difference(capsys):
     # with kappa=1 and K=0 the U-weights are the classic nonuniform
     # 3-point second difference 2/(h1(h1+h2)), -2/(h1 h2), 2/(h2(h1+h2))
@@ -187,10 +220,12 @@ def test_derive_border2d_matches_library(capsys):
                          "--h1", "1", "--h2", "1/2", "--hy", "1")
     assert rc == 0
     got = json.loads(out)
-    st = stencils.derive_border_coeffs_2d(Fraction(1), Fraction(1, 2),
-                                          Fraction(1))
-    expect = {f"{k[0]},{k[1]}": str(v) for k, v in st.alphas.items()}
-    assert got["alphas"] == expect
+    st = eliminate_border_2d(1, Fraction(1, 2), 1)
+    assert got["alphas"] == {f"{k[0]},{k[1]}": str(v)
+                             for k, v in st.alphas.items()}
+    assert got["betas"] == {f"{k[0]},{k[1]}": str(v)
+                            for k, v in st.betas.items()}
+    assert got["beta_sum"] == "1"
 
 
 def test_derive_border2d_rejects_scaled_kappa(capsys):
@@ -201,17 +236,36 @@ def test_derive_border2d_rejects_scaled_kappa(capsys):
     assert "border-2d" in err
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--h1", "abc"), ("--h2", "1/0"), ("--hy", "x"),
-    ("--kappa", "1/0"), ("--K", "nan"),
+def _malformed(flag, value):
+    return pytest.param("border-2d", flag, value,
+                        f"{flag} expects a rational number, got {value!r}",
+                        id=f"{flag}-{value}")
+
+
+@pytest.mark.parametrize("kind, flag, value, message", [
+    _malformed("--h1", "abc"), _malformed("--h2", "1/0"),
+    _malformed("--hy", "x"), _malformed("--kappa", "1/0"),
+    _malformed("--K", "nan"),
+    # a value of None leaves the flag out
+    pytest.param("border-1d", "--h2", None, "border-1d needs --h1 and --h2",
+                 id="border-1d-no-h2"),
+    pytest.param("border-2d", "--hy", None,
+                 "border-2d needs --h1, --h2 and --hy", id="border-2d-no-hy"),
+    pytest.param("border-1d", "--h1", "0",
+                 "spacings must be positive, got h1=0, h2=1/2",
+                 id="border-1d-h1-zero"),
+    pytest.param("border-2d", "--hy", "0", "spacings must be positive",
+                 id="border-2d-hy-zero"),
 ])
-def test_derive_exit_1_on_malformed_number(capsys, flag, value):
+def test_derive_exit_1_on_malformed_number(capsys, kind, flag, value,
+                                           message):
     args = {"--h1": "1", "--h2": "1/2", "--hy": "1", "--kappa": "1",
             "--K": "0", flag: value}
-    rc, out, err = run_cli(capsys, "derive-stencil", "--kind", "border-2d",
-                           *(a for kv in args.items() for a in kv))
+    rc, out, err = run_cli(capsys, "derive-stencil", "--kind", kind,
+                           *(a for kv in args.items() if kv[1] is not None
+                             for a in kv))
     assert rc == 1 and out == ""
-    assert err == f"error: {flag} expects a rational number, got {value!r}\n"
+    assert err == f"error: {message}\n"
 
 
 def test_derive_hanging_requires_r_and_j(capsys):

@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,16 @@ def test_jumps_need_an_interface():
     with pytest.raises(BadParams, match="jumps need an interface"):
         problems.ProblemSpec(name="odd", domain=prob.domain, f=prob.f,
                              boundary=prob.boundary, jumps=JumpData())
+
+
+@pytest.mark.parametrize("name", ["boundary_layer_1d", "piecewise_kappa_1d"])
+def test_1d_spec_rejects_a_curve_interface(name):
+    # the 1D mesh would ignore the curve and selfcheck would check jumps
+    # on it
+    peskin = problems.make_problem("peskin_circle", {})
+    with pytest.raises(BadParams, match="1D problem has no interface curve"):
+        replace(problems.make_problem(name, {}), interface=peskin.interface,
+                jumps=peskin.jumps)
 
 
 def test_selfcheck_catches_wrong_rhs():

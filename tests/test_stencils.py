@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 import sympy
 
+from derivation import eliminate_border_2d, eliminate_hanging
 from twogrid import stencils
 from twogrid.errors import BadParams
 
@@ -293,39 +294,37 @@ def test_border2d_swap_antisymmetry():
 @pytest.mark.parametrize("h1,h2,hy", [(1, 1, 1), (1, 2, 1), (2, 3, 5),
                                       (1, 4, 2)])
 def test_border2d_closed_forms_match_derivation(h1, h2, hy):
-    exact = stencils.derive_border_coeffs_2d(Fraction(h1), Fraction(h2),
-                                             Fraction(hy))
+    exact = eliminate_border_2d(h1, h2, hy)
     closed = stencils.border_coeffs_2d(Fraction(h1), Fraction(h2),
                                        Fraction(hy))
-    for off, val in exact.alphas.items():
-        assert Fraction(closed.alphas[off]) == val
-    for off, val in exact.betas.items():
-        if off in ((0, 1), (0, -1)):
-            # the constant row-average weight is emitted as a float literal
-            assert float(closed.betas[off]) == pytest.approx(float(val),
-                                                             rel=1e-15)
-        else:
-            assert Fraction(closed.betas[off]) == val
+    assert closed.alphas == exact.alphas
+    assert closed.betas == exact.betas
+    assert all(isinstance(v, Fraction) for v in
+               [*closed.alphas.values(), *closed.betas.values()])
 
 
 def test_border2d_exact_through_degree_four():
-    st = stencils.derive_border_coeffs_2d(Fraction(1), Fraction(2),
-                                          Fraction(3))
+    # the shipped closed form and the elimination oracle, each against sympy
     sx = {-1: -1, 0: 0, 1: 2}
-    for k1 in range(5):
-        for k2 in range(5 - k1):
-            u = X**k1 * Y**k2
-            f = sympy.diff(u, X, 2) + sympy.diff(u, Y, 2)
-            x0, y0 = sympy.Rational(1, 3), sympy.Rational(3, 7)
-            acc = sum(sympy.Rational(a) * u.subs({X: x0 + sx[di], Y: y0 + 3 * dj})
-                      for (di, dj), a in st.alphas.items())
-            acc -= sum(sympy.Rational(b) * f.subs({X: x0 + sx[di], Y: y0 + 3 * dj})
-                       for (di, dj), b in st.betas.items())
-            assert sympy.simplify(acc) == 0, (k1, k2)
+    x0, y0 = sympy.Rational(1, 3), sympy.Rational(3, 7)
+    at = {(di, dj): {X: x0 + sx[di], Y: y0 + 3 * dj}
+          for di in (-1, 0, 1) for dj in (-1, 0, 1)}
+    for st in (stencils.border_coeffs_2d(Fraction(1), Fraction(2),
+                                         Fraction(3)),
+               eliminate_border_2d(1, 2, 3)):
+        for k1 in range(5):
+            for k2 in range(5 - k1):
+                u = X**k1 * Y**k2
+                f = sympy.diff(u, X, 2) + sympy.diff(u, Y, 2)
+                acc = sum(sympy.Rational(a) * u.subs(at[k])
+                          for k, a in st.alphas.items())
+                acc -= sum(sympy.Rational(b) * f.subs(at[k])
+                           for k, b in st.betas.items())
+                assert sympy.simplify(acc) == 0, (k1, k2)
 
 
 # ---------------------------------------------------------------------------
-# hanging-node stencils: closed form, derivation engine, properties
+# hanging-node stencils: closed form, elimination oracle, properties
 # ---------------------------------------------------------------------------
 
 F = Fraction
@@ -385,7 +384,7 @@ def test_hanging_closed_form_equals_derivation_up_to_ratio_32():
     for r in range(2, 33):
         for j in range(1, r):
             closed = stencils.hanging_coeffs(r, j)
-            derived = stencils.derive_hanging_coeffs(r, j)
+            derived = eliminate_hanging(r, j)
             assert closed.alphas == derived.alphas, (r, j)
             assert closed.betas == derived.betas, (r, j)
             assert all(isinstance(v, Fraction) for v in
@@ -438,7 +437,7 @@ def test_derivation_reproduces_whole_table_quickly():
     t0 = time.perf_counter()
     for r, j in hanging_pairs():
         table = stencils.hanging_coeffs(r, j)
-        derived = stencils.derive_hanging_coeffs(r, j)
+        derived = eliminate_hanging(r, j)
         assert derived.alphas == table.alphas, (r, j)
         assert derived.betas == table.betas, (r, j)
     assert time.perf_counter() - t0 < 5.0
@@ -530,6 +529,19 @@ def test_hanging_released_quartic_residuals(r, j, cx4, cy4):
         acc -= sum(sympy.Rational(b) * f.subs({X: di * d, Y: dj * d})
                    for (di, dj), b in st.betas.items())
         assert sympy.expand(acc) == sympy.Rational(expect) * T**2
+
+
+def test_hanging_reaction_fold_equals_elimination():
+    # kappa * a + K * beta on each U-weight is the row the elimination
+    # derives for kappa Lap u + K u; its self f-weight is always zero
+    for r in range(2, 9):
+        for j in range(1, r):
+            for kappa in (1, Fraction(7, 2), 2):
+                for K in (0, 1, Fraction(-3, 2), 5):
+                    closed = stencils.derive_hanging_coeffs(r, j, kappa, K)
+                    derived = eliminate_hanging(r, j, kappa, K)
+                    assert closed.alphas == derived.alphas, (r, j, kappa, K)
+                    assert closed.betas == derived.betas, (r, j, kappa, K)
 
 
 def test_hanging_derive_with_reaction_term():

@@ -81,11 +81,12 @@ def assemble(grid, problem) -> SparseSystem:
 def _release_free_heap() -> None:
     """Return the C heap's free pages to the operating system.
 
-    Assembly frees tens of MB of scratch, most of it the fitted stencils'
-    linear program inside HiGHS, which glibc keeps mapped. The LU
-    factorisation that follows maps its large arrays afresh, so without
-    this the peak memory of a solve carries both. Does nothing where the C
-    library has no ``malloc_trim``.
+    Assembly frees MB of scratch, much of it the fitted stencils' linear
+    programs inside HiGHS, which glibc keeps mapped. The LU factorisation
+    that follows maps its large arrays afresh, so without this the peak
+    memory of a solve carries both: flower_jump peaks at about 187 MB
+    without the trim and 176 MB with it, even with programs of at most
+    512 nodes. Does nothing where the C library has no ``malloc_trim``.
     """
     try:
         ctypes.CDLL(None).malloc_trim(0)

@@ -225,6 +225,10 @@ _CROSS_COLS = np.array([_RING2.index(off) for off in _CROSS])
 _STAGES = tuple(np.array([_RING2.index(off) for off in offsets])
                 for offsets in (_BLOCK3, _BLOCK3 + _EXTENDED, _RING2))
 _REWARD = 1e6       # see _constrained_fit
+# nodes per HiGHS program. HiGHS's memory grows with the program: the
+# 2,684-node stage of flower_jump grew the process by 63 MB as one program
+# and by at most 17 MB in blocks of 512, which gave the same supports
+_BLOCK_NODES = 512
 
 
 @dataclass
@@ -357,36 +361,19 @@ def _candidate_rows(nodes: IrregularNodes, frame: InterfaceFrame, kc, M, J0,
             np.where(same, 0.0, fother).T)
 
 
-def _constrained_fit(A: np.ndarray, cand: np.ndarray, scale: np.ndarray,
-                     center: int):
-    """Find, for every node ``k``, ``g`` with ``A[k] g = e_5`` over the
-    candidates ``cand[k]``, off-center ``g >= 0`` and ``g[center] < 0``.
-
-    Each node's problem is a small linear program minimizing the total
-    off-center weight (the constant-consistency row forces a zero row sum,
-    so the diagonal is minus that total and monotonicity comes out maximally
-    diagonally dominant). ``scale`` is each node's natural weight magnitude,
-    used to condition its program and to reject a vanishing diagonal. All
-    nodes share one block-diagonal program, always feasible since node
-    ``k``'s right side is scaled by ``t_k`` in ``[0, 1]`` at a reward of
-    ``_REWARD`` per unit: ``g = 0, t = 0`` solves it. A node with a stencil
-    takes ``t_k = 1`` and its own optimum (normalized off-center totals
-    reach 61.5 on the flower benchmarks), a node without one zero weights.
-    Returns ``(g, ok)``: the ``(n, K)`` weights, zero for failed nodes and
-    outside each node's candidates, and whether each node's fit succeeded.
-    """
+def _block_program(An: np.ndarray, last: np.ndarray, cand: np.ndarray,
+                   center: int) -> np.ndarray:
+    """Solve the block-diagonal program of :func:`_constrained_fit` for the
+    normalized rows ``An`` of a block of nodes, whose last right-side
+    entries are ``last``; the ``(n, K)`` weights it finds, all zero if
+    HiGHS fails."""
     from scipy.optimize import linprog
 
-    n, nrow, K = A.shape
-    As = np.where(cand[:, None, :], A * scale[:, None, None], 0.0)
-    rownorm = np.maximum(np.abs(As).max(axis=2), 1e-300)
-    An = As / rownorm[:, :, None]
-    bn = np.zeros((n, nrow))
-    bn[:, -1] = 1.0 / rownorm[:, -1]
+    n, nrow, K = An.shape
     # one column per candidate, then node k's scale t_k on its last row
     k, c = np.nonzero(cand)
     m = len(k)
-    vals = np.concatenate([An[k, :, c].ravel(), -bn[:, -1]])
+    vals = np.concatenate([An[k, :, c].ravel(), -last])
     rows = np.concatenate([(nrow * k[:, None] + np.arange(nrow)).ravel(),
                            nrow * np.arange(n) + nrow - 1])
     cols = np.concatenate([np.repeat(np.arange(m), nrow), m + np.arange(n)])
@@ -399,13 +386,45 @@ def _constrained_fit(A: np.ndarray, cand: np.ndarray, scale: np.ndarray,
     upper = np.concatenate([np.where(ctr, 0.0, np.inf), np.ones(n)])
     res = linprog(cost, A_eq=A_eq, b_eq=np.zeros(nrow * n),
                   bounds=np.column_stack([lower, upper]), method="highs")
+    g = np.zeros((n, K))
+    g[k, c] = res.x[:m] if res.success else 0.0
+    return g
+
+
+def _constrained_fit(A: np.ndarray, cand: np.ndarray, scale: np.ndarray,
+                     center: int):
+    """Find, for every node ``k``, ``g`` with ``A[k] g = e_5`` over the
+    candidates ``cand[k]``, off-center ``g >= 0`` and ``g[center] < 0``.
+
+    Each node's problem is a small linear program minimizing the total
+    off-center weight (the constant-consistency row forces a zero row sum,
+    so the diagonal is minus that total and monotonicity comes out maximally
+    diagonally dominant). ``scale`` is each node's natural weight magnitude,
+    used to condition its program and to reject a vanishing diagonal. The
+    nodes' programs are stacked into block-diagonal programs of at most
+    ``_BLOCK_NODES`` nodes each, always feasible since node ``k``'s right
+    side is scaled by ``t_k`` in ``[0, 1]`` at a reward of ``_REWARD`` per
+    unit: ``g = 0, t = 0`` solves it. A node with a stencil takes
+    ``t_k = 1`` and its own optimum (normalized off-center totals reach
+    61.5 on the flower benchmarks), a node without one zero weights.
+    Returns ``(g, ok)``: the ``(n, K)`` weights, zero for failed nodes and
+    outside each node's candidates, and whether each node's fit succeeded.
+    """
+    n, nrow, K = A.shape
+    As = np.where(cand[:, None, :], A * scale[:, None, None], 0.0)
+    rownorm = np.maximum(np.abs(As).max(axis=2), 1e-300)
+    An = As / rownorm[:, :, None]
+    bn = np.zeros((n, nrow))
+    bn[:, -1] = 1.0 / rownorm[:, -1]
     ghat = np.zeros((n, K))
-    ghat[k, c] = res.x[:m] if res.success else 0.0
+    for lo in range(0, n, _BLOCK_NODES):
+        blk = slice(lo, lo + _BLOCK_NODES)
+        ghat[blk] = _block_program(An[blk], bn[blk, -1], cand[blk], center)
     # The program fixes each node's support, at most nrow columns since its
     # solutions are basic. The weights on the support are then the
     # least-squares solution of the node's own rows, so they do not depend
-    # on the solver's rounding in the combined program (which differs from
-    # a single node's at a degenerate vertex).
+    # on the solver's rounding in a block's program (which differs from a
+    # single node's at a degenerate vertex) or on how nodes share blocks.
     support = np.abs(ghat) >= 1e-13
     k, c = np.nonzero(support)
     pos = np.cumsum(support, axis=1)[k, c] - 1
@@ -432,8 +451,8 @@ def iim_discontinuous_stencil_2d(nodes: IrregularNodes, ls: LevelSet,
     remaining freedom is spent on the monotone sign pattern with the least
     total off-center weight. Nodes with no sign-feasible stencil on the 3x3
     block go on together to the distance-2 arm points and then to the full
-    5x5 ring before giving up; every stage fits all its nodes in one
-    block-diagonal linear program.
+    5x5 ring before giving up; every stage fits its nodes in
+    block-diagonal linear programs of at most ``_BLOCK_NODES`` (512) nodes.
 
     Returns ``(weights, correction)`` for the batch of ``m`` nodes: the
     ``(m, 25)`` weights over the ring offsets ``_RING2`` and the ``(m,)``

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NonConvergence, SingularMatrix
@@ -19,11 +20,10 @@ def solve(system) -> np.ndarray:
 
     The composite operators have a structurally symmetric pattern and
     (mostly) M-matrix rows, which need no row pivoting. So the factor is
-    made in float32 from ``A.astype(float32)``: it orders ``A + A^T`` by
-    multiple minimum degree and takes the diagonal pivots as they come
-    (``diag_pivot_thresh=0``), which roughly halves the fill of COLAMD with
-    partial pivoting, and its values take half the memory of a float64
-    factor.
+    made in float32: it orders ``A + A^T`` by multiple minimum degree and
+    takes the diagonal pivots as they come (``diag_pivot_thresh=0``), which
+    roughly halves the fill of COLAMD with partial pivoting, and its values
+    take half the memory of a float64 factor.
 
     Iterative refinement with that factor recovers float64 accuracy
     (Langou et al. 2006): residuals are computed in float64, scaled by their
@@ -33,16 +33,22 @@ def solve(system) -> np.ndarray:
     misses the contract, which happens on the worst-scaled systems (peskin
     N=320 r=8, line h2 N=42), up to five more steps take their residuals
     in extended precision, with corrections from the same factor, and the
-    result is a longdouble vector. Otherwise it is float64.
+    result is a longdouble vector whose padding bytes are zero, so equal
+    solves give equal bytes. Otherwise it is float64.
 
     If the float32 factor raises, gives a non-finite solution or its
     refinement misses the contract, the system is factored again in
     float64 with COLAMD and partial pivoting and refined the same way.
     Raises :class:`SingularMatrix` when that fallback factorization fails
     or its solution is non-finite, and :class:`NonConvergence` when its
-    refinement misses the bound. ``system`` is not modified.
+    refinement misses the bound.
+
+    Every residual is taken with the caller's CSR matrix, and each cast of
+    it (float32, longdouble) copies only its values. The factor's CSC input
+    is made from such a cast and freed once factored, so the only float64
+    CSC copy of ``A`` is the fallback factor's. ``system`` is not modified.
     """
-    A = system.matrix.tocsc()
+    A = system.matrix.tocsr()
     b = system.rhs
     try:
         return _refine(A, b, _factor(
@@ -53,11 +59,18 @@ def solve(system) -> np.ndarray:
     return _refine(A, b, _factor(A, np.float64))
 
 
+def _cast(A, dtype):
+    """The CSR matrix ``A`` with its values cast to ``dtype``, sharing
+    ``A``'s index arrays, which nothing here writes."""
+    return sp.csr_matrix((A.data.astype(dtype, copy=False), A.indices,
+                          A.indptr), shape=A.shape)
+
+
 def _factor(A, dtype, **opts):
-    """``(splu(A.astype(dtype), **opts), dtype)``; the cast copy of ``A``
-    is freed once it is factored."""
+    """``(splu(csc, **opts), dtype)``, where ``csc`` is the CSR matrix
+    ``A`` cast to ``dtype`` and converted, freed once it is factored."""
     try:
-        return spla.splu(A.astype(dtype), **opts), dtype
+        return spla.splu(_cast(A, dtype).tocsc(), **opts), dtype
     except RuntimeError as exc:
         raise SingularMatrix(str(exc)) from exc
 
@@ -76,7 +89,7 @@ def _correction(factor, r) -> np.ndarray:
 def _refine(A, b, factor) -> np.ndarray:
     """Solve with ``factor`` and refine to the contract of :func:`solve`:
     float64 steps while each one at least halves the residual, then up to
-    five longdouble ones."""
+    five longdouble ones. ``A`` is the caller's CSR matrix."""
     u = _correction(factor, b)
     if not np.all(np.isfinite(u)):
         raise SingularMatrix("solution contains non-finite entries")
@@ -94,15 +107,19 @@ def _refine(A, b, factor) -> np.ndarray:
             break
     if res <= bound:
         return u
-    A_x = A.astype(np.longdouble)
+    A_x = _cast(A, np.longdouble)
     b_x = b.astype(np.longdouble)
-    u_x = u.astype(np.longdouble)
+    # a cast to a fresh longdouble array leaves its padding bytes
+    # uninitialized; assignment and in-place sums into a zeroed buffer
+    # write only the value bytes
+    u_x = np.zeros(len(u), dtype=np.longdouble)
+    u_x[...] = u
     for _ in range(_LD_STEPS):
         r = np.asarray(b_x - A_x @ u_x, dtype=np.float64)
         res = float(np.linalg.norm(r))
         if res <= bound:
             return u_x
-        u_x = u_x + _correction(factor, r).astype(np.longdouble)
+        u_x += _correction(factor, r)
     raise NonConvergence(
         f"solve residual {res:.3e} exceeds {_TOL:.1e} * |b|_2 = {bound:.3e}")
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as hs
 from scipy.optimize import brentq
 
 from derivation import eliminate_hanging
-from twogrid import problems, stencils
+from twogrid import iim, problems, stencils
 from twogrid.assembly import _Builder, apply_dirichlet, assemble
 from twogrid.errors import (BadParams, MissingNeighbor, MultipleCrossings,
                             NonConvergence, SignViolation, TwoGridError)
@@ -630,6 +630,40 @@ def test_widened_fits_match_single_node_calls():
                                               prob.kappa_plus, prob.jumps)
         assert w1.tobytes() == weights[k].tobytes()
         assert c1.tobytes() == corr[[k]].tobytes()
+
+
+def test_large_stages_split_into_programs_of_at_most_512_nodes(
+        monkeypatch):
+    # the 3x3 stage of this tube fits 668 nodes: two programs of at most
+    # 512 nodes each, and the least-squares re-solve on each node's
+    # support gives the bits of one program over the whole stage
+    import scipy.optimize
+    prob, g = flower_nodes(50.0, 1.0, 80, 2)
+    irr = np.nonzero(g.tags == NodeTag.FINE_IRREGULAR)[0]
+    assert len(irr) == 668
+    nbrs = np.array([[int(g.id_of(g.codes[i] + dy * g.W + dx)[0])
+                      for dx, dy in _RING2] for i in irr])
+    nodes = IrregularNodes(x=g.x[irr], y=g.y[irr], h_f=g.h_f,
+                           ring_side=np.where(nbrs >= 0, g.side[nbrs], 0))
+    linprog = scipy.optimize.linprog
+    rows = []
+
+    def counted(*args, **kwargs):
+        rows.append(kwargs["A_eq"].shape[0])
+        return linprog(*args, **kwargs)
+
+    def fit():
+        return iim_discontinuous_stencil_2d(
+            nodes, g.ls, prob.kappa_minus, prob.kappa_plus, prob.jumps)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    weights, corr = fit()
+    assert rows == [6 * 512, 6 * 156]
+    monkeypatch.setattr(iim, "_BLOCK_NODES", len(irr))
+    whole_w, whole_c = fit()
+    assert rows[2:] == [6 * 668]
+    assert weights.tobytes() == whole_w.tobytes()
+    assert corr.tobytes() == whole_c.tobytes()
 
 
 @pytest.mark.parametrize("kappas", [(1.0, 10.0), (50.0, 1.0)])

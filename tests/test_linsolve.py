@@ -1,4 +1,5 @@
 """Solver contract, extended-precision fallback, operator checks."""
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -191,6 +192,38 @@ def test_solve_leaves_the_system_untouched():
     assert matrix.dtype == np.float64 and matrix.format == "csr"
     assert [a.tobytes() for a in (matrix.data, matrix.indices,
                                   matrix.indptr, rhs)] == before
+
+
+def test_longdouble_solutions_are_byte_reproducible():
+    # a longdouble carries 6 padding bytes per entry on x86-64; a cast copy
+    # leaves them uninitialized, so only a zeroed buffer updated in place
+    # makes two solves of one system give the same bytes
+    sys_ = assembled_1d(10, 16)
+    first, second = solve(sys_), solve(sys_)
+    assert first.dtype == np.longdouble
+    assert first.tobytes() == second.tobytes()
+
+
+def test_solve_allocates_less_than_a_float64_copy_of_the_matrix():
+    # the float32 factor input is cast from the CSR's values over its own
+    # index arrays, and the residuals use the CSR itself, so the arrays
+    # solve allocates stay below one float64 copy of A plus that input (the
+    # factor's own memory is SuperLU's and is not traced)
+    prob = problems.make_problem("peskin_circle", {})
+    sys_ = assemble(build_grid(prob, 80, 4), prob)
+    apply_dirichlet(sys_, prob.boundary)
+    A = sys_.matrix
+    index_bytes = A.indices.nbytes + A.indptr.nbytes
+    float64_copy = A.data.nbytes + index_bytes
+    float32_input = A.data.nbytes // 2 + index_bytes
+    solve(sys_)     # imports and first-call caches stay out of the count
+    tracemalloc.start()
+    try:
+        solve(sys_)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < float64_copy + float32_input
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,10 @@ from .errors import NonConvergence, SingularMatrix
 _TOL = 1e-12            # residual contract of solve, relative to |b|_2
 _F64_STEPS = 10         # cap on float64 refinement steps
 _LD_STEPS = 5           # longdouble refinement steps
+_LD_ROWS = 4096         # rows per block of a longdouble residual
+_PANEL = 4              # SuperLU panel width and supernode relaxation of the
+                        # float32 factor; a relaxation wider than the panel
+                        # has crashed the interpreter at exit
 _SIGN_RTOL = 1e-12      # audit tolerances, relative to a row's largest entry
 _ROW_SUM_RTOL = 1e-8
 _MAX_OFFENDERS = 50     # offenders listed per kind
@@ -23,7 +27,10 @@ def solve(system) -> np.ndarray:
     made in float32: it orders ``A + A^T`` by multiple minimum degree and
     takes the diagonal pivots as they come (``diag_pivot_thresh=0``), which
     roughly halves the fill of COLAMD with partial pivoting, and its values
-    take half the memory of a float64 factor.
+    take half the memory of a float64 factor. SuperLU builds it in 4-column
+    panels with supernodes relaxed to 4 columns: its working memory grows
+    with the panel width, and on the benchmark systems the fill is the
+    same as with SuperLU's default 20-column panels.
 
     Iterative refinement with that factor recovers float64 accuracy
     (Langou et al. 2006): residuals are computed in float64, scaled by their
@@ -43,34 +50,32 @@ def solve(system) -> np.ndarray:
     or its solution is non-finite, and :class:`NonConvergence` when its
     refinement misses the bound.
 
-    Every residual is taken with the caller's CSR matrix, and each cast of
-    it (float32, longdouble) copies only its values. The factor's CSC input
-    is made from such a cast and freed once factored, so the only float64
-    CSC copy of ``A`` is the fallback factor's. ``system`` is not modified.
+    Every residual is taken with the caller's CSR matrix. The factor's CSC
+    input is made from a float32 copy of its values and freed once
+    factored, so the only float64 CSC copy of ``A`` is the fallback
+    factor's. A longdouble residual casts the values of 4096 rows at a
+    time, so no longdouble copy of ``A`` is made, and it equals the product
+    with the whole matrix bit for bit. ``system`` is not modified.
     """
     A = system.matrix.tocsr()
     b = system.rhs
     try:
         return _refine(A, b, _factor(
             A, np.float32, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True}))
+            panel_size=_PANEL, relax=_PANEL, options={"SymmetricMode": True}))
     except (SingularMatrix, NonConvergence):
         pass
     return _refine(A, b, _factor(A, np.float64))
 
 
-def _cast(A, dtype):
-    """The CSR matrix ``A`` with its values cast to ``dtype``, sharing
-    ``A``'s index arrays, which nothing here writes."""
-    return sp.csr_matrix((A.data.astype(dtype, copy=False), A.indices,
-                          A.indptr), shape=A.shape)
-
-
 def _factor(A, dtype, **opts):
     """``(splu(csc, **opts), dtype)``, where ``csc`` is the CSR matrix
-    ``A`` cast to ``dtype`` and converted, freed once it is factored."""
+    ``A`` with its values cast to ``dtype`` over its index arrays, which
+    nothing here writes, converted and freed once it is factored."""
     try:
-        return spla.splu(_cast(A, dtype).tocsc(), **opts), dtype
+        return spla.splu(sp.csr_matrix(
+            (A.data.astype(dtype, copy=False), A.indices, A.indptr),
+            shape=A.shape).tocsc(), **opts), dtype
     except RuntimeError as exc:
         raise SingularMatrix(str(exc)) from exc
 
@@ -107,21 +112,36 @@ def _refine(A, b, factor) -> np.ndarray:
             break
     if res <= bound:
         return u
-    A_x = _cast(A, np.longdouble)
-    b_x = b.astype(np.longdouble)
     # a cast to a fresh longdouble array leaves its padding bytes
     # uninitialized; assignment and in-place sums into a zeroed buffer
     # write only the value bytes
     u_x = np.zeros(len(u), dtype=np.longdouble)
     u_x[...] = u
     for _ in range(_LD_STEPS):
-        r = np.asarray(b_x - A_x @ u_x, dtype=np.float64)
+        r = _longdouble_residual(A, b, u_x)
         res = float(np.linalg.norm(r))
         if res <= bound:
             return u_x
         u_x += _correction(factor, r)
     raise NonConvergence(
         f"solve residual {res:.3e} exceeds {_TOL:.1e} * |b|_2 = {bound:.3e}")
+
+
+def _longdouble_residual(A, b, u_x) -> np.ndarray:
+    """``b - A u_x`` summed in longdouble and rounded to float64. The CSR
+    matrix ``A`` is taken in blocks of ``_LD_ROWS`` rows, and only one
+    block's values are cast to longdouble at a time. Each row is summed in
+    the order of a product with the whole matrix, so the result is the
+    same."""
+    n = A.shape[0]
+    r = np.empty(n)
+    for i in range(0, n, _LD_ROWS):
+        j = min(i + _LD_ROWS, n)
+        lo, hi = A.indptr[i], A.indptr[j]
+        r[i:j] = b[i:j] - sp.csr_matrix(
+            (A.data[lo:hi].astype(np.longdouble), A.indices[lo:hi],
+             A.indptr[i:j + 1] - lo), shape=(j - i, A.shape[1])) @ u_x
+    return r
 
 
 def verify_m_matrix(system) -> dict:

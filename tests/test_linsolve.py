@@ -226,6 +226,70 @@ def test_solve_allocates_less_than_a_float64_copy_of_the_matrix():
     assert peak < float64_copy + float32_input
 
 
+def test_every_factor_keeps_relaxation_within_its_panel(monkeypatch):
+    # SuperLU's supernode relaxation wider than its panel has crashed the
+    # interpreter at exit; the float32 factor's 4-column panels keep its
+    # working memory small. A call without the options gets SuperLU's
+    # defaults, a 20-column panel and a relaxation of 10.
+    splu = linsolve.spla.splu
+    calls = []
+
+    def recording_splu(A, **kwargs):
+        calls.append((A.dtype, kwargs))
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(linsolve.spla, "splu", recording_splu)
+    solve(assembled_1d())
+    n = 100
+    off = np.ones(n - 1)
+    shifted = sp.diags([off, np.full(n, -2.0 * np.cos(np.pi / (n + 1))
+                                     - 1e-9), off], [-1, 0, 1], format="csr")
+    solve(SimpleNamespace(matrix=shifted, rhs=shifted @ np.ones(n)))
+    assert [dtype for dtype, _ in calls] == [np.float32, np.float32,
+                                             np.float64]
+    for dtype, kwargs in calls:
+        assert kwargs.get("relax", 10) <= kwargs.get("panel_size", 20)
+        if dtype == np.float32:
+            assert kwargs["panel_size"] == 4
+
+
+def test_streamed_longdouble_residual_equals_whole_matrix_product(
+        monkeypatch):
+    # blocks of 7 rows over a system whose last block is partial
+    sys_ = assembled_1d()
+    A, b = sys_.matrix, sys_.rhs
+    n = A.shape[0]
+    monkeypatch.setattr(linsolve, "_LD_ROWS", 7)
+    assert n > 3 * 7 and n % 7
+    rng = np.random.default_rng(3)
+    u_x = np.zeros(n, dtype=np.longdouble)
+    u_x[...] = rng.uniform(-1.0, 1.0, n)
+    u_x += np.longdouble(1e-19) * rng.uniform(-1.0, 1.0, n)
+    b_x = b.astype(np.longdouble)
+    whole = np.asarray(b_x - A.astype(np.longdouble) @ u_x, dtype=np.float64)
+    streamed = linsolve._longdouble_residual(A, b, u_x)
+    assert streamed.dtype == np.float64
+    assert streamed.tobytes() == whole.tobytes()
+
+
+def test_longdouble_stage_allocates_less_than_a_longdouble_copy_of_a():
+    # line h2 42/2 finishes in longdouble; its residuals cast one block of
+    # rows at a time, so no 16-byte copy of A's values is ever made
+    prob = problems.make_problem("line_interface_2d", {})
+    sys_ = assemble(build_grid(prob, 42, 2, 2.0, "h2"), prob)
+    apply_dirichlet(sys_, prob.boundary)
+    A = sys_.matrix
+    assert A.shape[0] > 2 * linsolve._LD_ROWS
+    assert solve(sys_).dtype == np.longdouble
+    tracemalloc.start()
+    try:
+        solve(sys_)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < np.dtype(np.longdouble).itemsize * A.nnz
+
+
 # ---------------------------------------------------------------------------
 # verify_m_matrix
 # ---------------------------------------------------------------------------

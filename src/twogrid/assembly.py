@@ -26,7 +26,6 @@ class SparseSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
     boundary: np.ndarray        # bool mask over rows
-    tags: np.ndarray
     x: np.ndarray
     y: np.ndarray
 
@@ -54,7 +53,6 @@ class _Builder:
                             shape=(self.n, self.n)).tocsr()
         return SparseSystem(matrix=mat, rhs=self.rhs,
                             boundary=np.asarray(grid.tags) == NodeTag.BOUNDARY,
-                            tags=np.asarray(grid.tags),
                             x=np.asarray(grid.x), y=np.asarray(grid.y))
 
 
@@ -97,7 +95,7 @@ def _release_free_heap() -> None:
 def _node_fields(grid, problem):
     """Each node's side and kappa, and ``fvec(ids)``, the source ``f`` at
     the nodes ``ids``."""
-    side = grid.sides()
+    side = grid.side
     kap = np.where(side < 0, problem.kappa_minus,
                    problem.kappa_plus).astype(float)
 

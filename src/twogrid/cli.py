@@ -82,7 +82,9 @@ def _add_case_args(p: argparse.ArgumentParser) -> None:
                    help="tube half-width in coarse cells, may be a fraction "
                         "like 3/2 (default 2)")
     p.add_argument("--hf-mode", choices=("ratio", "h2"), default="ratio",
-                   help="fine spacing: h/r or h**2")
+                   help="fine spacing: h/r, or h**2, which sets r = N on "
+                        "the unit interval in place of --r; only 1D and "
+                        "line problems accept h2")
     p.add_argument("--param", action="append", metavar="KEY=VALUE",
                    help="problem parameter, repeatable (e.g. --param "
                         "alpha=17/30, --param kappa_minus=7/2, --param "

@@ -44,20 +44,20 @@ TAG_NAMES = {t: t.name.lower() for t in NodeTag}
 
 @dataclass
 class GridParams:
-    """Mesh parameters: ``N`` coarse cells, refinement ratio ``r``, tube
-    half-width ``lam`` in units of the coarse spacing.
+    """Mesh parameters: ``N`` coarse cells, refinement ratio ``r`` (the fine
+    spacing is ``h_f = h / r``), tube half-width ``lam`` in units of the
+    coarse spacing.
 
     ``domain`` is ``(a, b)`` in 1D and ``((ax, bx), (ay, by))`` in 2D (a bare
-    ``(a, b)`` is promoted to the square). ``hf_mode='h2'`` requests
-    ``h_f = h**2`` instead of ``h / r`` (1D and line grids only); the coarse
-    spacing must then divide it evenly.
+    ``(a, b)`` is promoted to the square). The paper's ``h_f = h**2`` is
+    ``r = N / (b - a)``, which :func:`twogrid.harness.build_grid` picks for
+    ``hf_mode='h2'``.
     """
 
     N: int
     r: int
     lam: float = 2.0
     domain: Tuple = (0.0, 1.0)
-    hf_mode: str = "ratio"
 
     def __post_init__(self) -> None:
         for name in ("N", "r"):
@@ -66,9 +66,7 @@ class GridParams:
                 raise BadParams(f"{name} must be an integer, got {value!r}")
         if self.N < 4:
             raise BadParams(f"need at least 4 coarse cells, got N={self.N}")
-        if self.hf_mode not in ("ratio", "h2"):
-            raise BadParams(f"unknown hf_mode {self.hf_mode!r}")
-        if self.hf_mode == "ratio" and self.r < 2:
+        if self.r < 2:
             raise BadParams(f"refinement ratio must be >= 2, got {self.r}")
         lam = self.lam
         if not (isinstance(lam, numbers.Real) and 0 < lam < math.inf):
@@ -90,29 +88,18 @@ def _square(domain) -> Tuple[Tuple[float, float], Tuple[float, float]]:
     return _interval(domain[0]), _interval(domain[1])
 
 
-def _effective_ratio(params: GridParams, h: float) -> int:
-    if params.hf_mode == "ratio":
-        return params.r
-    ratio = h / (h * h)          # h_f = h**2
-    r_eff = int(round(ratio))
-    if r_eff < 2 or abs(ratio - r_eff) > 1e-9 * ratio:
-        raise BadParams(
-            f"h**2 refinement needs the coarse spacing to divide it; h={h}")
-    return r_eff
-
-
 # ---------------------------------------------------------------------------
 # one dimension
 # ---------------------------------------------------------------------------
 
 @dataclass
 class Grid1D:
-    params: GridParams
     x: np.ndarray
     tags: np.ndarray
+    side: np.ndarray            # -1 at x <= alpha, else (or no alpha) +1
     h: float
     h_f: float
-    r_eff: int
+    r: int
     alpha: Optional[float] = None       # None: boundary-layer grid
 
     @property
@@ -122,11 +109,6 @@ class Grid1D:
     @property
     def y(self) -> np.ndarray:
         return np.zeros_like(self.x)
-
-    def sides(self) -> np.ndarray:
-        if self.alpha is None:
-            return np.ones(self.n, dtype=np.int8)
-        return np.where(self.x <= self.alpha, -1, 1).astype(np.int8)
 
 
 def build_two_grid_1d(params: GridParams, alpha: Optional[float]) -> Grid1D:
@@ -139,10 +121,9 @@ def build_two_grid_1d(params: GridParams, alpha: Optional[float]) -> Grid1D:
     the right end of the domain.
     """
     a, b = _interval(params.domain)
-    N = params.N
+    N, r = params.N, params.r
     h = (b - a) / N
-    r_eff = _effective_ratio(params, h)
-    h_f = h / r_eff
+    h_f = h / r
 
     if alpha is None:
         i_lo, i_hi = int(math.floor(N - params.lam + 1e-10)), N
@@ -157,7 +138,7 @@ def build_two_grid_1d(params: GridParams, alpha: Optional[float]) -> Grid1D:
         i_lo = max(0, int(math.floor((alpha - params.lam * h - a) / h + 1e-10)))
         i_hi = min(N, int(math.ceil((alpha + params.lam * h - a) / h - 1e-10)))
 
-    m = (i_hi - i_lo) * r_eff
+    m = (i_hi - i_lo) * r
     x = np.concatenate([a + np.arange(i_lo + 1) * h,
                         (a + i_lo * h) + np.arange(1, m) * h_f,
                         a + np.arange(i_hi, N + 1) * h])
@@ -169,15 +150,16 @@ def build_two_grid_1d(params: GridParams, alpha: Optional[float]) -> Grid1D:
 
     if alpha is None:
         x[-1] = b
+        side = np.ones(len(x), dtype=np.int8)
     else:
+        side = np.where(x <= alpha, -1, 1).astype(np.int8)
         # the pair flanking alpha; a member that is a border or boundary
         # node (alpha in the tube's first or last fine cell) keeps its tag
         j = int(np.searchsorted(x, alpha, "right")) - 1
         pair = tags[j:j + 2]
         pair[pair == NodeTag.FINE_REGULAR] = NodeTag.FINE_IRREGULAR
 
-    return Grid1D(params=params, x=x, tags=tags, h=h, h_f=h_f, r_eff=r_eff,
-                  alpha=alpha)
+    return Grid1D(x=x, tags=tags, side=side, h=h, h_f=h_f, r=r, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +170,6 @@ def build_two_grid_1d(params: GridParams, alpha: Optional[float]) -> Grid1D:
 class Grid2DLine:
     """Strip grid; the node in ``(row, col)`` has id ``row * ncol + col``."""
 
-    params: GridParams
     cols: Grid1D
     N: int
     h: float
@@ -197,6 +178,7 @@ class Grid2DLine:
     x: np.ndarray
     y: np.ndarray
     tags: np.ndarray
+    side: np.ndarray
 
     @property
     def n(self) -> int:
@@ -210,17 +192,13 @@ class Grid2DLine:
     def h_f(self) -> float:
         return self.cols.h_f
 
-    def sides(self) -> np.ndarray:
-        return np.where(self.x <= self.alpha, -1, 1).astype(np.int8)
-
 
 def build_line_two_grid_2d(params: GridParams, alpha: float) -> Grid2DLine:
     """Strip grid for a straight interface ``x = alpha``: columns from the 1D
     construction, uniform coarse rows in y."""
     (ax, bx), (ay, by) = _square(params.domain)
     cols = build_two_grid_1d(
-        GridParams(params.N, params.r, params.lam, (ax, bx), params.hf_mode),
-        alpha)
+        GridParams(params.N, params.r, params.lam, (ax, bx)), alpha)
     h_y = (by - ay) / params.N
     ncol = cols.n
     nrow = params.N + 1
@@ -233,8 +211,8 @@ def build_line_two_grid_2d(params: GridParams, alpha: float) -> Grid2DLine:
     tags[::ncol] = NodeTag.BOUNDARY
     tags[ncol - 1::ncol] = NodeTag.BOUNDARY
 
-    return Grid2DLine(params=params, cols=cols, N=params.N, h=cols.h, h_y=h_y,
-                      alpha=alpha, x=x, y=y, tags=tags)
+    return Grid2DLine(cols=cols, N=params.N, h=cols.h, h_y=h_y, alpha=alpha,
+                      x=x, y=y, tags=tags, side=np.tile(cols.side, nrow))
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +221,6 @@ def build_line_two_grid_2d(params: GridParams, alpha: float) -> Grid2DLine:
 
 @dataclass
 class Grid2DTube:
-    params: GridParams
     ls: LevelSet
     N: int
     h: float
@@ -263,9 +240,6 @@ class Grid2DTube:
     @property
     def n(self) -> int:
         return len(self.codes)
-
-    def sides(self) -> np.ndarray:
-        return self.side
 
     def id_of(self, codes) -> np.ndarray:
         """Node ids for fine-lattice codes; -1 where no node exists."""
@@ -287,8 +261,6 @@ def build_tube_two_grid_2d(params: GridParams, ls: LevelSet) -> Grid2DTube:
     cells clear of the boundary or :class:`TubeTooWide` is raised, so no
     patch reaches the boundary.
     """
-    if params.hf_mode != "ratio":
-        raise BadParams("tube grids support only hf_mode='ratio'")
     (ax, bx), (ay, by) = _square(params.domain)
     N, r = params.N, params.r
     h = (bx - ax) / N
@@ -362,10 +334,9 @@ def build_tube_two_grid_2d(params: GridParams, ls: LevelSet) -> Grid2DTube:
     rank = np.zeros(len(words), dtype=np.int32)
     np.cumsum(np.bitwise_count(words[:-1]), out=rank[1:], dtype=np.int32)
 
-    return Grid2DTube(params=params, ls=ls, N=N, h=h, h_f=h_f, r=r, W=W,
-                      codes=codes, x=x, y=y, tags=tags, side=side,
-                      hang_axis=hang_axis, hang_j=hang_j, words=words,
-                      rank=rank)
+    return Grid2DTube(ls=ls, N=N, h=h, h_f=h_f, r=r, W=W, codes=codes, x=x,
+                      y=y, tags=tags, side=side, hang_axis=hang_axis,
+                      hang_j=hang_j, words=words, rank=rank)
 
 
 Grid = Union[Grid1D, Grid2DLine, Grid2DTube]

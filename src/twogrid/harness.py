@@ -4,14 +4,16 @@ from __future__ import annotations
 import io
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import List, Optional, Sequence, Tuple
 
 from .assembly import apply_dirichlet, assemble
-from .grid import (GridParams, build_line_two_grid_2d, build_tube_two_grid_2d,
-                   build_two_grid_1d)
+from .errors import BadParams
+from .grid import (GridParams, _square, build_line_two_grid_2d,
+                   build_tube_two_grid_2d, build_two_grid_1d)
 from .linsolve import solve, verify_m_matrix
 from .problems import ProblemSpec, exact_error
 
@@ -35,9 +37,26 @@ class CaseReport:
 def build_grid(problem: ProblemSpec, N: int, r: int, lam: float = 2.0,
                hf_mode: str = "ratio"):
     """The mesh the problem's geometry asks for: a 1D grid, or a tube
-    around ``interface``, or a strip along the line ``x = alpha``."""
-    params = GridParams(N=N, r=r, lam=lam, domain=problem.domain,
-                        hf_mode=hf_mode)
+    around ``interface``, or a strip along the line ``x = alpha``.
+
+    ``hf_mode="h2"``, the paper's ``h_f = h**2`` on 1D and line problems,
+    sets ``r = N / (b - a)`` on the x-interval (``r = N`` on the unit
+    interval) in place of the given ``r``.
+    """
+    if hf_mode == "h2":
+        if problem.interface is not None:
+            raise BadParams("hf_mode='h2' is for 1D and line problems")
+        if not isinstance(N, numbers.Integral):
+            raise BadParams(f"N must be an integer, got {N!r}")
+        (a, b), _ = _square(problem.domain)
+        ratio = N / (b - a)
+        r = round(ratio)
+        if r < 2 or abs(ratio - r) > 1e-9 * ratio:
+            raise BadParams("h**2 spacing needs N / (b - a) to be a whole "
+                            f"number >= 2, got {ratio:.6g}")
+    elif hf_mode != "ratio":
+        raise BadParams(f"unknown hf_mode {hf_mode!r}")
+    params = GridParams(N=N, r=r, lam=lam, domain=problem.domain)
     if problem.dim == 1:
         return build_two_grid_1d(params, problem.alpha)
     if problem.interface is not None:

@@ -452,7 +452,7 @@ def exact_error(problem: ProblemSpec, grid, u: np.ndarray) -> dict:
     """
     if problem.exact is None:
         raise NoExactSolution(f"{problem.name} has no closed-form solution")
-    uex = np.asarray(problem.exact(grid.x, grid.y, grid.sides().astype(int)),
+    uex = np.asarray(problem.exact(grid.x, grid.y, grid.side.astype(int)),
                      dtype=float)
     err = np.abs(u - uex)
     tags = np.asarray(grid.tags)

@@ -11,7 +11,8 @@ from derivation import eliminate_hanging
 from twogrid import iim, problems, stencils
 from twogrid.assembly import _Builder, apply_dirichlet, assemble
 from twogrid.errors import (BadParams, MissingNeighbor, MultipleCrossings,
-                            NonConvergence, SignViolation, TwoGridError)
+                            NonConvergence, SignViolation, TubeTooWide,
+                            TwoGridError)
 from twogrid.geometry import LevelSet
 from twogrid.grid import (Grid2DLine, GridParams, NodeTag,
                           build_line_two_grid_2d, build_tube_two_grid_2d,
@@ -257,7 +258,7 @@ def reference_1d_rows(g, prob):
     """Interior rows built node by node, one scalar ``f`` call per right-side
     weight: ``{row: (entries, rhs)}`` with ``entries`` as ``{column:
     value}``."""
-    x, tags, side, h_f = g.x, g.tags, g.sides(), g.h_f
+    x, tags, side, h_f = g.x, g.tags, g.side, g.h_f
     pair_st = reference_pair(g, prob) if g.alpha is not None else {}
 
     def kappa_of(s):
@@ -370,8 +371,7 @@ SMALL_SYSTEMS = {
         build_line_two_grid_2d(GridParams(N=6, r=4, lam=2.0), 33.0 / 70.0),
         problems.make_problem("line_interface_2d", {})),
     "line h2 12": lambda: (
-        build_line_two_grid_2d(GridParams(N=12, r=2, lam=2.0, hf_mode="h2"),
-                               33.0 / 70.0),
+        build_line_two_grid_2d(GridParams(N=12, r=12, lam=2.0), 33.0 / 70.0),
         problems.make_problem("line_interface_2d", {})),
 }
 
@@ -387,15 +387,15 @@ def test_small_rows_match_per_node_reference(name):
 @settings(max_examples=100, deadline=None)
 @given(alpha=hs.floats(0.01, 0.99), N=hs.integers(4, 40),
        r=hs.integers(2, 16), lam=hs.floats(0.2, 3.0),
-       hf_mode=hs.sampled_from(["ratio", "h2"]), strip=hs.booleans(),
+       h2=hs.booleans(), strip=hs.booleans(),
        kappa=hs.sampled_from([(1.0, 1.0), (2.0, 1.0), (1.5, 3.0)]),
        K=hs.sampled_from([0.0, -2.0, 1.5]))
-def test_1d_and_strip_rows_match_per_node_reference(alpha, N, r, lam,
-                                                     hf_mode, strip, kappa,
-                                                     K):
+def test_1d_and_strip_rows_match_per_node_reference(alpha, N, r, lam, h2,
+                                                     strip, kappa, K):
     # kappa ratios within 2 keep the fitted pair's denominators clear of
-    # zero; where the reference raises, the assembly raises the same error
-    params = GridParams(N=N, r=r, lam=lam, hf_mode=hf_mode)
+    # zero; where the reference raises, the assembly raises the same error;
+    # h2 is the paper's h_f = h**2, which is r = N on the unit interval
+    params = GridParams(N=N, r=N if h2 else r, lam=lam)
     if strip:
         g = build_line_two_grid_2d(params, alpha)
         prob = stub_1d(sin_cos_source, kappa=kappa, alpha=alpha, jumps=JUMPS)
@@ -567,14 +567,49 @@ def test_star_interfaces_assemble_or_fail_typed(R, modes, kappa, seeded, N,
     # curves known only through phi: every gradient, normal and curvature
     # comes from finite differences
     prob = star_problem(R, modes, kappa, seeded)
+    params = GridParams(N=N, r=r, lam=2.0, domain=prob.domain)
     try:
-        g = build_tube_two_grid_2d(
-            GridParams(N=N, r=r, lam=2.0, domain=prob.domain),
-            prob.interface)
+        g = build_tube_two_grid_2d(params, prob.interface)
         sys_ = assemble(g, prob)
+    except TubeTooWide:
+        assert tube_reaches_the_rim(params, prob.interface.phi)
+        return
+    except MultipleCrossings:
+        assert some_arm_crosses_twice(g, prob.interface.phi)
+        return
     except TwoGridError:
         return
     assert (sys_.matrix.diagonal()[~sys_.boundary] < 0.0).all()
+
+
+def tube_reaches_the_rim(params, phi):
+    """Whether a coarse node with ``|phi| <= lam*h`` lies within two coarse
+    cells of the boundary: the claim of :class:`TubeTooWide`."""
+    (a, b), _ = params.domain
+    h = (b - a) / params.N
+    i = np.arange(params.N + 1)
+    I, J = np.meshgrid(i, i, indexing="ij")
+    # the grid's inclusive tolerance on |phi| <= lam*h
+    near = np.abs(phi(a + I * h, a + J * h)) <= params.lam * h + 1e-12
+    rim = np.minimum(np.minimum(I, J), params.N - np.maximum(I, J)) < 2
+    return bool((near & rim).any())
+
+
+def some_arm_crosses_twice(g, phi):
+    """Whether phi changes sign at least twice along one arm of a
+    fine-irregular node, sampled at 64 equal steps from the node to its
+    neighbour: the claim of :class:`MultipleCrossings`."""
+    irr = np.nonzero(g.tags == NodeTag.FINE_IRREGULAR)[0]
+    t = np.linspace(0.0, 1.0, 65)[:, None]
+    for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        nbr = g.id_of(g.codes[irr] + dy * g.W + dx)
+        k = irr[nbr >= 0]
+        x = (1.0 - t) * g.x[k] + t * g.x[nbr[nbr >= 0]]
+        y = (1.0 - t) * g.y[k] + t * g.y[nbr[nbr >= 0]]
+        side = np.where(phi(x, y) <= 0.0, -1, 1)
+        if ((side[1:] != side[:-1]).sum(axis=0) >= 2).any():
+            return True
+    return False
 
 
 def flower_nodes(km, kp, N, r):

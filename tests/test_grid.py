@@ -1,5 +1,6 @@
 """Composite grid construction: structure, tags, failure modes."""
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from twogrid.geometry import LevelSet
 from twogrid.grid import (TAG_NAMES, GridParams, NodeTag,
                           build_line_two_grid_2d, build_tube_two_grid_2d,
                           build_two_grid_1d, dump_grid_json)
+from twogrid.harness import build_grid
 from twogrid.problems import make_problem
 
 
@@ -37,8 +39,6 @@ def test_params_validation():
         GridParams(N=10, r=1)
     with pytest.raises(BadParams):
         GridParams(N=10, r=2, lam=0.0)
-    with pytest.raises(BadParams):
-        GridParams(N=10, r=2, hf_mode="cubed")
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -105,7 +105,7 @@ def test_1d_nodes_sorted_and_spaced():
 
 def test_1d_sides_split_at_alpha():
     g = build_two_grid_1d(GridParams(N=10, r=2, lam=2.0), alpha=0.55)
-    s = g.sides()
+    s = g.side
     assert ((g.x <= 0.55) == (s == -1)).all()
     assert set(np.unique(s)) == {-1, 1}
 
@@ -121,13 +121,14 @@ def test_1d_tube_swallows_whole_interval():
 
 
 def test_1d_h2_mode():
-    g = build_two_grid_1d(GridParams(N=10, r=2, lam=2.0, hf_mode="h2"),
-                          alpha=0.55)
-    assert g.r_eff == 10
+    # h_f = h**2 is r = N / (b - a), which build_grid picks in place of r
+    prob = make_problem("piecewise_kappa_1d")
+    g = build_grid(prob, 10, 2, hf_mode="h2")
+    assert g.r == 10
     assert g.h_f == pytest.approx(g.h**2)
-    with pytest.raises(BadParams):
-        build_two_grid_1d(GridParams(N=10, r=2, domain=(0.0, 1.3),
-                                     hf_mode="h2"), alpha=0.55)
+    g = build_grid(replace(prob, domain=(0.0, 2.0)), 20, 2, hf_mode="h2")
+    assert g.r == 10
+    assert g.h_f == pytest.approx(g.h**2)
 
 
 def test_1d_layer_zone_at_right_edge():
@@ -137,6 +138,7 @@ def test_1d_layer_zone_at_right_edge():
     assert c[NodeTag.BORDER] == 1
     assert c[NodeTag.FINE_IRREGULAR] == 0
     assert g.x[g.tags == NodeTag.BORDER] == pytest.approx([0.7])
+    assert (g.side == 1).all()
 
 
 def test_1d_layer_zone_too_wide():
@@ -181,13 +183,12 @@ def test_line_grid_extrudes_columns():
     assert (tg[3, 1:-1] == cols.tags[1:-1]).all()
     assert g.h_y == pytest.approx(1.0 / 6)
     assert g.h_f == cols.h_f
-    assert ((g.x <= al) == (g.sides() == -1)).all()
+    assert ((g.x <= al) == (g.side == -1)).all()
 
 
 def test_line_grid_h2_mode():
-    g = build_line_two_grid_2d(GridParams(N=6, r=2, lam=2.0, hf_mode="h2"),
-                               alpha=33.0 / 70.0)
-    assert g.cols.r_eff == 6
+    g = build_grid(make_problem("line_interface_2d"), 6, 2, hf_mode="h2")
+    assert g.cols.r == 6
     assert g.h_f == pytest.approx((1.0 / 6) ** 2)
 
 
@@ -444,10 +445,6 @@ def test_tube_failure_modes():
         build_tube_two_grid_2d(
             GridParams(N=10, r=2, lam=20.0, domain=(-1.0, 1.0)),
             ls=circle_ls())
-    with pytest.raises(BadParams):
-        build_tube_two_grid_2d(
-            GridParams(N=10, r=2, lam=2.0, domain=(-1.0, 1.0),
-                       hf_mode="h2"), ls=circle_ls())
     with pytest.raises(BadParams):
         build_tube_two_grid_2d(
             GridParams(N=10, r=2, lam=2.0,

@@ -1,7 +1,9 @@
 """Benchmark driver: report fields, orders, CSV/JSON serialization."""
 import json
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from twogrid import harness
@@ -122,6 +124,56 @@ def test_build_grid_follows_the_geometry():
     for name, grid_type in cases.items():
         grid = harness.build_grid(make_problem(name), 20, 2)
         assert type(grid) is grid_type, name
+
+
+def _solution_parts(u):
+    # a longdouble vector's padding bytes are uninitialized, so compare its
+    # float64 part and the remainder instead of its raw bytes
+    head = u.astype(np.float64)
+    return head.tobytes(), (u - head).astype(np.float64).tobytes()
+
+
+@pytest.mark.parametrize("name, N", [
+    ("line_interface_2d", 12),
+    ("line_interface_2d", 42),      # the longdouble path
+    ("piecewise_kappa_1d", 10),
+    ("boundary_layer_1d", 10),
+])
+def test_h2_mode_is_ratio_n(name, N):
+    # h_f = h**2 on the unit interval is r = N: build_grid picks it in
+    # place of the given r, and every array that follows is the same
+    prob = make_problem(name)
+    h2 = run_case(prob, N, 2, hf_mode="h2", detail=True)
+    ratio = run_case(prob, N, N, detail=True)
+    for key in ("x", "y", "tags", "side"):
+        assert (getattr(h2.grid, key).tobytes()
+                == getattr(ratio.grid, key).tobytes()), key
+    a, b = h2.system.matrix, ratio.system.matrix
+    for key in ("data", "indices", "indptr"):
+        assert getattr(a, key).tobytes() == getattr(b, key).tobytes(), key
+    assert h2.system.rhs.tobytes() == ratio.system.rhs.tobytes()
+    assert h2.solution.dtype == ratio.solution.dtype
+    assert _solution_parts(h2.solution) == _solution_parts(ratio.solution)
+    assert (h2.report.err_coarse, h2.report.err_fine, h2.report.r) == (
+        ratio.report.err_coarse, ratio.report.err_fine, N)
+    if N == 42:
+        assert h2.solution.dtype == np.longdouble
+
+
+def test_build_grid_rejects_what_h2_cannot_mean():
+    piecewise = make_problem("piecewise_kappa_1d")
+    with pytest.raises(BadParams, match="unknown hf_mode"):
+        harness.build_grid(piecewise, 10, 2, hf_mode="cubed")
+    # a tube grid takes a ratio
+    with pytest.raises(BadParams, match="1D and line"):
+        harness.build_grid(make_problem("peskin_circle"), 10, 2,
+                           hf_mode="h2")
+    # h = 1.3 / 10 does not divide into h**2 steps: N / (b - a) = 7.69
+    with pytest.raises(BadParams, match="whole number"):
+        harness.build_grid(replace(piecewise, domain=(0.0, 1.3)), 10, 2,
+                           hf_mode="h2")
+    with pytest.raises(BadParams, match="integer"):
+        harness.build_grid(piecewise, "10", 2, hf_mode="h2")
 
 
 def test_convergence_study_attaches_orders():

@@ -170,7 +170,7 @@ def test_internal_layer_has_no_jumps():
 def test_exact_error_class_split():
     prob = problems.make_problem("piecewise_kappa_1d", {})
     g = build_two_grid_1d(GridParams(N=10, r=4, lam=2.0), alpha=prob.alpha)
-    uex = np.asarray(prob.exact(g.x, g.y, g.sides().astype(int)), float)
+    uex = np.asarray(prob.exact(g.x, g.y, g.side.astype(int)), float)
     u = uex.copy()
     # plant one known error in each class and read it back
     ic = int(np.nonzero(g.tags == NodeTag.COARSE_REGULAR)[0][0])

@@ -49,9 +49,9 @@ class GridParams:
     coarse spacing.
 
     ``domain`` is ``(a, b)`` in 1D and ``((ax, bx), (ay, by))`` in 2D (a bare
-    ``(a, b)`` is promoted to the square). The paper's ``h_f = h**2`` is
-    ``r = N / (b - a)``, which :func:`twogrid.harness.build_grid` picks for
-    ``hf_mode='h2'``.
+    ``(a, b)`` is promoted to the square). The paper's ``h_f = h**2`` on 1D
+    and line grids is ``r = N / (b - a)``, ``r = N`` on the unit interval,
+    which :func:`twogrid.harness.build_grid` sets.
     """
 
     N: int

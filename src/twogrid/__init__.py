@@ -4,7 +4,7 @@ Fourth-order compact schemes on a coarse background lattice, second-order
 fitted schemes on a locally refined tube around the interface, and exact
 rational transition stencils gluing the two together.
 """
-from .assembly import SparseSystem, apply_dirichlet, assemble
+from .assembly import SparseSystem, assemble
 from .errors import (BadParams, DegenerateDenominator, EmptyTube,
                      MissingNeighbor, MultipleCrossings, NoExactSolution,
                      NonConvergence, SignViolation, SingularMatrix,

@@ -2,9 +2,9 @@
 
 The assembled matrix is full-size with identity rows at Dirichlet nodes, so
 node ids and matrix rows coincide and structural checks can look at
-interior rows without reindexing.
-``assemble`` leaves the boundary right-hand side at zero;
-:func:`apply_dirichlet` fills it in.
+interior rows without reindexing. :func:`assemble` builds every system:
+it writes the Dirichlet rows, an identity entry and ``problem.boundary`` on
+the right side, and the grid's row writer adds the interior node classes.
 """
 from __future__ import annotations
 
@@ -26,8 +26,6 @@ class SparseSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
     boundary: np.ndarray        # bool mask over rows
-    x: np.ndarray
-    y: np.ndarray
 
 
 class _Builder:
@@ -43,37 +41,46 @@ class _Builder:
         self.cols.append(np.atleast_1d(np.asarray(col, dtype=np.int64)))
         self.vals.append(np.atleast_1d(np.asarray(val, dtype=float)))
 
-    def finish(self, grid) -> SparseSystem:
+    def finish(self) -> sp.csr_matrix:
         rows = np.concatenate(self.rows)
         cols = np.concatenate(self.cols)
         if rows.min() < 0 or cols.min() < 0:
             raise MissingNeighbor("stencil referenced a node outside the grid")
         vals = np.concatenate(self.vals)
-        mat = sp.coo_matrix((vals, (rows, cols)),
-                            shape=(self.n, self.n)).tocsr()
-        return SparseSystem(matrix=mat, rhs=self.rhs,
-                            boundary=np.asarray(grid.tags) == NodeTag.BOUNDARY,
-                            x=np.asarray(grid.x), y=np.asarray(grid.y))
-
-
-def apply_dirichlet(system: SparseSystem, g) -> SparseSystem:
-    """Fill boundary rows of the right side with ``g(x, y)``."""
-    idx = np.nonzero(system.boundary)[0]
-    system.rhs[idx] = g(system.x[idx], system.y[idx])
-    return system
+        return sp.coo_matrix((vals, (rows, cols)),
+                             shape=(self.n, self.n)).tocsr()
 
 
 def assemble(grid, problem) -> SparseSystem:
-    if isinstance(grid, Grid1D):
-        system = _assemble_1d(grid, problem)
-    elif isinstance(grid, Grid2DLine):
-        system = _assemble_line(grid, problem)
-    elif isinstance(grid, Grid2DTube):
-        system = _assemble_tube(grid, problem)
-    else:
-        raise BadParams(f"unknown grid type {type(grid).__name__}")
+    """The system of ``problem`` on ``grid``, Dirichlet rows included."""
+    system = _system(grid, problem)
     _release_free_heap()
     return system
+
+
+def _system(grid, problem) -> SparseSystem:
+    write = _ROW_WRITERS.get(type(grid))
+    if write is None:
+        raise BadParams(f"unknown grid type {type(grid).__name__}")
+    if problem.K and not isinstance(grid, Grid1D):
+        raise BadParams("2D assembly supports only K == 0")
+    side = grid.side
+    kap = np.where(side < 0, problem.kappa_minus,
+                   problem.kappa_plus).astype(float)
+
+    def fvec(ids):
+        """The source ``f`` at the nodes ``ids``."""
+        return problem.f(grid.x[ids], grid.y[ids], side[ids].astype(int))
+
+    b = _Builder(grid.n)
+    bnd = _tagged(grid, NodeTag.BOUNDARY)
+    b.add(bnd, bnd, np.ones(len(bnd)))
+    write(b, grid, problem, kap, fvec)
+    matrix, rhs = b.finish(), b.rhs
+    del b   # free the COO pieces before the boundary arrays: peak RSS
+    boundary = grid.tags == NodeTag.BOUNDARY
+    rhs[boundary] = problem.boundary(grid.x[boundary], grid.y[boundary])
+    return SparseSystem(matrix=matrix, rhs=rhs, boundary=boundary)
 
 
 def _release_free_heap() -> None:
@@ -90,19 +97,6 @@ def _release_free_heap() -> None:
         ctypes.CDLL(None).malloc_trim(0)
     except (AttributeError, OSError, TypeError):
         pass
-
-
-def _node_fields(grid, problem):
-    """Each node's side and kappa, and ``fvec(ids)``, the source ``f`` at
-    the nodes ``ids``."""
-    side = grid.side
-    kap = np.where(side < 0, problem.kappa_minus,
-                   problem.kappa_plus).astype(float)
-
-    def fvec(ids):
-        return problem.f(grid.x[ids], grid.y[ids], side[ids].astype(int))
-
-    return side, kap, fvec
 
 
 def _deltas(keys, W: int, step: int = 1, flip: bool = False) -> dict:
@@ -162,11 +156,6 @@ def _tagged(grid, tag) -> np.ndarray:
     return np.nonzero(grid.tags == tag)[0]
 
 
-def _identity_boundary_rows(b, grid) -> None:
-    bnd = _tagged(grid, NodeTag.BOUNDARY)
-    b.add(bnd, bnd, np.ones(len(bnd)))
-
-
 # ---------------------------------------------------------------------------
 # 1D
 # ---------------------------------------------------------------------------
@@ -174,11 +163,8 @@ def _identity_boundary_rows(b, grid) -> None:
 _STEPS = {-1: -1, 0: 0, 1: 1}
 
 
-def _assemble_1d(grid: Grid1D, problem) -> SparseSystem:
+def _assemble_1d(b, grid: Grid1D, problem, kap, fvec) -> None:
     x, K, h_f = grid.x, problem.K, grid.h_f
-    _, kap, fvec = _node_fields(grid, problem)
-    b = _Builder(grid.n)
-    _identity_boundary_rows(b, grid)
 
     def emit(rows, st):
         _emit(b, grid, rows, _STEPS, st.alphas, st.betas, 1.0, fvec,
@@ -189,7 +175,7 @@ def _assemble_1d(grid: Grid1D, problem) -> SparseSystem:
         emit(rows, stencils.centered_nonuniform_1d(
             problem.epsilon, problem.conv, K,
             x[rows] - x[rows - 1], x[rows + 1] - x[rows]))
-        return b.finish(grid)
+        return
 
     rows = _tagged(grid, NodeTag.COARSE_REGULAR)
     emit(rows, stencils.compact4_uniform_1d(kap[rows], K, grid.h))
@@ -206,21 +192,15 @@ def _assemble_1d(grid: Grid1D, problem) -> SparseSystem:
         (gm, g0, gp), corr = _interface_pair(grid, problem, rows)
         emit(rows, stencils.Stencil(alphas={-1: gm, 0: g0 + K, 1: gp},
                                     betas={0: 1.0}, correction=corr))
-    return b.finish(grid)
 
 
 # ---------------------------------------------------------------------------
 # 2D strip around a vertical interface line
 # ---------------------------------------------------------------------------
 
-def _assemble_line(grid: Grid2DLine, problem) -> SparseSystem:
-    if problem.K:
-        raise BadParams("2D assembly supports only K == 0")
+def _assemble_line(b, grid: Grid2DLine, problem, kap, fvec) -> None:
     cols, ncol, h_y = grid.cols, grid.ncol, grid.h_y
-    _, kap, fvec = _node_fields(grid, problem)
     offs = _deltas([(dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1)], ncol)
-    b = _Builder(grid.n)
-    _identity_boundary_rows(b, grid)
 
     def emit(rows, st, scale=1.0):
         _emit(b, grid, rows, offs, st.alphas, st.betas, scale, fvec,
@@ -242,7 +222,6 @@ def _assemble_line(grid: Grid2DLine, problem) -> SparseSystem:
         xgamma, corr = _interface_pair(cols, problem, rows % ncol)
         emit(rows, stencils.strip_mixed_order_2d(
             grid.h_f, h_y, xgamma=xgamma, correction=corr, kappa=kap[rows]))
-    return b.finish(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -253,16 +232,11 @@ _FIVE_POINT = {(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0, (0, -1): 1.0,
                (0, 0): -4.0}
 
 
-def _assemble_tube(grid: Grid2DTube, problem) -> SparseSystem:
-    if problem.K:
-        raise BadParams("2D assembly supports only K == 0")
+def _assemble_tube(b, grid: Grid2DTube, problem, kap, fvec) -> None:
     tags = grid.tags
     km, kp = problem.kappa_minus, problem.kappa_plus
-    side, kap, fvec = _node_fields(grid, problem)
     W, r = grid.W, grid.r
     h, h_f = grid.h, grid.h_f
-    b = _Builder(grid.n)
-    _identity_boundary_rows(b, grid)
 
     coarse = _tagged(grid, NodeTag.COARSE_REGULAR)
     proto = stencils.nine_point_compact_2d(h)
@@ -302,10 +276,10 @@ def _assemble_tube(grid: Grid2DTube, problem) -> SparseSystem:
 
     irr = _tagged(grid, NodeTag.FINE_IRREGULAR)
     if plain or not len(irr):
-        return b.finish(grid)
+        return
     nbrs = _neighbors(grid, irr, _deltas(_RING2, W))
     nodes = IrregularNodes(x=grid.x[irr], y=grid.y[irr], h_f=h_f,
-                           ring_side=np.where(nbrs >= 0, side[nbrs], 0))
+                           ring_side=np.where(nbrs >= 0, grid.side[nbrs], 0))
     if km == kp:
         weights, corr = singular_source_stencil_2d(nodes, grid.ls, km,
                                                    problem.jumps)
@@ -315,4 +289,8 @@ def _assemble_tube(grid: Grid2DTube, problem) -> SparseSystem:
     nz = weights != 0.0
     b.add(np.broadcast_to(irr[:, None], nz.shape)[nz], nbrs[nz], weights[nz])
     b.rhs[irr] = fvec(irr) + corr
-    return b.finish(grid)
+
+
+# each grid's row writer: adds the equations of its interior node classes
+_ROW_WRITERS = {Grid1D: _assemble_1d, Grid2DLine: _assemble_line,
+                Grid2DTube: _assemble_tube}

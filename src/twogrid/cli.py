@@ -11,7 +11,7 @@ Four subcommands:
 
 Exit status: 0 on success, 2 when the assembled operator violates the
 M-matrix sign pattern (or no sign-safe irregular stencil exists), 1 on any
-other error.
+other error, a file that cannot be written among them.
 """
 from __future__ import annotations
 
@@ -51,8 +51,10 @@ def _parse_params(pairs) -> dict:
     may be written as a fraction like ``17/30``."""
     params = {}
     for pair in pairs or ():
-        key, _, value = pair.partition("=")
+        key, eq, value = pair.partition("=")
         key = key.strip()
+        if not (eq and key):
+            raise BadParams(f"--param expects KEY=VALUE, got {pair!r}")
         params[key] = _fraction(value, f"--param {key}")
     return params
 
@@ -239,7 +241,7 @@ def main(argv=None) -> int:
     except SignViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except TwoGridError as exc:
+    except (TwoGridError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

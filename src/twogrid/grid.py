@@ -137,6 +137,9 @@ def build_two_grid_1d(params: GridParams, alpha: Optional[float]) -> Grid1D:
         # in 1D (the border node simply degenerates into a Dirichlet node)
         i_lo = max(0, int(math.floor((alpha - params.lam * h - a) / h + 1e-10)))
         i_hi = min(N, int(math.ceil((alpha + params.lam * h - a) / h - 1e-10)))
+        if i_hi <= i_lo:
+            raise BadParams(f"tube half-width lam={params.lam} snaps to no "
+                            f"fine cell around alpha={alpha}")
 
     m = (i_hi - i_lo) * r
     x = np.concatenate([a + np.arange(i_lo + 1) * h,

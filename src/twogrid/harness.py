@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import List, Optional, Sequence, Tuple
 
-from .assembly import apply_dirichlet, assemble
+from .assembly import assemble
 from .errors import BadParams
 from .grid import (GridParams, _square, build_line_two_grid_2d,
                    build_tube_two_grid_2d, build_two_grid_1d)
@@ -75,7 +75,6 @@ def run_case(problem: ProblemSpec, N: int, r: int, lam: float = 2.0,
     t0 = time.perf_counter()
     grid = build_grid(problem, N, r, lam, hf_mode)
     system = assemble(grid, problem)
-    apply_dirichlet(system, problem.boundary)
     mm = verify_m_matrix(system) if check_operator else None
     u = solve(system)
     if problem.exact is not None:

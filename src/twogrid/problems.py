@@ -448,7 +448,7 @@ def exact_error(problem: ProblemSpec, grid, u: np.ndarray) -> dict:
 
     ``coarse`` covers coarse-regular plus border nodes, ``fine`` the tube
     classes (fine regular/irregular and hanging). Boundary nodes are
-    excluded everywhere.
+    excluded everywhere. A class without nodes reads NaN.
     """
     if problem.exact is None:
         raise NoExactSolution(f"{problem.name} has no closed-form solution")
@@ -459,7 +459,7 @@ def exact_error(problem: ProblemSpec, grid, u: np.ndarray) -> dict:
 
     def emax(tag_list):
         mask = np.isin(tags, np.asarray(tag_list, dtype=tags.dtype))
-        return float(err[mask].max()) if mask.any() else 0.0
+        return float(err[mask].max()) if mask.any() else math.nan
 
     return {
         "coarse": emax(_COARSE_TAGS),

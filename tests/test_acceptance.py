@@ -16,7 +16,7 @@ import sympy
 
 from derivation import eliminate_hanging
 from twogrid import stencils
-from twogrid.assembly import apply_dirichlet, assemble
+from twogrid.assembly import assemble
 from twogrid.harness import build_grid, run_case
 from twogrid.iim import JumpData, iim_1d_irregular, transfer_minus_to_plus
 from twogrid.linsolve import solve
@@ -188,7 +188,6 @@ def _comparison_principle_holds(seed: int) -> bool:
     prob = make_problem("piecewise_kappa_1d")
     grid = build_grid(prob, 10, 4)
     system = assemble(grid, prob)
-    apply_dirichlet(system, prob.boundary)
     base = solve(system)
     rng = np.random.default_rng(seed)
     interior = np.flatnonzero(~system.boundary)

@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 
 from derivation import eliminate_hanging
 from twogrid import iim, problems, stencils
-from twogrid.assembly import _Builder, apply_dirichlet, assemble
+from twogrid.assembly import _Builder, assemble
 from twogrid.errors import (BadParams, MissingNeighbor, MultipleCrossings,
                             NonConvergence, SignViolation, TubeTooWide,
                             TwoGridError)
@@ -24,9 +24,9 @@ from twogrid.iim import (_RING2, IrregularNodes, JumpData,
 from twogrid.problems import ProblemSpec
 
 
-def stub_1d(f, kappa=(1.0, 1.0), alpha=0.55, jumps=None, K=0.0):
-    return ProblemSpec(name="stub", domain=(0.0, 1.0),
-                       f=f, boundary=lambda x, y: 0.0 * x,
+def stub_1d(f, kappa=(1.0, 1.0), alpha=0.55, jumps=None, K=0.0,
+            boundary=lambda x, y: 0.0 * x):
+    return ProblemSpec(name="stub", domain=(0.0, 1.0), f=f, boundary=boundary,
                        kappa_minus=kappa[0], kappa_plus=kappa[1], K=K,
                        jumps=jumps or JumpData(), alpha=alpha)
 
@@ -38,11 +38,11 @@ def row_dict(system, i):
 
 def test_constant_state_is_in_the_kernel_split():
     # with f = 0 and zero jumps every interior row annihilates a constant
-    # vector, so A c = b after the Dirichlet fill with the same constant
+    # vector, so A c = b when the boundary holds the same constant
     g = build_two_grid_1d(GridParams(N=10, r=4, lam=2.0), alpha=0.55)
-    prob = stub_1d(lambda x, y, s: 0.0 * x, kappa=(2.0, 5.0))
+    prob = stub_1d(lambda x, y, s: 0.0 * x, kappa=(2.0, 5.0),
+                   boundary=lambda x, y: 3.7 + 0.0 * x)
     sys_ = assemble(g, prob)
-    apply_dirichlet(sys_, lambda x, y: 3.7 + 0.0 * x)
     resid = sys_.matrix @ np.full(g.n, 3.7) - sys_.rhs
     assert np.abs(resid).max() < 1e-8
 
@@ -226,23 +226,34 @@ def test_no_sign_feasible_fitted_stencil():
         assemble(g, prob)
 
 
-def test_apply_dirichlet_only_touches_boundary():
-    g = build_two_grid_1d(GridParams(N=10, r=2, lam=2.0), alpha=0.55)
-    sys_ = assemble(g, stub_1d(lambda x, y, s: np.cos(x)))
-    before = sys_.rhs.copy()
-    apply_dirichlet(sys_, lambda x, y: 10.0 + x)
-    bnd = sys_.boundary
-    assert sys_.rhs[bnd] == pytest.approx(10.0 + sys_.x[bnd])
-    assert (sys_.rhs[~bnd] == before[~bnd]).all()
+@pytest.mark.parametrize("name, N, r", [("piecewise_kappa_1d", 10, 2),
+                                         ("line_interface_2d", 12, 2),
+                                         ("peskin_circle", 20, 2)])
+def test_assemble_writes_dirichlet_rows(name, N, r):
+    # every boundary row is its identity entry with g(x, y) on the right,
+    # and only boundary rows take g: the interior right sides are those of
+    # the same problem with g = 0
+    prob = problems.make_problem(name)
+    g = build_grid(prob, N, r)
+    bnd = np.nonzero(g.tags == NodeTag.BOUNDARY)[0]
+    sys_ = assemble(g, prob)
+    assert (sys_.boundary == (g.tags == NodeTag.BOUNDARY)).all()
+    assert len(bnd)
+    assert (sys_.rhs[bnd] == prob.boundary(g.x[bnd], g.y[bnd])).all()
+    for i in bnd:
+        assert row_dict(sys_, i) == {int(i): 1.0}
+    zero = assemble(g, replace(prob, boundary=lambda x, y: 0.0 * x))
+    assert (zero.rhs[bnd] == 0.0).all()
+    assert (zero.rhs[~sys_.boundary] == sys_.rhs[~sys_.boundary]).all()
+    assert (zero.matrix != sys_.matrix).nnz == 0
 
 
 def test_builder_rejects_missing_neighbor():
     # a batched lookup marks a missing neighbour with column -1
-    g = build_two_grid_1d(GridParams(N=10, r=2, lam=2.0), alpha=0.55)
-    b = _Builder(g.n)
+    b = _Builder(4)
     b.add([0, 1], [0, -1], [1.0, 2.0])
     with pytest.raises(MissingNeighbor):
-        b.finish(g)
+        b.finish()
 
 
 def reference_pair(cols, prob):

@@ -93,6 +93,24 @@ def test_bad_param_number_exits_1(capsys, value):
                    f"got {value!r}\n")
 
 
+@pytest.mark.parametrize("pair", ["alpha", "=3", " =3"])
+def test_param_without_key_or_value_names_the_form(capsys, pair):
+    rc, out, err = run_cli(capsys, "run", "--problem", "piecewise_kappa_1d",
+                           "--N", "10", "--param", pair)
+    assert rc == 1 and out == ""
+    assert err == f"error: --param expects KEY=VALUE, got {pair!r}\n"
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dump-grid", "--dump-matrix"])
+def test_unwritable_path_is_a_one_line_error(tmp_path, capsys, flag):
+    path = tmp_path / "missing" / "file"
+    rc, _, err = run_cli(capsys, "run", "--problem", "piecewise_kappa_1d",
+                         "--N", "10", flag, str(path))
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
 @pytest.mark.parametrize("flag", ["--kappa-minus", "--kappa-plus", "--eps",
                                   "--lambda"])
 def test_case_parameters_have_one_spelling(capsys, flag):

@@ -164,6 +164,15 @@ def test_1d_alpha_required_and_in_domain():
         build_two_grid_1d(GridParams(N=10, r=2, domain=(1.0, 0.0)), alpha=0.5)
 
 
+@pytest.mark.parametrize("name", ["piecewise_kappa_1d", "line_interface_2d"])
+def test_tube_of_no_fine_cell_is_bad_params(name):
+    # alpha on a coarse node with a vanishing half-width snaps both tube
+    # ends onto that node
+    prob = make_problem(name, {"alpha": 0.5})
+    with pytest.raises(BadParams, match="lam=1e-12"):
+        build_grid(prob, 10, 2, lam=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # 2D strip around a vertical line
 # ---------------------------------------------------------------------------

@@ -259,6 +259,15 @@ def test_to_json_counts_every_offender():
     assert row["m_matrix"]["offender_count"] == 398 + 399
 
 
+def test_empty_node_class_reports_nan():
+    # a tube wider than the interval leaves no coarse interior node; its
+    # error is missing, not zero
+    rep = run_case(make_problem("piecewise_kappa_1d"), 10, 2, lam=100)
+    assert math.isnan(rep.err_coarse) and rep.err_fine > 0
+    assert to_csv([rep]).splitlines()[1].split(",")[4] == ""
+    assert json.loads(to_json([rep]))[0]["err_coarse"] is None
+
+
 def test_run_case_without_exact_solution_reports_nan():
     prob = make_problem("piecewise_kappa_1d")
     blind = ProblemSpec(name=prob.name, domain=prob.domain,

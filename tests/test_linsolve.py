@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from twogrid import linsolve, problems
-from twogrid.assembly import apply_dirichlet, assemble
+from twogrid.assembly import assemble
 from twogrid.errors import NonConvergence, SingularMatrix
 from twogrid.grid import GridParams, build_two_grid_1d
 from twogrid.harness import build_grid
@@ -26,9 +26,7 @@ def fake_system(dense, boundary=None, rhs=None):
 def assembled_1d(N=10, r=4):
     prob = problems.make_problem("piecewise_kappa_1d", {})
     g = build_two_grid_1d(GridParams(N=N, r=r, lam=2.0), alpha=prob.alpha)
-    sys_ = assemble(g, prob)
-    apply_dirichlet(sys_, lambda x, y: prob.boundary(x, y))
-    return sys_
+    return assemble(g, prob)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +90,6 @@ def test_solve_falls_back_to_partial_pivoting(n):
 def test_symmetric_ordering_factors_once_with_less_fill(monkeypatch):
     prob = problems.make_problem("peskin_circle", {})
     sys_ = assemble(build_grid(prob, 80, 4), prob)
-    apply_dirichlet(sys_, prob.boundary)
     splu = linsolve.spla.splu
     factors = []
 
@@ -140,7 +137,6 @@ def test_worst_scaled_cells_meet_the_contract_in_single_precision(
     # longdouble, with corrections from the same float32 factor
     prob = problems.make_problem(name, {})
     sys_ = assemble(build_grid(prob, N, r, 2.0, hf_mode), prob)
-    apply_dirichlet(sys_, prob.boundary)
     u = solve(sys_)
     assert splu_calls == [(np.float32, "MMD_AT_PLUS_A")]
     assert u.dtype == np.longdouble
@@ -211,7 +207,6 @@ def test_solve_allocates_less_than_a_float64_copy_of_the_matrix():
     # factor's own memory is SuperLU's and is not traced)
     prob = problems.make_problem("peskin_circle", {})
     sys_ = assemble(build_grid(prob, 80, 4), prob)
-    apply_dirichlet(sys_, prob.boundary)
     A = sys_.matrix
     index_bytes = A.indices.nbytes + A.indptr.nbytes
     float64_copy = A.data.nbytes + index_bytes
@@ -277,7 +272,6 @@ def test_longdouble_stage_allocates_less_than_a_longdouble_copy_of_a():
     # rows at a time, so no 16-byte copy of A's values is ever made
     prob = problems.make_problem("line_interface_2d", {})
     sys_ = assemble(build_grid(prob, 42, 2, 2.0, "h2"), prob)
-    apply_dirichlet(sys_, prob.boundary)
     A = sys_.matrix
     assert A.shape[0] > 2 * linsolve._LD_ROWS
     assert solve(sys_).dtype == np.longdouble

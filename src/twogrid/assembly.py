@@ -62,20 +62,14 @@ def _system(grid, problem) -> SparseSystem:
     write = _ROW_WRITERS.get(type(grid))
     if write is None:
         raise BadParams(f"unknown grid type {type(grid).__name__}")
-    if problem.K and not isinstance(grid, Grid1D):
-        raise BadParams("2D assembly supports only K == 0")
     side = grid.side
     kap = np.where(side < 0, problem.kappa_minus,
                    problem.kappa_plus).astype(float)
-
-    def fvec(ids):
-        """The source ``f`` at the nodes ``ids``."""
-        return problem.f(grid.x[ids], grid.y[ids], side[ids].astype(int))
-
+    fv = problem.f(grid.x, grid.y, side.astype(int))
     b = _Builder(grid.n)
     bnd = _tagged(grid, NodeTag.BOUNDARY)
     b.add(bnd, bnd, np.ones(len(bnd)))
-    write(b, grid, problem, kap, fvec)
+    write(b, grid, problem, kap, fv)
     matrix, rhs = b.finish(), b.rhs
     del b   # free the COO pieces before the boundary arrays: peak RSS
     boundary = grid.tags == NodeTag.BOUNDARY
@@ -117,14 +111,15 @@ def _neighbors(grid, rows, offsets) -> np.ndarray:
     return rows[:, None] + deltas
 
 
-def _emit(b, grid, rows, offsets, alphas, betas, scale, fvec,
+def _emit(b, grid, rows, offsets, alphas, betas, scale, fv,
           correction=0.0) -> None:
     """Add the equations of ``rows``, which share one stencil, to ``b``.
 
     ``offsets`` maps every key of ``alphas`` and ``betas`` to its code
     delta. Each row gets ``alpha * scale`` in the column of the node at
-    that delta and the right side ``correction + sum beta * f`` over the
-    same nodes, summed in key order. Every weight, ``scale`` and
+    that delta and the right side ``correction + sum beta * fv`` over the
+    same nodes, summed in key order; ``fv`` is the source at every node.
+    Every weight, ``scale`` and
     ``correction`` is a scalar or one value per row.
     """
     if not len(rows):
@@ -135,7 +130,7 @@ def _emit(b, grid, rows, offsets, alphas, betas, scale, fvec,
               np.broadcast_to(np.asarray(a, dtype=float) * scale, rows.shape))
     acc = np.array(np.broadcast_to(correction, rows.shape), dtype=float)
     for k, bw in betas.items():
-        acc += np.asarray(bw, dtype=float) * fvec(col[k])
+        acc += np.asarray(bw, dtype=float) * fv[col[k]]
     b.rhs[rows] = acc
 
 
@@ -163,17 +158,17 @@ def _tagged(grid, tag) -> np.ndarray:
 _STEPS = {-1: -1, 0: 0, 1: 1}
 
 
-def _assemble_1d(b, grid: Grid1D, problem, kap, fvec) -> None:
+def _assemble_1d(b, grid: Grid1D, problem, kap, fv) -> None:
     x, K, h_f = grid.x, problem.K, grid.h_f
 
     def emit(rows, st):
-        _emit(b, grid, rows, _STEPS, st.alphas, st.betas, 1.0, fvec,
+        _emit(b, grid, rows, _STEPS, st.alphas, st.betas, 1.0, fv,
               st.correction)
 
-    if problem.epsilon is not None:
+    if problem.jumps is None:
         rows = np.nonzero(grid.tags != NodeTag.BOUNDARY)[0]
         emit(rows, stencils.centered_nonuniform_1d(
-            problem.epsilon, problem.conv, K,
+            kap[rows], problem.conv, K,
             x[rows] - x[rows - 1], x[rows + 1] - x[rows]))
         return
 
@@ -198,12 +193,12 @@ def _assemble_1d(b, grid: Grid1D, problem, kap, fvec) -> None:
 # 2D strip around a vertical interface line
 # ---------------------------------------------------------------------------
 
-def _assemble_line(b, grid: Grid2DLine, problem, kap, fvec) -> None:
+def _assemble_line(b, grid: Grid2DLine, problem, kap, fv) -> None:
     cols, ncol, h_y = grid.cols, grid.ncol, grid.h_y
     offs = _deltas([(dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1)], ncol)
 
     def emit(rows, st, scale=1.0):
-        _emit(b, grid, rows, offs, st.alphas, st.betas, scale, fvec,
+        _emit(b, grid, rows, offs, st.alphas, st.betas, scale, fv,
               st.correction)
 
     rows = _tagged(grid, NodeTag.COARSE_REGULAR)
@@ -232,7 +227,7 @@ _FIVE_POINT = {(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0, (0, -1): 1.0,
                (0, 0): -4.0}
 
 
-def _assemble_tube(b, grid: Grid2DTube, problem, kap, fvec) -> None:
+def _assemble_tube(b, grid: Grid2DTube, problem, kap, fv) -> None:
     tags = grid.tags
     km, kp = problem.kappa_minus, problem.kappa_plus
     W, r = grid.W, grid.r
@@ -241,7 +236,7 @@ def _assemble_tube(b, grid: Grid2DTube, problem, kap, fvec) -> None:
     coarse = _tagged(grid, NodeTag.COARSE_REGULAR)
     proto = stencils.nine_point_compact_2d(h)
     _emit(b, grid, coarse, _deltas(proto.alphas, W, r), proto.alphas,
-          proto.betas, kap[coarse], fvec)
+          proto.betas, kap[coarse], fv)
 
     plain = problem.jumps is None
     if plain:
@@ -257,12 +252,12 @@ def _assemble_tube(b, grid: Grid2DTube, problem, kap, fvec) -> None:
         offs = _deltas(proto.alphas, W)
         ok = (_neighbors(grid, fine, offs) >= 0).all(axis=1)
         _emit(b, grid, fine[ok], offs, proto.alphas, proto.betas,
-              kap[fine[ok]], fvec)
+              kap[fine[ok]], fv)
         fine = fine[~ok]
     else:
         fine = _tagged(grid, NodeTag.FINE_REGULAR)
     _emit(b, grid, fine, _deltas(_FIVE_POINT, W), _FIVE_POINT, {(0, 0): 1.0},
-          kap[fine] / h_f**2, fvec)
+          kap[fine] / h_f**2, fv)
 
     hanging = tags == NodeTag.HANGING
     for j in np.unique(grid.hang_j[hanging]):
@@ -272,7 +267,7 @@ def _assemble_tube(b, grid: Grid2DTube, problem, kap, fvec) -> None:
                               & (grid.hang_axis == axis))[0]
             offs = _deltas({**st.alphas, **st.betas}, W, flip=axis == 1)
             _emit(b, grid, rows, offs, st.alphas, st.betas, kap[rows] / h**2,
-                  fvec)
+                  fv)
 
     irr = _tagged(grid, NodeTag.FINE_IRREGULAR)
     if plain or not len(irr):
@@ -288,7 +283,7 @@ def _assemble_tube(b, grid: Grid2DTube, problem, kap, fvec) -> None:
                                                      problem.jumps)
     nz = weights != 0.0
     b.add(np.broadcast_to(irr[:, None], nz.shape)[nz], nbrs[nz], weights[nz])
-    b.rhs[irr] = fvec(irr) + corr
+    b.rhs[irr] = fv[irr] + corr
 
 
 # each grid's row writer: adds the equations of its interior node classes

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -76,6 +77,17 @@ def _write_or_print(text: str, path) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
+
+
+def _check_writable(*paths) -> None:
+    """Raise ``OSError`` for an output path that cannot be written, before
+    any solve; a file that exists keeps its content, and none is left
+    behind."""
+    for path in filter(None, paths):
+        existed = os.path.exists(path)
+        open(path, "a").close()
+        if not existed:
+            os.remove(path)
 
 
 def _add_case_args(p: argparse.ArgumentParser) -> None:
@@ -192,6 +204,7 @@ def _emit_reports(reports, args) -> None:
 
 def _cmd_run(args) -> int:
     problem = make_problem(args.problem, _parse_params(args.param))
+    _check_writable(args.out, args.dump_grid, args.dump_matrix)
     res = run_case(problem, args.N, args.r, lam=args.lam,
                    hf_mode=args.hf_mode, check_operator=not args.no_check,
                    detail=True)
@@ -213,6 +226,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_study(args) -> int:
     problem = make_problem(args.problem, _parse_params(args.param))
+    _check_writable(args.out)
     reports = convergence_study(
         problem, _parse_schedule(args.schedule), lam=args.lam,
         hf_mode=args.hf_mode, check_operator=not args.no_check)

@@ -69,7 +69,8 @@ class GridParams:
         if self.r < 2:
             raise BadParams(f"refinement ratio must be >= 2, got {self.r}")
         lam = self.lam
-        if not (isinstance(lam, numbers.Real) and 0 < lam < math.inf):
+        if (isinstance(lam, bool)
+                or not (isinstance(lam, numbers.Real) and 0 < lam < math.inf)):
             raise BadParams("tube half-width must be positive and finite, "
                             f"got {lam!r}")
 
@@ -127,7 +128,10 @@ def build_two_grid_1d(params: GridParams, alpha: Optional[float]) -> Grid1D:
 
     if alpha is None:
         i_lo, i_hi = int(math.floor(N - params.lam + 1e-10)), N
-        if not 1 <= i_lo <= N - 1:
+        if i_lo == N:
+            raise BadParams(f"layer width lam={params.lam} snaps to no fine "
+                            "cell at the right end")
+        if i_lo < 1:
             raise TubeTooWide(f"layer zone of {params.lam} cells leaves no "
                               f"coarse interior for N={N}")
     else:

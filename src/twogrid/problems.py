@@ -23,14 +23,24 @@ from .iim import JumpData, jump_scalars
 class ProblemSpec:
     """A benchmark instance: coefficients, data, geometry, exact solution.
 
-    The geometry selects the mesh: a 1D ``domain`` ``(a, b)`` is refined
-    around the point ``alpha`` or, without one, at the right end for a
-    boundary layer; a 2D domain ``((ax, bx), (ay, by))`` around the zero set
-    of ``interface`` or the line ``x = alpha``, exactly one of which it
-    names; a 1D problem names no ``interface``. An ``alpha`` interface
-    carries ``jumps``, and ``jumps`` need an interface. ``epsilon``/``conv`` are only set for singularly perturbed
-    problems (``eps u'' + conv u' + K u = f``); elliptic interface problems
-    use ``kappa_minus``/``kappa_plus`` and ``K``.
+    The equation is ``kappa Lap u + conv u_x + K u = f``, where ``kappa`` is
+    ``kappa_minus`` on the minus side of the interface and ``kappa_plus``
+    elsewhere. The geometry selects the mesh and the scheme:
+
+    * a 1D ``domain`` ``(a, b)`` with the interface point ``alpha``: fitted
+      rows at the point and fourth-order compact rows elsewhere; it takes
+      ``jumps``, both kappas and ``K``;
+    * a 1D domain without ``alpha``: a boundary layer refined at the right
+      end, with centred convection-reaction rows; it takes one kappa (the
+      layer's ``eps``), ``conv`` and ``K``;
+    * a 2D domain ``((ax, bx), (ay, by))`` refined around the zero set of
+      ``interface`` or the line ``x = alpha``, exactly one of which it
+      names; it takes ``jumps`` and both kappas, with ``conv = K = 0``.
+
+    A 1D problem names no ``interface``, an ``alpha`` interface carries
+    ``jumps``, ``jumps`` need an interface, and unequal kappas need
+    ``jumps``. A setting its geometry does not take raises
+    :class:`BadParams` here, since assembly would ignore it.
     """
 
     name: str
@@ -44,7 +54,6 @@ class ProblemSpec:
     jumps: Optional[JumpData] = None
     interface: Optional[LevelSet] = None
     alpha: Optional[float] = None
-    epsilon: Optional[float] = None
     conv: float = 0.0
 
     def __post_init__(self) -> None:
@@ -59,6 +68,12 @@ class ProblemSpec:
         if (self.jumps is not None and self.alpha is None
                 and self.interface is None):
             raise BadParams(f"{self.name}: jumps need an interface")
+        if self.conv and not (self.dim == 1 and self.alpha is None):
+            raise BadParams(f"{self.name}: only the 1D layer takes conv")
+        if self.kappa_minus != self.kappa_plus and self.jumps is None:
+            raise BadParams(f"{self.name}: unequal kappas need jumps")
+        if self.K and self.dim == 2:
+            raise BadParams(f"{self.name}: 2D assembly supports only K == 0")
 
     @property
     def dim(self) -> int:
@@ -109,7 +124,7 @@ def _boundary_layer_1d(params) -> ProblemSpec:
         name="boundary_layer_1d", domain=(0.0, 1.0),
         f=lambda x, y, side: c1 + 0.0 * np.asarray(x, dtype=float),
         boundary=lambda x, y: exact(x, y, 1),
-        exact=exact, epsilon=eps, conv=-1.0, K=1.0)
+        exact=exact, kappa_minus=eps, kappa_plus=eps, conv=-1.0, K=1.0)
 
 
 def _piecewise_kappa_1d(params) -> ProblemSpec:
@@ -390,18 +405,13 @@ def selfcheck(problem: ProblemSpec, n: int = 100, seed: int = 0) -> dict:
     margin = 0.05
     x, y, side = _sample_off_interface(problem, rng, n, 4 * hd, margin)
 
-    uxx = _fd_axis(problem.exact, x, y, side, hd, _FD_D2, 2, 0)
-    if problem.epsilon is not None:
-        ux = _fd_axis(problem.exact, x, y, side, hd, _FD_D1, 1, 0)
-        u0 = np.asarray(problem.exact(x, y, side), float)
-        lhs = problem.epsilon * uxx + problem.conv * ux + problem.K * u0
-    else:
-        lap = uxx
-        if problem.dim == 2:
-            lap = lap + _fd_axis(problem.exact, x, y, side, hd, _FD_D2, 2, 1)
-        kap = np.where(side < 0, problem.kappa_minus, problem.kappa_plus)
-        lhs = kap * lap + problem.K * np.asarray(problem.exact(x, y, side),
-                                                 float)
+    lap = _fd_axis(problem.exact, x, y, side, hd, _FD_D2, 2, 0)
+    if problem.dim == 2:
+        lap = lap + _fd_axis(problem.exact, x, y, side, hd, _FD_D2, 2, 1)
+    ux = _fd_axis(problem.exact, x, y, side, hd, _FD_D1, 1, 0)
+    kap = np.where(side < 0, problem.kappa_minus, problem.kappa_plus)
+    lhs = (kap * lap + problem.conv * ux
+           + problem.K * np.asarray(problem.exact(x, y, side), float))
     fv = np.asarray(problem.f(x, y, side), float)
     rel = np.abs(lhs - fv) / np.maximum(1.0, np.abs(fv))
     out = {"n": int(len(x)), "pde_max_rel": float(rel.max())}

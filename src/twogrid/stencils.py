@@ -94,7 +94,9 @@ def centered_nonuniform_1d(eps: float, p: float, q: float,
                            h1: float, h2: float) -> Stencil:
     """Second-order centered scheme for ``eps u'' + p u' + q u = f``.
 
-    Neighbors at ``-h1`` and ``+h2``; plain pointwise right side.
+    ``eps`` is the diffusion coefficient kappa of the 1D layer. Neighbors at
+    ``-h1`` and ``+h2``; plain pointwise right side. ``eps``, ``h1`` and
+    ``h2`` may each be a scalar or one value per row.
     """
     if np.any(h1 <= 0) or np.any(h2 <= 0):
         raise BadParams(f"spacings must be positive, got h1={h1}, h2={h2}")

@@ -101,7 +101,7 @@ def test_1d_layer_uses_centered_scheme():
     g = build_two_grid_1d(GridParams(N=10, r=4, lam=3.0), alpha=None)
     sys_ = assemble(g, prob)
     i = 2  # interior coarse node, uniform spacing h
-    st = stencils.centered_nonuniform_1d(prob.epsilon, prob.conv, prob.K,
+    st = stencils.centered_nonuniform_1d(prob.kappa_plus, prob.conv, prob.K,
                                          g.h, g.h)
     got = row_dict(sys_, i)
     for off, a in st.alphas.items():
@@ -193,20 +193,16 @@ def test_tube_without_interface_folds_irregular_nodes():
 
 def test_2d_rejects_reaction_term():
     prob = problems.make_problem("line_interface_2d", {})
-    g = build_line_two_grid_2d(GridParams(N=6, r=2, lam=2.0), prob.alpha)
-    bad = ProblemSpec(name="bad", domain=prob.domain,
-                      f=prob.f, boundary=prob.boundary, K=1.0,
-                      kappa_minus=1.0, kappa_plus=1.0, jumps=JumpData(),
-                      alpha=prob.alpha)
-    with pytest.raises(BadParams):
-        assemble(g, bad)
+    with pytest.raises(BadParams, match="only K == 0"):
+        ProblemSpec(name="bad", domain=prob.domain,
+                    f=prob.f, boundary=prob.boundary, K=1.0,
+                    kappa_minus=1.0, kappa_plus=1.0, jumps=JumpData(),
+                    alpha=prob.alpha)
 
 
 def test_tube_rejects_reaction_term():
-    prob = replace(problems.make_problem("peskin_circle"), K=1.0)
-    g = build_grid(prob, 20, 2)
     with pytest.raises(BadParams, match="only K == 0"):
-        assemble(g, prob)
+        replace(problems.make_problem("peskin_circle"), K=1.0)
 
 
 def test_strip_rejects_oblong_coarse_cells():
@@ -280,9 +276,9 @@ def reference_1d_rows(g, prob):
         t = tags[i]
         if t == NodeTag.BOUNDARY:
             continue
-        if prob.epsilon is not None:
+        if prob.jumps is None:
             st = stencils.centered_nonuniform_1d(
-                prob.epsilon, prob.conv, prob.K,
+                kappa_of(side[i]), prob.conv, prob.K,
                 float(x[i] - x[i - 1]), float(x[i + 1] - x[i]))
         elif t == NodeTag.COARSE_REGULAR:
             st = stencils.compact4_uniform_1d(kappa_of(side[i]), prob.K, g.h)
@@ -547,16 +543,21 @@ def test_tube_diagonals_are_negative_or_the_failure_is_typed(shape, N, r,
     assert (sys_.matrix.diagonal()[~sys_.boundary] < 0.0).all()
 
 
-def star_problem(R, modes, kappa, seeded):
-    """A star-shaped interface rho(theta) = R + sum a sin(k theta + p),
-    given by its level set alone, with seed samples or without."""
+def star_problem(R, modes, kappa, seeded, center=(0.0, 0.0)):
+    """A star-shaped interface rho(theta) = R + sum a sin(k theta + p)
+    around ``center``, given by its level set alone, with seed samples or
+    without."""
+    cx, cy = center
+
     def rho(th):
         return R + sum(a * np.sin(k * th + p) for k, a, p in modes)
 
     th = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
-    samples = (np.column_stack([rho(th) * np.cos(th), rho(th) * np.sin(th)])
+    samples = (np.column_stack([cx + rho(th) * np.cos(th),
+                                cy + rho(th) * np.sin(th)])
                if seeded else None)
-    ls = LevelSet(phi=lambda x, y: np.hypot(x, y) - rho(np.arctan2(y, x)),
+    ls = LevelSet(phi=lambda x, y: (np.hypot(x - cx, y - cy)
+                                    - rho(np.arctan2(y - cy, x - cx))),
                   samples=samples)
     return ProblemSpec(
         name="star", domain=((-1.0, 1.0), (-1.0, 1.0)),
@@ -577,7 +578,33 @@ def test_star_interfaces_assemble_or_fail_typed(R, modes, kappa, seeded, N,
                                                 r):
     # curves known only through phi: every gradient, normal and curvature
     # comes from finite differences
-    prob = star_problem(R, modes, kappa, seeded)
+    assert_star_assembles_or_fails_typed(
+        star_problem(R, modes, kappa, seeded), N, r)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=hs.data(),
+       kappa=hs.sampled_from([(1.0, 1.0), (1.0, 10.0), (50.0, 1.0)]),
+       seeded=hs.booleans(), N=hs.integers(12, 32), r=hs.integers(2, 3))
+def test_lattice_centred_stars_assemble_or_fail_typed(data, kappa, seeded, N,
+                                                      r):
+    # centre and mean radius on the h_f/4 lattice: a round star passes
+    # through fine nodes and touches grid lines at its extremes, and a
+    # mode of amplitude h_f/4 moves it by a quarter of a fine cell
+    q = 2.0 / (N * r) / 4.0
+    center = tuple(data.draw(hs.integers(-8, 8)) * q for _ in range(2))
+    R = data.draw(hs.integers(int(0.3 / q), int(0.6 / q))) * q
+    modes = data.draw(hs.lists(
+        hs.tuples(hs.integers(1, 6), hs.integers(-1, 1).map(lambda k: k * q),
+                  hs.sampled_from([0.0, 0.5 * np.pi])),
+        max_size=2))
+    assert_star_assembles_or_fails_typed(
+        star_problem(R, modes, kappa, seeded, center), N, r)
+
+
+def assert_star_assembles_or_fails_typed(prob, N, r):
+    """Assemble ``prob`` on the N/r tube: the operator has a negative
+    interior diagonal, or the typed error raised holds its claim."""
     params = GridParams(N=N, r=r, lam=2.0, domain=prob.domain)
     try:
         g = build_tube_two_grid_2d(params, prob.interface)

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from derivation import eliminate_border_2d, eliminate_hanging
-from twogrid import stencils
+from twogrid import cli, stencils
 from twogrid.cli import main, _parse_schedule
+from twogrid.errors import BadParams
 
 CSV_HEADER = "N,r,lambda,unknowns,err_coarse,err_fine,order_coarse,order_fine"
 
@@ -109,6 +110,43 @@ def test_unwritable_path_is_a_one_line_error(tmp_path, capsys, flag):
     assert rc == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(path) in err
+
+
+def no_solve(*args, **kwargs):
+    raise AssertionError("solved before the output paths were checked")
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--N", "10", "--out"), ("run", "--N", "10", "--dump-grid"),
+    ("run", "--N", "10", "--dump-matrix"),
+    ("study", "--schedule", "10:2", "--out")],
+    ids=["run-out", "run-dump-grid", "run-dump-matrix", "study-out"])
+def test_unwritable_path_fails_before_the_solve(tmp_path, capsys,
+                                                monkeypatch, argv):
+    monkeypatch.setattr(cli, "run_case", no_solve)
+    monkeypatch.setattr(cli, "convergence_study", no_solve)
+    path = tmp_path / "missing" / "file"
+    command, *rest = argv
+    rc, _, err = run_cli(capsys, command, "--problem", "piecewise_kappa_1d",
+                         *rest, str(path))
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
+def test_path_check_keeps_files_as_they_were(tmp_path, capsys, monkeypatch):
+    # the check truncates no existing file and leaves no new one behind
+    def fail(*args, **kwargs):
+        raise BadParams("stop")
+
+    monkeypatch.setattr(cli, "run_case", fail)
+    old, new = tmp_path / "old.csv", tmp_path / "new.json"
+    old.write_text("kept")
+    rc, _, err = run_cli(capsys, "run", "--problem", "piecewise_kappa_1d",
+                         "--N", "10", "--out", str(old), "--dump-grid",
+                         str(new))
+    assert (rc, err) == (1, "error: stop\n")
+    assert old.read_text() == "kept" and not new.exists()
 
 
 @pytest.mark.parametrize("flag", ["--kappa-minus", "--kappa-plus", "--eps",

@@ -13,7 +13,7 @@ from twogrid.geometry import LevelSet
 from twogrid.grid import (TAG_NAMES, GridParams, NodeTag,
                           build_line_two_grid_2d, build_tube_two_grid_2d,
                           build_two_grid_1d, dump_grid_json)
-from twogrid.harness import build_grid
+from twogrid.harness import build_grid, run_case
 from twogrid.problems import make_problem
 
 
@@ -51,6 +51,7 @@ def test_params_validation():
     pytest.param(dict(N="10", r=2), id="N-string"),
     pytest.param(dict(N=10, r=2, lam="2"), id="lam-string"),
     pytest.param(dict(N=10, r=2, lam=None), id="lam-none"),
+    pytest.param(dict(N=10, r=2, lam=True), id="lam-bool"),
 ])
 def test_params_reject_non_finite_lam_and_non_integer_sizes(kwargs):
     with pytest.raises(BadParams):
@@ -144,6 +145,12 @@ def test_1d_layer_zone_at_right_edge():
 def test_1d_layer_zone_too_wide():
     with pytest.raises(TubeTooWide):
         build_two_grid_1d(GridParams(N=10, r=2, lam=10.0), alpha=None)
+
+
+def test_1d_layer_of_no_fine_cell_is_bad_params():
+    # a vanishing width leaves the layer zone empty, not too wide
+    with pytest.raises(BadParams, match="lam=1e-12"):
+        run_case(make_problem("boundary_layer_1d"), 10, 2, lam=1e-12)
 
 
 def test_1d_layer_grid_ends_exactly_at_b():

@@ -2,7 +2,7 @@
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +10,10 @@ import pytest
 import sympy
 
 from twogrid import problems
+from twogrid.assembly import assemble
 from twogrid.errors import BadParams, NoExactSolution, UnknownProblem
 from twogrid.grid import GridParams, NodeTag, build_two_grid_1d
+from twogrid.harness import build_grid
 from twogrid.iim import JumpData
 
 
@@ -72,6 +74,37 @@ def test_1d_spec_rejects_a_curve_interface(name):
     with pytest.raises(BadParams, match="1D problem has no interface curve"):
         replace(problems.make_problem(name, {}), interface=peskin.interface,
                 jumps=peskin.jumps)
+
+
+# every numeric setting of ProblemSpec, and a small cell of each problem
+NUMERIC_SETTINGS = ("kappa_minus", "kappa_plus", "K", "conv", "alpha")
+GUARD_CELLS = {"boundary_layer_1d": (10, 2), "piecewise_kappa_1d": (10, 2),
+               "line_interface_2d": (12, 2), "peskin_circle": (20, 2),
+               "flower": (20, 2), "internal_layer": (20, 2)}
+
+
+def system_bytes(prob, N, r):
+    sys_ = assemble(build_grid(prob, N, r), prob)
+    m = sys_.matrix
+    return [a.tobytes() for a in (m.data, m.indices, m.indptr, sys_.rhs)]
+
+
+@pytest.mark.parametrize("setting", [f.name for f in fields(
+    problems.ProblemSpec) if "float" in str(f.type)])
+@pytest.mark.parametrize("name", problems.problem_names())
+def test_every_numeric_setting_is_used_or_rejected(name, setting):
+    # a setting that assembly would ignore is rejected when the spec is
+    # built; any other changes the assembled system
+    assert setting in NUMERIC_SETTINGS, f"{setting} is not guarded"
+    prob = problems.make_problem(name)
+    old = getattr(prob, setting)
+    try:
+        changed = replace(prob, **{setting: 0.25 if old is None
+                                   else old + 0.25})
+    except BadParams:
+        return
+    N, r = GUARD_CELLS[name]
+    assert system_bytes(changed, N, r) != system_bytes(prob, N, r)
 
 
 def test_selfcheck_catches_wrong_rhs():

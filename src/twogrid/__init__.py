@@ -21,9 +21,8 @@ from .linsolve import solve, verify_m_matrix
 from .problems import (ProblemSpec, exact_error, make_problem,
                        problem_names, selfcheck)
 from .stencils import (Stencil, border_coeffs_1d, border_coeffs_2d,
-                       centered_nonuniform_1d, compact4_uniform_1d,
-                       derive_hanging_coeffs, hanging_coeffs,
-                       nine_point_compact_2d, strip_mixed_order_2d)
+                       centered_nonuniform_1d, derive_hanging_coeffs,
+                       hanging_coeffs, strip_mixed_order_2d)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -147,8 +147,9 @@ def _interface_pair(grid: Grid1D, problem, nodes):
     return weights[:, m], np.array([st.correction for st in pair])[m]
 
 
-def _tagged(grid, tag) -> np.ndarray:
-    return np.nonzero(grid.tags == tag)[0]
+def _tagged(grid, *tags) -> np.ndarray:
+    """Ids of the nodes that carry any of ``tags``, ascending."""
+    return np.nonzero(np.logical_or.reduce([grid.tags == t for t in tags]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +173,7 @@ def _assemble_1d(b, grid: Grid1D, problem, kap, fv) -> None:
             x[rows] - x[rows - 1], x[rows + 1] - x[rows]))
         return
 
-    rows = _tagged(grid, NodeTag.COARSE_REGULAR)
-    emit(rows, stencils.compact4_uniform_1d(kap[rows], K, grid.h))
-    rows = _tagged(grid, NodeTag.BORDER)
+    rows = _tagged(grid, NodeTag.COARSE_REGULAR, NodeTag.BORDER)
     emit(rows, stencils.border_coeffs_1d(
         x[rows] - x[rows - 1], x[rows + 1] - x[rows], kap[rows], K))
     rows = _tagged(grid, NodeTag.FINE_REGULAR)
@@ -204,8 +203,7 @@ def _assemble_line(b, grid: Grid2DLine, problem, kap, fv) -> None:
     rows = _tagged(grid, NodeTag.COARSE_REGULAR)
     if len(rows) and abs(h_y - grid.h) > 1e-12 * grid.h:
         raise BadParams("coarse strip columns need square cells")
-    emit(rows, stencils.nine_point_compact_2d(grid.h, kap[rows]))
-    rows = _tagged(grid, NodeTag.BORDER)
+    rows = _tagged(grid, NodeTag.COARSE_REGULAR, NodeTag.BORDER)
     c = rows % ncol
     emit(rows, stencils.border_coeffs_2d(cols.x[c] - cols.x[c - 1],
                                          cols.x[c + 1] - cols.x[c], h_y),
@@ -234,7 +232,7 @@ def _assemble_tube(b, grid: Grid2DTube, problem, kap, fv) -> None:
     h, h_f = grid.h, grid.h_f
 
     coarse = _tagged(grid, NodeTag.COARSE_REGULAR)
-    proto = stencils.nine_point_compact_2d(h)
+    proto = stencils.border_coeffs_2d(h, h, h)
     _emit(b, grid, coarse, _deltas(proto.alphas, W, r), proto.alphas,
           proto.betas, kap[coarse], fv)
 
@@ -246,9 +244,8 @@ def _assemble_tube(b, grid: Grid2DTube, problem, kap, fv) -> None:
         # scheme applies on the fine lattice as well.  A concave corner of
         # the patch union can lack one diagonal neighbour; those nodes keep
         # the five point scheme.
-        fine = np.nonzero((tags == NodeTag.FINE_REGULAR)
-                          | (tags == NodeTag.FINE_IRREGULAR))[0]
-        proto = stencils.nine_point_compact_2d(h_f)
+        fine = _tagged(grid, NodeTag.FINE_REGULAR, NodeTag.FINE_IRREGULAR)
+        proto = stencils.border_coeffs_2d(h_f, h_f, h_f)
         offs = _deltas(proto.alphas, W)
         ok = (_neighbors(grid, fine, offs) >= 0).all(axis=1)
         _emit(b, grid, fine[ok], offs, proto.alphas, proto.betas,

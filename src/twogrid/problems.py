@@ -37,7 +37,8 @@ class ProblemSpec:
       ``interface`` or the line ``x = alpha``, exactly one of which it
       names; it takes ``jumps`` and both kappas, with ``conv = K = 0``.
 
-    A 1D problem names no ``interface``, an ``alpha`` interface carries
+    Both kappas are positive and finite, ``K`` and ``conv`` finite. A 1D
+    problem names no ``interface``, an ``alpha`` interface carries
     ``jumps``, ``jumps`` need an interface, and unequal kappas need
     ``jumps``. A setting its geometry does not take raises
     :class:`BadParams` here, since assembly would ignore it.
@@ -57,6 +58,14 @@ class ProblemSpec:
     conv: float = 0.0
 
     def __post_init__(self) -> None:
+        for key in ("kappa_minus", "kappa_plus"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise BadParams(f"{self.name}: {key} must be positive and "
+                                f"finite, got {getattr(self, key)}")
+        for key in ("K", "conv"):
+            if not math.isfinite(getattr(self, key)):
+                raise BadParams(f"{self.name}: {key} must be finite, got "
+                                f"{getattr(self, key)}")
         if self.dim == 1 and self.interface is not None:
             raise BadParams(f"{self.name}: a 1D problem has no interface "
                             "curve; its interface is the point alpha")
@@ -96,14 +105,6 @@ def _take(params: Optional[dict], defaults: dict, name: str) -> dict:
     return out
 
 
-def _kappas(p: dict) -> Tuple[float, float]:
-    km, kp = p["kappa_minus"], p["kappa_plus"]
-    if not (0 < km < math.inf and 0 < kp < math.inf):
-        raise BadParams("diffusion coefficients must be positive and finite, "
-                        f"got {km}, {kp}")
-    return km, kp
-
-
 # ---------------------------------------------------------------------------
 # 1D benchmarks
 # ---------------------------------------------------------------------------
@@ -130,14 +131,13 @@ def _boundary_layer_1d(params) -> ProblemSpec:
 def _piecewise_kappa_1d(params) -> ProblemSpec:
     p = _take(params, {"alpha": 17.0 / 30.0, "kappa_minus": 4.0,
                        "kappa_plus": 50.0}, "piecewise_kappa_1d")
-    alpha = p["alpha"]
-    km, kp = _kappas(p)
+    alpha, km, kp = p["alpha"], p["kappa_minus"], p["kappa_plus"]
     if not 0 < alpha < 1:
         raise BadParams(f"alpha must be interior to (0, 1), got {alpha}")
-    shift = alpha**4 * (1.0 / km - 1.0 / kp)
 
     def exact(x, y, side):
         x = np.asarray(x, dtype=float)
+        shift = alpha**4 * (1.0 / km - 1.0 / kp)
         return np.where(np.asarray(side) < 0, x**4 / km, x**4 / kp + shift)
 
     return ProblemSpec(
@@ -203,7 +203,7 @@ def _peskin_circle(params) -> ProblemSpec:
 
 def _flower(params) -> ProblemSpec:
     p = _take(params, {"kappa_minus": 1.0, "kappa_plus": 10.0}, "flower")
-    km, kp = _kappas(p)
+    km, kp = p["kappa_minus"], p["kappa_plus"]
 
     def phi(x, y):
         x = np.asarray(x, dtype=float)
@@ -386,24 +386,24 @@ def _sample_off_interface(problem: ProblemSpec, rng, n: int, pad: float,
     return xs, ys, side
 
 
-def selfcheck(problem: ProblemSpec, n: int = 100, seed: int = 0) -> dict:
+def selfcheck(problem: ProblemSpec) -> dict:
     """Spot-check the closed-form data of a fixture against its own PDE.
 
     Applies the problem's differential operator to ``exact`` by sixth-order
-    central differences at ``n`` random points away from the interface or
-    layer and compares with ``f``; where jump data is prescribed, the value,
-    flux and source jumps of the closed forms are compared against it on
-    interface points: the projections of 20 samples of a curve, or 8
-    random points of the line ``x = alpha`` (the point itself in 1D), with
-    the flux taken along the normal. Residuals are relative with the
+    central differences at 100 random points (seed 0) away from the
+    interface or layer and compares with ``f``; where jump data is
+    prescribed, the value, flux and source jumps of the closed forms are
+    compared against it on interface points: the projections of 20 samples
+    of a curve, or 8 random points of the line ``x = alpha`` (the point
+    itself in 1D), with the flux taken along the normal. Residuals are relative with the
     denominator floored at one. Returns ``{n, pde_max_rel[, jump_max_rel]}``.
     """
     if problem.exact is None:
         raise NoExactSolution(f"{problem.name} has no closed-form solution")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     hd = 1e-3
     margin = 0.05
-    x, y, side = _sample_off_interface(problem, rng, n, 4 * hd, margin)
+    x, y, side = _sample_off_interface(problem, rng, 100, 4 * hd, margin)
 
     lap = _fd_axis(problem.exact, x, y, side, hd, _FD_D2, 2, 0)
     if problem.dim == 2:

@@ -11,10 +11,13 @@ per-row values, which makes every weight an array over those rows. Sign
 convention throughout: negative diagonal, nonnegative off-diagonal entries
 (the assembled operator approximates ``kappa * Lap u + K u``).
 
-The transition ("hanging") stencils that tie fine tube nodes to the coarse
-lattice, and the border rows at a mesh-size jump, are closed forms: exact
-rationals for every refinement ratio and for rational spacings, with a
-general ``kappa`` and reaction term folded in where the scheme allows.
+The fourth-order compact rows of the coarse lattice and the border rows at
+a mesh-size jump come from one closed form per dimension, taken at each
+node's own spacings: equal spacings give the compact row. These, and the
+transition ("hanging") stencils that tie fine tube nodes to the coarse
+lattice, are exact rationals for every refinement ratio and for rational
+spacings, with a general ``kappa`` and reaction term folded in where the
+scheme allows.
 """
 from __future__ import annotations
 
@@ -48,28 +51,16 @@ class Stencil:
 # one-dimensional stencils
 # ---------------------------------------------------------------------------
 
-def compact4_uniform_1d(kappa: float, K: float, h: float) -> Stencil:
-    """Fourth-order compact scheme for ``kappa u'' + K u = f`` on spacing ``h``.
-
-    The reaction term is folded onto the left side through the same 1-10-1
-    averaging that is applied to ``f``. Offset keys are node steps.
-    """
-    betas = {-1: 1.0 / 12.0, 0: 10.0 / 12.0, 1: 1.0 / 12.0}
-    alphas = {
-        -1: kappa / h**2 + K * betas[-1],
-        0: -2.0 * kappa / h**2 + K * betas[0],
-        1: kappa / h**2 + K * betas[1],
-    }
-    return Stencil(alphas=alphas, betas=betas)
-
-
 def border_coeffs_1d(h1: float, h2: float, kappa: float, K: float) -> Stencil:
-    """Third-order one-sided-compact scheme at a mesh-size transition.
+    """Compact scheme for ``kappa u'' + K u = f`` at spacings ``h1``, ``h2``.
 
     The center node has a neighbor at distance ``h1`` to the left and ``h2``
-    to the right. Offset keys -1, 0, +1 refer to those three nodes. Reduces
-    to :func:`compact4_uniform_1d` when ``h1 == h2``. The f-weights sum to
-    one; the outer ones may be negative for strongly graded spacings.
+    to the right. Offset keys -1, 0, +1 refer to those three nodes. Third
+    order at a mesh-size transition; ``h1 == h2 == h`` gives the
+    fourth-order compact row, f-weights ``(1, 10, 1)/12`` and U-weights
+    ``kappa (1, -2, 1)/h**2``. The reaction term is folded onto the left
+    side through the f-weights. The f-weights sum to one; the outer ones
+    may be negative for strongly graded spacings.
 
     Arithmetic is type-preserving: Fraction inputs give exact rational
     coefficients.
@@ -112,24 +103,6 @@ def centered_nonuniform_1d(eps: float, p: float, q: float,
 # two-dimensional stencils
 # ---------------------------------------------------------------------------
 
-def nine_point_compact_2d(h: float, kappa: float = 1.0) -> Stencil:
-    """Fourth-order compact nine-point scheme for ``kappa Lap u = f`` on a
-    uniform square grid.
-
-    Offset keys are ``(di, dj)`` node steps. The right side averages ``f``
-    over the cross with weights 8/12 center, 1/12 per edge.
-    """
-    alphas: Dict[Tuple[int, int], float] = {}
-    betas: Dict[Tuple[int, int], float] = {(0, 0): 8.0 / 12.0}
-    for di, dj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        alphas[(di, dj)] = kappa / (6.0 * h * h)
-    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        alphas[(di, dj)] = 4.0 * kappa / (6.0 * h * h)
-        betas[(di, dj)] = 1.0 / 12.0
-    alphas[(0, 0)] = -20.0 * kappa / (6.0 * h * h)
-    return Stencil(alphas=alphas, betas=betas)
-
-
 def strip_mixed_order_2d(h_f: float, h_y: float,
                          xgamma: Optional[Tuple[float, float, float]] = None,
                          correction: float = 0.0,
@@ -163,35 +136,47 @@ def strip_mixed_order_2d(h_f: float, h_y: float,
 
 
 def border_coeffs_2d(h1: float, h2: float, h_y: float) -> Stencil:
-    """Transition column scheme: x-neighbors at ``-h1`` and ``+h2``, y-step ``h_y``.
+    """Compact scheme for ``Lap u = f`` at x-spacings ``h1``, ``h2``.
 
+    The x-neighbors are at ``-h1`` and ``+h2``, the y-step is ``h_y``.
     Nine U-weights on the 3x3 patch and five f-weights (the x-triple plus the
     two y-neighbors; no corner f-weights). Offset keys ``(di, dj)`` with
     ``di`` in (-1, 0, 1) mapping to physical x-offsets ``(-h1, 0, +h2)``.
-    The f-weights sum to one and reduce to the nine-point averaging when
-    ``h1 == h2 == h_y``. Derived by matching all monomials through total
-    degree four. Arithmetic is type-preserving: Fraction spacings give exact
-    rational coefficients.
+    Scale the U-weights by ``kappa`` for ``kappa Lap u``. The f-weights sum
+    to one. ``h1 == h2 == h_y == h`` gives the fourth-order compact
+    nine-point row: U-weights ``(1, 4, -20)/(6 h**2)`` at the corners, edges
+    and center, f-weights 8/12 at the center and 1/12 per edge. Derived by
+    matching all monomials through total degree four. Arithmetic is
+    type-preserving: Fraction spacings give exact rational coefficients.
+
+    Each weight is its nine-point value times ``1 + t``, with ``t`` built
+    from differences that vanish at equal spacings, in floats too, and the
+    f-weights keep the nine-point summation order. So equal float spacings
+    give the nine-point row bit for bit as ``w / (6 h**2)`` rounds it: the
+    circle's coarse error at N=640, r=8 moves by 0.16 % when the coarse
+    rows of the tube round otherwise.
     """
     if np.any(h1 <= 0) or np.any(h2 <= 0) or h_y <= 0:
         raise BadParams("spacings must be positive")
-    s = h1 + h2
-    hy2 = h_y * h_y
+    s, d, hy2 = h1 + h2, h1 - h2, h_y * h_y
+    u1, u2, u12 = hy2 - h1 * h1, hy2 - h2 * h2, hy2 - h1 * h2
+    six = 6 * h_y * h_y
+    corner, edge = 1 / six, 4 / six
     alphas = {
-        (-1, 0): (-h1 * h1 - h1 * h2 + h2 * h2 + 5 * hy2) / (3 * h1 * hy2 * s),
-        (0, 0): -(h1 * h1 + 3 * h1 * h2 + h2 * h2 + 5 * hy2) / (3 * h1 * h2 * hy2),
-        (1, 0): (h1 * h1 - h1 * h2 - h2 * h2 + 5 * hy2) / (3 * h2 * hy2 * s),
+        (-1, 0): edge * (1 + (3 * u1 + 3 * u12 - u2) / (2 * h1 * s)),
+        (0, 0): -20 / six * (1 + (d * d + 5 * u12) / (10 * h1 * h2)),
+        (1, 0): edge * (1 + (3 * u2 + 3 * u12 - u1) / (2 * h2 * s)),
     }
     for dj in (-1, 1):
-        alphas[(-1, dj)] = (h1 * h1 + h1 * h2 - h2 * h2 + hy2) / (6 * h1 * hy2 * s)
-        alphas[(0, dj)] = (h1 * h1 + 3 * h1 * h2 + h2 * h2 - hy2) / (6 * h1 * h2 * hy2)
-        alphas[(1, dj)] = (-h1 * h1 + h1 * h2 + h2 * h2 + hy2) / (6 * h2 * hy2 * s)
+        alphas[(-1, dj)] = corner * (1 + u2 / (h1 * s))
+        alphas[(0, dj)] = edge * (1 + (d * d - u12) / (4 * h1 * h2))
+        alphas[(1, dj)] = corner * (1 + u1 / (h2 * s))
     betas = {
-        (-1, 0): (h1 * h1 + h1 * h2 - h2 * h2) / (6 * h1 * s),
-        (0, 0): s * s / (6 * h1 * h2),
-        (1, 0): (-h1 * h1 + h1 * h2 + h2 * h2) / (6 * h2 * s),
-        (0, -1): Fraction(1, 12),
+        (0, 0): (1 + d * d / (4 * h1 * h2)) * 8 / 12,
+        (1, 0): (1 - d * (h2 + 2 * h1) / (h2 * s)) / 12,
+        (-1, 0): (1 + d * (h1 + 2 * h2) / (h1 * s)) / 12,
         (0, 1): Fraction(1, 12),
+        (0, -1): Fraction(1, 12),
     }
     return Stencil(alphas=alphas, betas=betas)
 
@@ -238,7 +223,7 @@ def derive_hanging_coeffs(r: int, j: int, kappa=1, K=0) -> Stencil:
 
     Every U-weight is ``kappa * a + K * beta`` at its offset and the
     f-weights are unchanged: the reaction term is folded onto the left side
-    through the f-weights, as in :func:`compact4_uniform_1d`. Exact rationals
+    through the f-weights, as in :func:`border_coeffs_1d`. Exact rationals
     for rational ``kappa`` and ``K``; ``kappa=1, K=0`` gives
     :func:`hanging_coeffs` itself.
     """

@@ -216,13 +216,14 @@ def test_criterion_7():
     systems_ok = not failing
 
     sums_ok = True
-    st = stencils.compact4_uniform_1d(3.0, 0.0, 0.25)
+    # the compact rows: the border forms at equal spacings
+    st = stencils.border_coeffs_1d(0.25, 0.25, 3.0, 0.0)
     sums_ok &= abs(sum(st.alphas.values())) <= 1e-12 * max(
         abs(v) for v in st.alphas.values())
     sums_ok &= abs(sum(st.betas.values()) - 1.0) <= 1e-14
-    st = stencils.nine_point_compact_2d(0.125, kappa=2.0)
-    sums_ok &= abs(sum(st.alphas.values())) <= 1e-12 * max(
-        abs(v) for v in st.alphas.values())
+    st = stencils.border_coeffs_2d(0.125, 0.125, 0.125)
+    alphas = [2.0 * a for a in st.alphas.values()]   # kappa = 2
+    sums_ok &= abs(sum(alphas)) <= 1e-12 * max(abs(v) for v in alphas)
     sums_ok &= abs(sum(st.betas.values()) - 1.0) <= 1e-14
 
     reversal_ok = reduction_ok = True
@@ -322,7 +323,7 @@ def test_criterion_8():
     # manufactured solutions satisfy their own PDE and jump data
     sc_ok = True
     for name in problem_names():
-        rep = selfcheck(make_problem(name), n=60, seed=3)
+        rep = selfcheck(make_problem(name))
         sc_ok &= rep["pde_max_rel"] < 1e-7
         sc_ok &= rep.get("jump_max_rel", 0.0) < 1e-7
     checks["manufactured_solutions"] = sc_ok

@@ -77,9 +77,10 @@ def test_1d_rows_match_generators():
     prob = problems.make_problem("piecewise_kappa_1d", {})
     g = build_two_grid_1d(GridParams(N=10, r=2, lam=2.0), alpha=prob.alpha)
     sys_ = assemble(g, prob)
-    # a coarse node on the minus side carries the compact scheme
+    # a coarse node on the minus side carries the compact scheme, the
+    # border form at equal spacings
     i = int(np.nonzero(g.tags == NodeTag.COARSE_REGULAR)[0][0])
-    st = stencils.compact4_uniform_1d(prob.kappa_minus, 0.0, g.h)
+    st = stencils.border_coeffs_1d(g.h, g.h, prob.kappa_minus, 0.0)
     got = row_dict(sys_, i)
     for off, a in st.alphas.items():
         assert got[i + off] == pytest.approx(float(a))
@@ -116,11 +117,12 @@ def test_line_coarse_row_is_nine_point():
     cols = g.cols
     c = int(np.nonzero(cols.tags == NodeTag.COARSE_REGULAR)[0][0])
     i = 3 * g.ncol + c
-    st = stencils.nine_point_compact_2d(g.h, prob.kappa_minus)
+    st = stencils.border_coeffs_2d(g.h, g.h, g.h)
     got = row_dict(sys_, i)
     assert len(got) == 9
     for (dx, dy), a in st.alphas.items():
-        assert got[(3 + dy) * g.ncol + c + dx] == pytest.approx(float(a))
+        assert got[(3 + dy) * g.ncol + c + dx] == pytest.approx(
+            float(a) * prob.kappa_minus)
 
 
 def test_line_fine_row_is_mixed_strip():
@@ -148,7 +150,7 @@ def test_tube_rows_match_generators():
     # coarse row: nine-point at stride r, kappa from the node's side
     i = int(np.nonzero(g.tags == NodeTag.COARSE_REGULAR)[0][0])
     kc = prob.kappa_minus if g.side[i] < 0 else prob.kappa_plus
-    st = stencils.nine_point_compact_2d(g.h)
+    st = stencils.border_coeffs_2d(g.h, g.h, g.h)
     got = row_dict(sys_, i)
     for (dx, dy), a in st.alphas.items():
         j = int(g.id_of(int(g.codes[i]) + (dy * g.W + dx) * g.r)[0])
@@ -280,9 +282,7 @@ def reference_1d_rows(g, prob):
             st = stencils.centered_nonuniform_1d(
                 kappa_of(side[i]), prob.conv, prob.K,
                 float(x[i] - x[i - 1]), float(x[i + 1] - x[i]))
-        elif t == NodeTag.COARSE_REGULAR:
-            st = stencils.compact4_uniform_1d(kappa_of(side[i]), prob.K, g.h)
-        elif t == NodeTag.BORDER:
+        elif t in (NodeTag.COARSE_REGULAR, NodeTag.BORDER):
             st = stencils.border_coeffs_1d(
                 float(x[i] - x[i - 1]), float(x[i + 1] - x[i]),
                 kappa_of(side[i]), prob.K)
@@ -317,9 +317,7 @@ def reference_strip_rows(g, prob):
     for c in range(1, ncol - 1):
         t = cols.tags[c]
         kc = prob.kappa_minus if side_col[c] < 0 else prob.kappa_plus
-        if t == NodeTag.COARSE_REGULAR:
-            st = stencils.nine_point_compact_2d(g.h, kc)
-        elif t == NodeTag.BORDER:
+        if t in (NodeTag.COARSE_REGULAR, NodeTag.BORDER):
             st = stencils.border_coeffs_2d(
                 float(cols.x[c] - cols.x[c - 1]),
                 float(cols.x[c + 1] - cols.x[c]), h_y)

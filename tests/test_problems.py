@@ -35,8 +35,8 @@ def test_selfcheck_every_fixture(name):
     # flux jump is differenced along the projection's normal, which is
     # within 2e-10 of the flower's closed-form normal
     prob = problems.make_problem(name, {})
-    rep = problems.selfcheck(prob, n=60, seed=3)
-    assert rep["n"] == 60
+    rep = problems.selfcheck(prob)
+    assert rep["n"] == 100
     assert rep["pde_max_rel"] < 1e-7, rep
     if "jump_max_rel" in rep:
         assert rep["jump_max_rel"] < 1e-9, rep
@@ -107,6 +107,26 @@ def test_every_numeric_setting_is_used_or_rejected(name, setting):
     assert system_bytes(changed, N, r) != system_bytes(prob, N, r)
 
 
+BAD_COEFFICIENTS = (
+    [(("kappa_minus", "kappa_plus"), v, "kappa_minus must be positive")
+     for v in (0.0, -1.0, float("nan"), float("inf"))]
+    + [((key,), v, f"{key} must be finite")
+       for key in ("K", "conv")
+       for v in (float("nan"), float("inf"), -float("inf"))])
+
+
+@pytest.mark.parametrize("keys, value, message", BAD_COEFFICIENTS,
+                         ids=[f"{'-'.join(k)}={v}"
+                              for k, v, _ in BAD_COEFFICIENTS])
+@pytest.mark.parametrize("name", problems.problem_names())
+def test_spec_rejects_bad_coefficients(name, keys, value, message):
+    # a non-positive kappa solves to nonsense or divides by zero, and a
+    # non-finite one or a non-finite K or conv ends in a singular matrix
+    prob = problems.make_problem(name)
+    with pytest.raises(BadParams, match=f"{name}: {message}"):
+        replace(prob, **{key: value for key in keys})
+
+
 def test_selfcheck_catches_wrong_rhs():
     prob = problems.make_problem("piecewise_kappa_1d", {})
     broken = problems.ProblemSpec(
@@ -115,7 +135,7 @@ def test_selfcheck_catches_wrong_rhs():
         boundary=prob.boundary, exact=prob.exact,
         kappa_minus=prob.kappa_minus, kappa_plus=prob.kappa_plus,
         jumps=prob.jumps, alpha=prob.alpha)
-    rep = problems.selfcheck(broken, n=40, seed=0)
+    rep = problems.selfcheck(broken)
     assert rep["pde_max_rel"] > 1e-2
 
 
@@ -196,7 +216,7 @@ def test_internal_layer_has_no_jumps():
     prob = problems.make_problem("internal_layer", {})
     assert prob.jumps is None
     assert prob.interface is not None
-    rep = problems.selfcheck(prob, n=30, seed=1)
+    rep = problems.selfcheck(prob)
     assert "jump_max_rel" not in rep
 
 

@@ -39,11 +39,11 @@ def residual_2d(st, u, x0, y0, sx=1, sy=1, kappa=1, K=0):
 
 
 # ---------------------------------------------------------------------------
-# compact4_uniform_1d
+# border_coeffs_1d at equal spacings: the fourth-order compact row
 # ---------------------------------------------------------------------------
 
 def test_compact4_direct_formula():
-    st = stencils.compact4_uniform_1d(kappa=1.0, K=0.0, h=0.1)
+    st = stencils.border_coeffs_1d(0.1, 0.1, kappa=1.0, K=0.0)
     assert st.alphas[-1] == pytest.approx(100.0)
     assert st.alphas[0] == pytest.approx(-200.0)
     assert st.alphas[1] == pytest.approx(100.0)
@@ -52,7 +52,7 @@ def test_compact4_direct_formula():
 
 
 def test_compact4_reaction_folding():
-    st = stencils.compact4_uniform_1d(kappa=1.0, K=1.0, h=1.0)
+    st = stencils.border_coeffs_1d(1.0, 1.0, kappa=1.0, K=1.0)
     assert st.alphas[0] == pytest.approx(-2.0 + 10.0 / 12.0)
     assert st.alphas[-1] == pytest.approx(1.0 + 1.0 / 12.0)
 
@@ -60,7 +60,7 @@ def test_compact4_reaction_folding():
 def test_compact4_fourth_order_on_sin():
     # Taylor oracle: series of the residual on u = sin(x) starts at h**4
     h = sympy.Symbol("h", positive=True)
-    st = stencils.compact4_uniform_1d(kappa=1, K=1, h=h)
+    st = stencils.border_coeffs_1d(h, h, kappa=1, K=1)
     u = sympy.sin(X)
     f = sympy.diff(u, X, 2) + u
     expr = sum(sympy.nsimplify(a) * u.subs(X, X + k * h)
@@ -76,13 +76,23 @@ def test_compact4_fourth_order_on_sin():
 
 @pytest.mark.parametrize("kappa,h", [(1.0, 0.5), (3.0, 0.01), (0.2, 2.0)])
 def test_compact4_zero_row_sum_at_k0(kappa, h):
-    st = stencils.compact4_uniform_1d(kappa=kappa, K=0.0, h=h)
+    st = stencils.border_coeffs_1d(h, h, kappa=kappa, K=0.0)
     assert st.alpha_sum() == pytest.approx(0.0, abs=1e-12 / h**2)
     assert st.beta_sum() == pytest.approx(1.0)
 
 
+def test_border1d_reduces_to_compact4():
+    for h, kappa in ((Fraction(1, 4), Fraction(2)),
+                     (Fraction(3, 7), Fraction(5, 3))):
+        st = stencils.border_coeffs_1d(h, h, kappa, Fraction(0))
+        assert st.betas == {-1: Fraction(1, 12), 0: Fraction(10, 12),
+                            1: Fraction(1, 12)}
+        assert st.alphas == {-1: kappa / h**2, 0: -2 * kappa / h**2,
+                             1: kappa / h**2}
+
+
 # ---------------------------------------------------------------------------
-# border_coeffs_1d
+# border_coeffs_1d at a mesh-size jump
 # ---------------------------------------------------------------------------
 
 def _border_oracle(h1, h2):
@@ -125,14 +135,6 @@ def test_border1d_frozen_values():
     assert st.betas == {-1: Fraction(5, 36), 0: Fraction(11, 12),
                         1: Fraction(-1, 18)}
     assert st.beta_sum() == 1
-
-
-def test_border1d_reduces_to_compact4():
-    uni = stencils.compact4_uniform_1d(kappa=2.0, K=3.0, h=0.25)
-    bor = stencils.border_coeffs_1d(0.25, 0.25, 2.0, 3.0)
-    for k in (-1, 0, 1):
-        assert bor.alphas[k] == pytest.approx(uni.alphas[k], rel=1e-14)
-        assert bor.betas[k] == pytest.approx(uni.betas[k], rel=1e-14)
 
 
 @pytest.mark.parametrize("h1,h2", [(1, 2), (1, 4), (3, 1)])
@@ -182,11 +184,11 @@ def test_centered_exact_on_quadratic(h1, h2):
 
 
 # ---------------------------------------------------------------------------
-# nine_point_compact_2d
+# border_coeffs_2d at equal spacings: the compact nine-point row
 # ---------------------------------------------------------------------------
 
 def test_nine_point_reference_weights():
-    st = stencils.nine_point_compact_2d(h=1.0)
+    st = stencils.border_coeffs_2d(1.0, 1.0, 1.0)
     assert st.alphas[(1, 1)] == pytest.approx(1 / 6)
     assert st.alphas[(1, 0)] == pytest.approx(4 / 6)
     assert st.alphas[(0, 0)] == pytest.approx(-20 / 6)
@@ -196,21 +198,22 @@ def test_nine_point_reference_weights():
 
 def test_nine_point_exact_on_quartics():
     # Taylor oracle: the h**2 residual coefficient vanishes, so the scheme
-    # annihilates x**4 + y**4 (and any quartic) up to float rounding in the
-    # weights (the generator emits floats, terms are O(1/h**2))
-    st = stencils.nine_point_compact_2d(h=sympy.Rational(1, 3))
+    # annihilates x**4 + y**4 (and any quartic) up to the float rounding
+    # that the stencil's 0.0 correction brings in
+    h = sympy.Rational(1, 3)
+    st = stencils.border_coeffs_2d(h, h, h)
     u = (X + 2) ** 4 + (Y - 1) ** 4
     res = residual_2d(st, u, x0=sympy.Rational(1, 7), y0=sympy.Rational(2, 5),
-                      sx=sympy.Rational(1, 3), sy=sympy.Rational(1, 3))
+                      sx=h, sy=h)
     assert abs(float(res)) < 1e-10
 
 
 def test_nine_point_h4_error_on_sextic():
-    st = stencils.nine_point_compact_2d(h=T)
+    st = stencils.border_coeffs_2d(T, T, T)
     res = residual_2d(st, X**6, x0=sympy.Integer(0), y0=sympy.Integer(0),
                       sx=T, sy=T)
     poly = sympy.Poly(res, T)
-    # float weights put the poly over RR, so compare through float
+    # the 0.0 correction puts the poly over RR, so compare through float
     assert abs(float(poly.coeff_monomial(T**2))) < 1e-12
     assert abs(float(poly.coeff_monomial(T**4))) > 0.1
 
@@ -265,17 +268,30 @@ def test_strip_xgamma_override_and_correction():
 
 
 # ---------------------------------------------------------------------------
-# border_coeffs_2d and its exact twin
+# border_coeffs_2d at a mesh-size jump, and its exact twin
 # ---------------------------------------------------------------------------
 
 def test_border2d_uniform_limit_is_nine_point():
-    h = 0.25
-    st = stencils.border_coeffs_2d(h, h, h)
-    nine = stencils.nine_point_compact_2d(h)
-    for off, a in nine.alphas.items():
-        assert st.alphas[off] == pytest.approx(a, rel=1e-13)
-    assert st.betas[(0, 0)] == pytest.approx(8 / 12)
-    assert st.betas[(1, 0)] == pytest.approx(1 / 12)
+    for h in (Fraction(1, 4), Fraction(2, 9)):
+        st = stencils.border_coeffs_2d(h, h, h)
+        want = {(di, dj): Fraction(1 if di and dj else 4, 6) / h**2
+                for di in (-1, 0, 1) for dj in (-1, 0, 1)}
+        want[(0, 0)] = Fraction(-20, 6) / h**2
+        assert st.alphas == want
+        assert st.betas == {(0, 0): Fraction(8, 12), (1, 0): Fraction(1, 12),
+                            (-1, 0): Fraction(1, 12), (0, 1): Fraction(1, 12),
+                            (0, -1): Fraction(1, 12)}
+    # float spacings: the nine-point row bit for bit as w / (6 h**2) rounds
+    # it, f-weights in the same summation order
+    for h in (0.25, 2 / 640, 1 / 3, 0.1, 7.3e-5):
+        st = stencils.border_coeffs_2d(h, h, h)
+        want = {(di, dj): (1 if di and dj else 4) / (6 * h * h)
+                for di in (-1, 0, 1) for dj in (-1, 0, 1)}
+        want[(0, 0)] = -20 / (6 * h * h)
+        assert st.alphas == want
+        assert [(k, float(b)) for k, b in st.betas.items()] == [
+            ((0, 0), 8 / 12), ((1, 0), 1 / 12), ((-1, 0), 1 / 12),
+            ((0, 1), 1 / 12), ((0, -1), 1 / 12)]
 
 
 def test_border2d_beta_sum_one():

@@ -151,62 +151,56 @@ def verify_m_matrix(system) -> dict:
     non-negative off-diagonal entries. ``row_sum_ok`` requires every row sum
     of the Dirichlet-reduced block (interior rows restricted to interior
     columns) to be non-positive, with strict inequality on at least one row
-    that couples to boundary data. Tolerances are relative to the largest
-    entry of each row: 1e-12 for the signs, 1e-8 for the row sums.
+    that couples to boundary data; a stored entry in a boundary column
+    couples even when its value is 0.0. Tolerances are relative to the
+    largest entry of each row: 1e-12 for the signs, 1e-8 for the row sums.
+    Each test is passed only by a value that meets it, so a NaN or infinite
+    entry in an interior row fails the sign test.
 
     Returns ``{sign_ok, row_sum_ok, offenders, offender_count}`` where each
     offender is ``{row, col, value, kind}`` with kind one of
     ``diagonal_sign``, ``negative_offdiagonal``, ``row_sum`` (col is -1 for
     row-sum entries, which concern the whole row; row -1 marks a missing
-    strict row). The list holds the first 50 offenders of each kind;
-    ``offender_count`` counts all of them.
+    strict row). The list holds the first 50 offenders of each kind, in
+    row order (off-diagonal entries in CSR order); ``offender_count``
+    counts all of them. The CSR matrix is read in place: row maxima are
+    reductions over its rows, row sums one product with it.
     """
     A = system.matrix.tocsr()
     n = A.shape[0]
     interior = ~system.boundary
-    coo = A.tocoo()
-
-    row_abs_max = np.zeros(n)
-    np.maximum.at(row_abs_max, coo.row, np.abs(coo.data))
-    row_abs_max[row_abs_max == 0.0] = 1.0
+    row = np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
+    filled = np.flatnonzero(np.diff(A.indptr))
+    scale = np.zeros(n)
+    scale[filled] = np.maximum.reduceat(np.abs(A.data), A.indptr[filled])
+    scale[scale == 0.0] = 1.0
 
     diag = A.diagonal()
-    offdiag = coo.row != coo.col
-    neg_off = np.flatnonzero(
-        offdiag & (coo.data < -_SIGN_RTOL * row_abs_max[coo.row])
-        & interior[coo.row])
-    bad_diag_rows = np.nonzero(interior & (diag >= -_SIGN_RTOL * row_abs_max))[0]
+    bad_diag = np.flatnonzero(interior & ~(diag < -_SIGN_RTOL * scale))
+    neg_off = np.flatnonzero(~(A.data >= (-_SIGN_RTOL * scale)[row])
+                             & interior[row] & (A.indices != row))
+    # boundary columns add 0.0, so each row sums its interior entries in
+    # stored order
+    row_sum = A @ interior.astype(float)
+    bad_sum = np.flatnonzero(interior & ~(row_sum <= _ROW_SUM_RTOL * scale))
+    coupled = np.zeros(n, dtype=bool)
+    coupled[row[system.boundary[A.indices]]] = True
+    strict = interior & coupled & (row_sum < -_ROW_SUM_RTOL * scale)
+    missing = [] if strict.any() or not interior.any() else [-1]
 
-    # row sums of the interior block, and couplings to boundary columns
-    interior_entry = interior[coo.row] & interior[coo.col]
-    int_row_sum = np.zeros(n)
-    np.add.at(int_row_sum, coo.row[interior_entry], coo.data[interior_entry])
-    bnd_coupled = np.zeros(n, dtype=bool)
-    bnd_coupled[coo.row[interior[coo.row] & system.boundary[coo.col]]] = True
-
-    bad_sum_rows = np.nonzero(
-        interior & (int_row_sum > _ROW_SUM_RTOL * row_abs_max))[0]
-    strict = interior & bnd_coupled \
-        & (int_row_sum < -_ROW_SUM_RTOL * row_abs_max)
-    has_witness = bool(strict.any()) or not interior.any()
-
-    cap = _MAX_OFFENDERS
-    offenders = [{"row": int(row), "col": int(row), "kind": "diagonal_sign",
-                  "value": float(diag[row])} for row in bad_diag_rows[:cap]]
-    offenders += [{"row": int(coo.row[k]), "col": int(coo.col[k]),
-                   "kind": "negative_offdiagonal", "value": float(coo.data[k])}
-                  for k in neg_off[:cap]]
-    offenders += [{"row": int(row), "col": -1, "kind": "row_sum",
-                   "value": float(int_row_sum[row])}
-                  for row in bad_sum_rows[:cap]]
-    if not has_witness:
-        offenders.append({"row": -1, "col": -1, "kind": "row_sum",
-                          "value": 0.0})
-
+    d, k, s = (bad[:_MAX_OFFENDERS] for bad in (bad_diag, neg_off, bad_sum))
+    offenders = [
+        {"row": int(r), "col": int(c), "kind": kind, "value": float(v)}
+        for kind, rows, cols, values in (
+            ("diagonal_sign", d, d, diag[d]),
+            ("negative_offdiagonal", row[k], A.indices[k], A.data[k]),
+            ("row_sum", s, np.full_like(s, -1), row_sum[s]),
+            ("row_sum", missing, missing, [0.0] * len(missing)))
+        for r, c, v in zip(rows, cols, values)]
     return {
-        "sign_ok": len(bad_diag_rows) == 0 and len(neg_off) == 0,
-        "row_sum_ok": len(bad_sum_rows) == 0 and has_witness,
+        "sign_ok": len(bad_diag) == 0 and len(neg_off) == 0,
+        "row_sum_ok": len(bad_sum) == 0 and not missing,
         "offenders": offenders,
-        "offender_count": len(bad_diag_rows) + len(neg_off)
-        + len(bad_sum_rows) + (not has_witness),
+        "offender_count": len(bad_diag) + len(neg_off) + len(bad_sum)
+        + len(missing),
     }

@@ -69,9 +69,10 @@ def test_criterion_1():
                 bad.append((r, j))
     elapsed = time.perf_counter() - t0
     ok = not bad and elapsed < 5.0
-    verdict(1, ok, f"26/26 table rows exact rational matches in "
-                   f"{elapsed:.2f}s" if ok else
-                   f"mismatches {bad}, elapsed {elapsed:.2f}s")
+    # the time stays out of the PASS line, so that line is the same on
+    # every run
+    verdict(1, ok, "26/26 table rows exact rational matches within 5s"
+            if ok else f"mismatches {bad}, elapsed {elapsed:.2f}s")
 
 
 def test_criterion_2():

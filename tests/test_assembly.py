@@ -1,5 +1,6 @@
 """Assembly: row contents against the stencil generators, invariants."""
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -205,6 +206,11 @@ def test_2d_rejects_reaction_term():
 def test_tube_rejects_reaction_term():
     with pytest.raises(BadParams, match="only K == 0"):
         replace(problems.make_problem("peskin_circle"), K=1.0)
+
+
+def test_assemble_rejects_an_unknown_grid_type():
+    with pytest.raises(BadParams, match="unknown grid type SimpleNamespace"):
+        assemble(SimpleNamespace(n=3), problems.make_problem("peskin_circle"))
 
 
 def test_strip_rejects_oblong_coarse_cells():

@@ -6,7 +6,7 @@ import pytest
 
 from twogrid import iim, problems
 from twogrid.errors import (BadParams, DegenerateDenominator,
-                            MultipleCrossings)
+                            MissingNeighbor, MultipleCrossings)
 from twogrid.geometry import LevelSet, project_to_interface
 
 ALL_NEIGHBORS = {(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)
@@ -284,6 +284,15 @@ def test_double_crossing_arm_is_rejected():
     node = node_at(0.3, 0.5, 0.4, +1, ls, available={(1, 0)})
     with pytest.raises(MultipleCrossings):
         iim.singular_source_stencil_2d(node, ls, 1.0, iim.JumpData())
+
+
+@pytest.mark.parametrize("arm", sorted(iim._CROSS))
+def test_singular_source_needs_every_five_point_arm(arm):
+    ls = line_ls(0.5)
+    node = node_at(0.48, 0.5, 0.04, -1, ls, available=ALL_NEIGHBORS - {arm})
+    with pytest.raises(MissingNeighbor,
+                       match=r"node \(0\.48,0\.5\) lacks a five-point arm"):
+        iim.singular_source_stencil_2d(node, ls, 1.0, iim.JumpData(v=1.0))
 
 
 # ---------------------------------------------------------------------------

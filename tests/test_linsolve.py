@@ -1,10 +1,13 @@
 """Solver contract, extended-precision fallback, operator checks."""
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
 from twogrid import linsolve, problems
 from twogrid.assembly import assemble
@@ -384,6 +387,104 @@ def test_verify_all_boundary_is_vacuously_fine():
 def test_verify_on_assembled_benchmark():
     rep = verify_m_matrix(assembled_1d())
     assert rep["sign_ok"] and rep["row_sum_ok"]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [(1, 1), (1, 0)], ids=["diagonal", "off"])
+def test_verify_fails_a_non_finite_entry(value, at):
+    # rows 0 and 2 are boundary rows; column 0 is a boundary column
+    d = np.array([[1.0, 0.0, 0.0],
+                  [1.0, -2.0, 1.0],
+                  [0.0, 0.0, 1.0]])
+    d[at] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = verify_m_matrix(fake_system(d, boundary=[True, False, True]))
+    assert not rep["sign_ok"]
+    assert 1 in {o["row"] for o in rep["offenders"]
+                 if o["kind"] in ("diagonal_sign", "negative_offdiagonal")}
+
+
+def reference_audit(A, boundary):
+    """``verify_m_matrix``'s report by a plain loop over the rows of the
+    CSR matrix ``A``: per kind, offenders in row order (a row's entries in
+    stored order), the first 50 listed, then the missing-witness marker."""
+    diag, off, sums = [], [], []
+    witness = not (~boundary).any()
+    for i in range(A.shape[0]):
+        entries = list(zip(A.indices[A.indptr[i]:A.indptr[i + 1]],
+                           A.data[A.indptr[i]:A.indptr[i + 1]]))
+        if boundary[i]:
+            continue
+        scale = max((abs(v) for _, v in entries), default=0.0) or 1.0
+        a_ii = next((v for c, v in entries if c == i), 0.0)
+        if not a_ii < -1e-12 * scale:
+            diag.append({"row": i, "col": i, "kind": "diagonal_sign",
+                         "value": a_ii})
+        off += [{"row": i, "col": int(c), "kind": "negative_offdiagonal",
+                 "value": v} for c, v in entries
+                if c != i and not v >= -1e-12 * scale]
+        total = 0.0
+        for c, v in entries:
+            if not boundary[c]:
+                total += v
+        if not total <= 1e-8 * scale:
+            sums.append({"row": i, "col": -1, "kind": "row_sum",
+                         "value": total})
+        # a stored zero in a boundary column couples the row
+        witness |= total < -1e-8 * scale and any(boundary[c]
+                                                 for c, _ in entries)
+    missing = [] if witness else [{"row": -1, "col": -1, "kind": "row_sum",
+                                   "value": 0.0}]
+    return {
+        "sign_ok": not diag and not off,
+        "row_sum_ok": not sums and bool(witness),
+        "offenders": diag[:50] + off[:50] + sums[:50] + missing,
+        "offender_count": len(diag) + len(off) + len(sums) + len(missing),
+    }
+
+
+def csr(data, indices, indptr):
+    n = len(indptr) - 1
+    return sp.csr_matrix((np.array(data, dtype=float),
+                          np.array(indices, dtype=np.int32), indptr),
+                         shape=(n, n))
+
+
+@hs.composite
+def csr_systems(draw):
+    """A small CSR matrix, its columns in random order per row, with stored
+    zeros, rows without a diagonal, empty rows, and a boundary mask that
+    may cover every row."""
+    n = draw(hs.integers(1, 7))
+    value = hs.one_of(hs.sampled_from([0.0, 1.0, -1.0, 2.0, -2.0, -4.0]),
+                      hs.floats(-4.0, 4.0))
+    rows = [draw(hs.lists(hs.integers(0, n - 1), unique=True, max_size=n))
+            for _ in range(n)]
+    indices = [c for cols in rows for c in cols]
+    data = draw(hs.lists(value, min_size=len(indices),
+                         max_size=len(indices)))
+    indptr = np.cumsum([0] + [len(cols) for cols in rows])
+    boundary = np.array(draw(hs.lists(hs.booleans(), min_size=n,
+                                      max_size=n)))
+    return csr(data, indices, indptr), boundary
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=csr_systems())
+# row 1 couples to boundary column 0 only through a stored 0.0
+@example(system=(csr([1.0, 0.0, -2.0, 1.0, 1.0, -1.0], [0, 0, 1, 2, 1, 2],
+                     [0, 1, 4, 6]), np.array([True, False, False])))
+# an empty interior row and an empty boundary row
+@example(system=(csr([-1.0], [0], [0, 1, 1, 1]),
+                 np.array([False, False, True])))
+# every row a boundary row
+@example(system=(csr([1.0, 0.0, 1.0], [0, 0, 1], [0, 1, 3]),
+                 np.array([True, True])))
+def test_verify_matches_a_per_row_reference(system):
+    A, boundary = system
+    rep = verify_m_matrix(SimpleNamespace(matrix=A, boundary=boundary))
+    assert rep == reference_audit(A, boundary)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import time
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 import sympy
 
@@ -181,6 +182,13 @@ def test_centered_exact_on_quadratic(h1, h2):
     vals = {k: float(u.subs(X, {-1: -h1, 0: 0.0, 1: h2}[k]))
             for k in (-1, 0, 1)}
     assert sum(st.alphas[k] * vals[k] for k in vals) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("h1,h2", [(0.0, 0.5), (0.5, -0.1),
+                                   (0.5, np.array([0.1, 0.0]))])
+def test_centered_rejects_non_positive_spacing(h1, h2):
+    with pytest.raises(BadParams, match="spacings must be positive"):
+        stencils.centered_nonuniform_1d(eps=1.0, p=0.0, q=0.0, h1=h1, h2=h2)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from . import stencils
 from .errors import BadParams, MissingNeighbor
-from .grid import Grid1D, Grid2DLine, Grid2DTube, NodeTag
+from .grid import Grid1D, Grid2DLine, Grid2DTube, NodeTag, tagged
 from .iim import (_RING2, IrregularNodes, iim_1d_irregular,
                   iim_discontinuous_stencil_2d, singular_source_stencil_2d)
 
@@ -67,13 +67,14 @@ def _system(grid, problem) -> SparseSystem:
                    problem.kappa_plus).astype(float)
     fv = problem.f(grid.x, grid.y, side.astype(int))
     b = _Builder(grid.n)
-    bnd = _tagged(grid, NodeTag.BOUNDARY)
+    bnd = tagged(grid.tags, NodeTag.BOUNDARY)
     b.add(bnd, bnd, np.ones(len(bnd)))
     write(b, grid, problem, kap, fv)
     matrix, rhs = b.finish(), b.rhs
     del b   # free the COO pieces before the boundary arrays: peak RSS
     boundary = grid.tags == NodeTag.BOUNDARY
-    rhs[boundary] = problem.boundary(grid.x[boundary], grid.y[boundary])
+    rhs[boundary] = problem.boundary(grid.x[boundary], grid.y[boundary],
+                                     side[boundary].astype(int))
     return SparseSystem(matrix=matrix, rhs=rhs, boundary=boundary)
 
 
@@ -147,11 +148,6 @@ def _interface_pair(grid: Grid1D, problem, nodes):
     return weights[:, m], np.array([st.correction for st in pair])[m]
 
 
-def _tagged(grid, *tags) -> np.ndarray:
-    """Ids of the nodes that carry any of ``tags``, ascending."""
-    return np.nonzero(np.logical_or.reduce([grid.tags == t for t in tags]))[0]
-
-
 # ---------------------------------------------------------------------------
 # 1D
 # ---------------------------------------------------------------------------
@@ -173,15 +169,15 @@ def _assemble_1d(b, grid: Grid1D, problem, kap, fv) -> None:
             x[rows] - x[rows - 1], x[rows + 1] - x[rows]))
         return
 
-    rows = _tagged(grid, NodeTag.COARSE_REGULAR, NodeTag.BORDER)
+    rows = tagged(grid.tags, NodeTag.COARSE_REGULAR, NodeTag.BORDER)
     emit(rows, stencils.border_coeffs_1d(
         x[rows] - x[rows - 1], x[rows + 1] - x[rows], kap[rows], K))
-    rows = _tagged(grid, NodeTag.FINE_REGULAR)
+    rows = tagged(grid.tags, NodeTag.FINE_REGULAR)
     k = kap[rows]
     emit(rows, stencils.Stencil(
         alphas={-1: k / h_f**2, 0: -2.0 * k / h_f**2 + K, 1: k / h_f**2},
         betas={0: 1.0}))
-    rows = _tagged(grid, NodeTag.FINE_IRREGULAR)
+    rows = tagged(grid.tags, NodeTag.FINE_IRREGULAR)
     if len(rows):
         (gm, g0, gp), corr = _interface_pair(grid, problem, rows)
         emit(rows, stencils.Stencil(alphas={-1: gm, 0: g0 + K, 1: gp},
@@ -200,17 +196,17 @@ def _assemble_line(b, grid: Grid2DLine, problem, kap, fv) -> None:
         _emit(b, grid, rows, offs, st.alphas, st.betas, scale, fv,
               st.correction)
 
-    rows = _tagged(grid, NodeTag.COARSE_REGULAR)
+    rows = tagged(grid.tags, NodeTag.COARSE_REGULAR)
     if len(rows) and abs(h_y - grid.h) > 1e-12 * grid.h:
         raise BadParams("coarse strip columns need square cells")
-    rows = _tagged(grid, NodeTag.COARSE_REGULAR, NodeTag.BORDER)
+    rows = tagged(grid.tags, NodeTag.COARSE_REGULAR, NodeTag.BORDER)
     c = rows % ncol
     emit(rows, stencils.border_coeffs_2d(cols.x[c] - cols.x[c - 1],
                                          cols.x[c + 1] - cols.x[c], h_y),
          kap[rows])
-    rows = _tagged(grid, NodeTag.FINE_REGULAR)
+    rows = tagged(grid.tags, NodeTag.FINE_REGULAR)
     emit(rows, stencils.strip_mixed_order_2d(grid.h_f, h_y, kappa=kap[rows]))
-    rows = _tagged(grid, NodeTag.FINE_IRREGULAR)
+    rows = tagged(grid.tags, NodeTag.FINE_IRREGULAR)
     if len(rows):
         xgamma, corr = _interface_pair(cols, problem, rows % ncol)
         emit(rows, stencils.strip_mixed_order_2d(
@@ -231,7 +227,7 @@ def _assemble_tube(b, grid: Grid2DTube, problem, kap, fv) -> None:
     W, r = grid.W, grid.r
     h, h_f = grid.h, grid.h_f
 
-    coarse = _tagged(grid, NodeTag.COARSE_REGULAR)
+    coarse = tagged(grid.tags, NodeTag.COARSE_REGULAR)
     proto = stencils.border_coeffs_2d(h, h, h)
     _emit(b, grid, coarse, _deltas(proto.alphas, W, r), proto.alphas,
           proto.betas, kap[coarse], fv)
@@ -244,7 +240,7 @@ def _assemble_tube(b, grid: Grid2DTube, problem, kap, fv) -> None:
         # scheme applies on the fine lattice as well.  A concave corner of
         # the patch union can lack one diagonal neighbour; those nodes keep
         # the five point scheme.
-        fine = _tagged(grid, NodeTag.FINE_REGULAR, NodeTag.FINE_IRREGULAR)
+        fine = tagged(grid.tags, NodeTag.FINE_REGULAR, NodeTag.FINE_IRREGULAR)
         proto = stencils.border_coeffs_2d(h_f, h_f, h_f)
         offs = _deltas(proto.alphas, W)
         ok = (_neighbors(grid, fine, offs) >= 0).all(axis=1)
@@ -252,7 +248,7 @@ def _assemble_tube(b, grid: Grid2DTube, problem, kap, fv) -> None:
               kap[fine[ok]], fv)
         fine = fine[~ok]
     else:
-        fine = _tagged(grid, NodeTag.FINE_REGULAR)
+        fine = tagged(grid.tags, NodeTag.FINE_REGULAR)
     _emit(b, grid, fine, _deltas(_FIVE_POINT, W), _FIVE_POINT, {(0, 0): 1.0},
           kap[fine] / h_f**2, fv)
 
@@ -266,7 +262,7 @@ def _assemble_tube(b, grid: Grid2DTube, problem, kap, fv) -> None:
             _emit(b, grid, rows, offs, st.alphas, st.betas, kap[rows] / h**2,
                   fv)
 
-    irr = _tagged(grid, NodeTag.FINE_IRREGULAR)
+    irr = tagged(grid.tags, NodeTag.FINE_IRREGULAR)
     if plain or not len(irr):
         return
     nbrs = _neighbors(grid, irr, _deltas(_RING2, W))
@@ -274,10 +270,10 @@ def _assemble_tube(b, grid: Grid2DTube, problem, kap, fv) -> None:
                            ring_side=np.where(nbrs >= 0, grid.side[nbrs], 0))
     if km == kp:
         weights, corr = singular_source_stencil_2d(nodes, grid.ls, km,
-                                                   problem.jumps)
+                                                   problem.jumps, problem.f)
     else:
         weights, corr = iim_discontinuous_stencil_2d(nodes, grid.ls, km, kp,
-                                                     problem.jumps)
+                                                     problem.jumps, problem.f)
     nz = weights != 0.0
     b.add(np.broadcast_to(irr[:, None], nz.shape)[nz], nbrs[nz], weights[nz])
     b.rhs[irr] = fv[irr] + corr

@@ -42,6 +42,11 @@ class NodeTag(IntEnum):
 TAG_NAMES = {t: t.name.lower() for t in NodeTag}
 
 
+def tagged(tags: np.ndarray, *wanted: NodeTag) -> np.ndarray:
+    """Ids of the nodes whose tag is any of ``wanted``, ascending."""
+    return np.nonzero(np.logical_or.reduce([tags == t for t in wanted]))[0]
+
+
 @dataclass
 class GridParams:
     """Mesh parameters: ``N`` coarse cells, refinement ratio ``r`` (the fine

@@ -50,7 +50,7 @@ class JumpData:
     ``wp``, ``wpp``, ``vp`` are the arclength derivatives along the
     canonical tangent: a field ``w`` needs ``wp`` and ``wpp``, and a field
     ``v`` needs ``vp``, else :class:`BadParams` is raised; a scalar jump's
-    derivatives default to zero. ``fjump`` is the jump of the right-hand side across the interface.
+    derivatives default to zero. The 2D builders read ``[f]`` from ``f``.
     A field is called with coordinate arrays, all feet of a batch at once,
     and must evaluate elementwise.
     """
@@ -60,7 +60,6 @@ class JumpData:
     wp: Optional[Field] = None
     wpp: Optional[Field] = None
     vp: Optional[Field] = None
-    fjump: ScalarOrField = 0.0
 
     def __post_init__(self):
         if callable(self.w) and (self.wp is None or self.wpp is None):
@@ -127,16 +126,16 @@ def _ev(q: ScalarOrField, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(val, dtype=float), np.shape(x))
 
 
-def jump_scalars(jumps: JumpData, frame: InterfaceFrame) -> dict:
+def jump_scalars(jumps: JumpData, frame: InterfaceFrame, f: Callable) -> dict:
     """Evaluate w, v, [f] and the tangential derivatives at a frame's feet.
 
-    Every value has shape ``(m,)``, one per foot of the batch. A derivative
-    that ``jumps`` does not give is zero, which :class:`JumpData` allows
-    only for scalar jumps.
+    ``[f]`` is ``f(x, y, 1) - f(x, y, -1)``. Every value has shape ``(m,)``,
+    one per foot of the batch. A derivative that ``jumps`` does not give is
+    zero, which :class:`JumpData` allows only for scalar jumps.
     """
     x = np.ascontiguousarray(frame.foot[:, 0])
     y = np.ascontiguousarray(frame.foot[:, 1])
-    fields = {"w": jumps.w, "v": jumps.v, "fj": jumps.fjump,
+    fields = {"w": jumps.w, "v": jumps.v, "fj": f(x, y, 1) - f(x, y, -1),
               "wp": jumps.wp, "wpp": jumps.wpp, "vp": jumps.vp}
     return {name: _ev(0.0 if q is None else q, x, y)
             for name, q in fields.items()}
@@ -276,13 +275,14 @@ def _check_single_crossings(nodes: IrregularNodes, ls: LevelSet) -> None:
 # ---------------------------------------------------------------------------
 
 def singular_source_stencil_2d(nodes: IrregularNodes, ls: LevelSet,
-                               kappa: float, jumps: JumpData):
+                               kappa: float, jumps: JumpData, f: Callable):
     """Corrected five-point scheme for ``kappa Lap u = f`` with interface jumps.
 
-    ``kappa`` must be the same on both sides. Each arm that crosses the
-    interface contributes the jump Taylor polynomial, expanded at that arm's
-    own crossing point, to the right-hand-side correction. The crossings of
-    all arms of all nodes are found in one call, and projected in one call.
+    ``kappa`` must be the same on both sides, and ``f`` is read only for
+    ``[f]``. Each arm that crosses the interface adds the jump Taylor
+    polynomial, expanded at that arm's own crossing point, to the right side
+    correction. The crossings of all arms of all nodes are found in one
+    call, and projected in one call.
 
     Returns ``(weights, correction)`` for the batch of ``m`` nodes: the
     ``(m, 25)`` weights over the ring offsets ``_RING2`` and the ``(m,)``
@@ -315,7 +315,7 @@ def singular_source_stencil_2d(nodes: IrregularNodes, ls: LevelSet,
                                 np.column_stack([ex, ey])[~tie])
 
     frame = project_to_interface(ls, Xc)
-    js = jump_scalars(jumps, frame)
+    js = jump_scalars(jumps, frame, f)
     _, J0, jf = transfer_minus_to_plus(kappa, kappa, -frame.curvature, js)
     jtaylor = J0 + jf * js["fj"][:, None]   # T_plus - T_minus
     b = _basis_row(ex - frame.foot[:, 0], ey - frame.foot[:, 1], frame)
@@ -442,7 +442,8 @@ def _constrained_fit(A: np.ndarray, cand: np.ndarray, scale: np.ndarray,
 
 
 def iim_discontinuous_stencil_2d(nodes: IrregularNodes, ls: LevelSet,
-                                 kminus: float, kplus: float, jumps: JumpData):
+                                 kminus: float, kplus: float, jumps: JumpData,
+                                 f: Callable):
     """Fitted stencil at fine nodes where the diffusion coefficient jumps.
 
     All available 3x3 neighbors are candidates; consistency with the
@@ -452,7 +453,8 @@ def iim_discontinuous_stencil_2d(nodes: IrregularNodes, ls: LevelSet,
     total off-center weight. Nodes with no sign-feasible stencil on the 3x3
     block go on together to the distance-2 arm points and then to the full
     5x5 ring before giving up; every stage fits its nodes in
-    block-diagonal linear programs of at most ``_BLOCK_NODES`` (512) nodes.
+    block-diagonal linear programs of at most ``_BLOCK_NODES`` (512) nodes;
+    ``f`` is read only for ``[f]`` at the feet.
 
     Returns ``(weights, correction)`` for the batch of ``m`` nodes: the
     ``(m, 25)`` weights over the ring offsets ``_RING2`` and the ``(m,)``
@@ -460,7 +462,7 @@ def iim_discontinuous_stencil_2d(nodes: IrregularNodes, ls: LevelSet,
     """
     _check_single_crossings(nodes, ls)
     frame = project_to_interface(ls, np.column_stack([nodes.x, nodes.y]))
-    js = jump_scalars(jumps, frame)
+    js = jump_scalars(jumps, frame, f)
     side = nodes.side
     kc = np.where(side < 0, kminus, kplus)
     M, J0, jf = transfer_from_side(side, kminus, kplus, -frame.curvature, js)

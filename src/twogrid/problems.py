@@ -1,9 +1,9 @@
 """Benchmark problem definitions with closed-form solutions.
 
-Every problem carries side-aware callables: ``f(x, y, side)`` and
-``exact(x, y, side)`` where ``side`` is -1 on the minus side of the
-interface (``phi <= 0``) and +1 elsewhere; both accept numpy arrays.
-``boundary(x, y)`` is the Dirichlet trace. 1D problems ignore ``y``.
+Every problem carries side-aware callables: the source ``f(x, y, side)``,
+the Dirichlet trace ``boundary(x, y, side)`` and ``exact(x, y, side)``,
+where ``side`` is -1 on the minus side of the interface (``phi <= 0``)
+and +1 elsewhere; all accept numpy arrays. 1D problems ignore ``y``.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import BadParams, NoExactSolution, UnknownProblem
 from .geometry import InterfaceFrame, LevelSet, project_to_interface
-from .grid import NodeTag
+from .grid import NodeTag, tagged
 from .iim import JumpData, jump_scalars
 
 
@@ -39,9 +39,10 @@ class ProblemSpec:
 
     Both kappas are positive and finite, ``K`` and ``conv`` finite. A 1D
     problem names no ``interface``, an ``alpha`` interface carries
-    ``jumps``, ``jumps`` need an interface, and unequal kappas need
-    ``jumps``. A setting its geometry does not take raises
-    :class:`BadParams` here, since assembly would ignore it.
+    ``jumps`` with scalar ``w`` and ``v`` and no ``wp``, ``wpp`` or ``vp``,
+    ``jumps`` need an interface, and unequal kappas need ``jumps``. A
+    setting its geometry does not take raises :class:`BadParams` here,
+    since assembly would ignore it. ``boundary`` takes ``(x, y, side)``.
     """
 
     name: str
@@ -74,6 +75,11 @@ class ProblemSpec:
                             "interface and alpha")
         if self.alpha is not None and self.jumps is None:
             raise BadParams(f"{self.name}: an alpha interface needs jumps")
+        if self.alpha is not None and any(
+                q is not None for q in (self.jumps.wp, self.jumps.wpp,
+                                        self.jumps.vp)):
+            raise BadParams(f"{self.name}: an alpha interface takes scalar "
+                            "jumps w and v, without wp, wpp or vp")
         if (self.jumps is not None and self.alpha is None
                 and self.interface is None):
             raise BadParams(f"{self.name}: jumps need an interface")
@@ -124,8 +130,8 @@ def _boundary_layer_1d(params) -> ProblemSpec:
     return ProblemSpec(
         name="boundary_layer_1d", domain=(0.0, 1.0),
         f=lambda x, y, side: c1 + 0.0 * np.asarray(x, dtype=float),
-        boundary=lambda x, y: exact(x, y, 1),
-        exact=exact, kappa_minus=eps, kappa_plus=eps, conv=-1.0, K=1.0)
+        boundary=exact, exact=exact, kappa_minus=eps, kappa_plus=eps,
+        conv=-1.0, K=1.0)
 
 
 def _piecewise_kappa_1d(params) -> ProblemSpec:
@@ -143,9 +149,7 @@ def _piecewise_kappa_1d(params) -> ProblemSpec:
     return ProblemSpec(
         name="piecewise_kappa_1d", domain=(0.0, 1.0),
         f=lambda x, y, side: 12.0 * np.asarray(x, dtype=float) ** 2,
-        boundary=lambda x, y: exact(x, y, np.where(
-            np.asarray(x, dtype=float) <= alpha, -1, 1)),
-        exact=exact, kappa_minus=km, kappa_plus=kp,
+        boundary=exact, exact=exact, kappa_minus=km, kappa_plus=kp,
         jumps=JumpData(w=0.0, v=0.0), alpha=alpha)
 
 
@@ -169,9 +173,8 @@ def _line_interface_2d(params) -> ProblemSpec:
         name="line_interface_2d", domain=((0.0, 1.0), (0.0, 1.0)),
         f=lambda x, y, side: (-np.pi**2 * np.sin(np.pi * np.asarray(y, float))
                               + 0.0 * np.asarray(x, dtype=float)),
-        boundary=lambda x, y: exact(x, y, np.where(
-            np.asarray(x, dtype=float) <= alpha, -1, 1)),
-        exact=exact, jumps=JumpData(w=0.0, v=1.0), alpha=alpha)
+        boundary=exact, exact=exact, jumps=JumpData(w=0.0, v=1.0),
+        alpha=alpha)
 
 
 def _peskin_circle(params) -> ProblemSpec:
@@ -195,9 +198,7 @@ def _peskin_circle(params) -> ProblemSpec:
     return ProblemSpec(
         name="peskin_circle", domain=((-1.0, 1.0), (-1.0, 1.0)),
         f=lambda x, y, side: 0.0 * np.asarray(x, dtype=float),
-        boundary=lambda x, y: exact(x, y, 1),
-        exact=exact,
-        jumps=JumpData(w=0.0, v=1.0 / R, fjump=0.0),
+        boundary=exact, exact=exact, jumps=JumpData(w=0.0, v=1.0 / R),
         interface=LevelSet(phi=phi, samples=samples))
 
 
@@ -232,9 +233,8 @@ def _flower(params) -> ProblemSpec:
         f=lambda x, y, side: np.where(
             np.asarray(side) < 0, 4.0,
             16.0 * (np.asarray(x, float) ** 2 + np.asarray(y, float) ** 2)),
-        boundary=lambda x, y: exact(x, y, 1),
-        exact=exact, kappa_minus=km, kappa_plus=kp, jumps=jumps,
-        interface=LevelSet(phi=phi, samples=samples))
+        boundary=exact, exact=exact, kappa_minus=km, kappa_plus=kp,
+        jumps=jumps, interface=LevelSet(phi=phi, samples=samples))
 
 
 def _flower_jumps(km: float, kp: float) -> JumpData:
@@ -270,8 +270,7 @@ def _flower_jumps(km: float, kp: float) -> JumpData:
 
     return JumpData(
         w=on_curve("w"), v=on_curve("v"), wp=on_curve("wp"),
-        wpp=on_curve("wpp"), vp=on_curve("vp"),
-        fjump=lambda x, y: 16.0 * (x * x + y * y) - 4.0)
+        wpp=on_curve("wpp"), vp=on_curve("vp"))
 
 
 def _internal_layer(params) -> ProblemSpec:
@@ -303,7 +302,7 @@ def _internal_layer(params) -> ProblemSpec:
 
     return ProblemSpec(
         name="internal_layer", domain=((-1.0, 1.0), (-1.0, 1.0)),
-        f=f, boundary=lambda x, y: exact(x, y, 1), exact=exact,
+        f=f, boundary=exact, exact=exact,
         interface=LevelSet(phi=phi, samples=samples))
 
 
@@ -392,7 +391,7 @@ def selfcheck(problem: ProblemSpec) -> dict:
     Applies the problem's differential operator to ``exact`` by sixth-order
     central differences at 100 random points (seed 0) away from the
     interface or layer and compares with ``f``; where jump data is
-    prescribed, the value, flux and source jumps of the closed forms are
+    prescribed, the value and flux jumps of the closed forms are
     compared against it on interface points: the projections of 20 samples
     of a curve, or 8 random points of the line ``x = alpha`` (the point
     itself in 1D), with the flux taken along the normal. Residuals are relative with the
@@ -432,7 +431,7 @@ def selfcheck(problem: ProblemSpec) -> dict:
             foot=np.column_stack([np.full(8, problem.alpha), ys]),
             normal=np.tile([1.0, 0.0], (8, 1)),
             tangent=np.tile([0.0, 1.0], (8, 1)), curvature=np.zeros(8))
-    js = jump_scalars(problem.jumps, frame)
+    js = jump_scalars(problem.jumps, frame, problem.f)
     px, py = frame.foot.T
     nx, ny = frame.normal.T
     line = lambda t, _, s: problem.exact(px + t * nx, py + t * ny, s)
@@ -440,11 +439,9 @@ def selfcheck(problem: ProblemSpec) -> dict:
     flux = (problem.kappa_plus * _fd_axis(line, 0.0, 0.0, 1, hd, _FD_D1, 1, 0)
             - problem.kappa_minus * _fd_axis(line, 0.0, 0.0, -1, hd, _FD_D1,
                                              1, 0))
-    df = problem.f(px, py, 1) - problem.f(px, py, -1)
     worst = max(np.abs(du - js["w"]).max(),
                 (np.abs(flux - js["v"])
-                 / np.maximum(1.0, np.abs(js["v"]))).max(),
-                np.abs(df - js["fj"]).max())
+                 / np.maximum(1.0, np.abs(js["v"]))).max())
     out["jump_max_rel"] = float(worst)
     return out
 
@@ -465,11 +462,10 @@ def exact_error(problem: ProblemSpec, grid, u: np.ndarray) -> dict:
     uex = np.asarray(problem.exact(grid.x, grid.y, grid.side.astype(int)),
                      dtype=float)
     err = np.abs(u - uex)
-    tags = np.asarray(grid.tags)
 
     def emax(tag_list):
-        mask = np.isin(tags, np.asarray(tag_list, dtype=tags.dtype))
-        return float(err[mask].max()) if mask.any() else math.nan
+        ids = tagged(grid.tags, *tag_list)
+        return float(err[ids].max()) if len(ids) else math.nan
 
     return {
         "coarse": emax(_COARSE_TAGS),

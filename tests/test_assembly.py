@@ -26,7 +26,7 @@ from twogrid.problems import ProblemSpec
 
 
 def stub_1d(f, kappa=(1.0, 1.0), alpha=0.55, jumps=None, K=0.0,
-            boundary=lambda x, y: 0.0 * x):
+            boundary=lambda x, y, side: 0.0 * x):
     return ProblemSpec(name="stub", domain=(0.0, 1.0), f=f, boundary=boundary,
                        kappa_minus=kappa[0], kappa_plus=kappa[1], K=K,
                        jumps=jumps or JumpData(), alpha=alpha)
@@ -42,7 +42,7 @@ def test_constant_state_is_in_the_kernel_split():
     # vector, so A c = b when the boundary holds the same constant
     g = build_two_grid_1d(GridParams(N=10, r=4, lam=2.0), alpha=0.55)
     prob = stub_1d(lambda x, y, s: 0.0 * x, kappa=(2.0, 5.0),
-                   boundary=lambda x, y: 3.7 + 0.0 * x)
+                   boundary=lambda x, y, side: 3.7 + 0.0 * x)
     sys_ = assemble(g, prob)
     resid = sys_.matrix @ np.full(g.n, 3.7) - sys_.rhs
     assert np.abs(resid).max() < 1e-8
@@ -243,10 +243,11 @@ def test_assemble_writes_dirichlet_rows(name, N, r):
     sys_ = assemble(g, prob)
     assert (sys_.boundary == (g.tags == NodeTag.BOUNDARY)).all()
     assert len(bnd)
-    assert (sys_.rhs[bnd] == prob.boundary(g.x[bnd], g.y[bnd])).all()
+    assert (sys_.rhs[bnd]
+            == prob.boundary(g.x[bnd], g.y[bnd], g.side[bnd])).all()
     for i in bnd:
         assert row_dict(sys_, i) == {int(i): 1.0}
-    zero = assemble(g, replace(prob, boundary=lambda x, y: 0.0 * x))
+    zero = assemble(g, replace(prob, boundary=lambda x, y, side: 0.0 * x))
     assert (zero.rhs[bnd] == 0.0).all()
     assert (zero.rhs[~sys_.boundary] == sys_.rhs[~sys_.boundary]).all()
     assert (zero.matrix != sys_.matrix).nnz == 0
@@ -492,10 +493,10 @@ def reference_tube_rows(g, prob):
             ring_side=np.array([[g.side[j] if j >= 0 else 0 for j in ids]]))
         if km == kp:
             weights, corr = singular_source_stencil_2d(node, g.ls, km,
-                                                       prob.jumps)
+                                                       prob.jumps, prob.f)
         else:
             weights, corr = iim_discontinuous_stencil_2d(node, g.ls, km, kp,
-                                                         prob.jumps)
+                                                         prob.jumps, prob.f)
         entries = {j: float(w) for j, w in zip(ids, weights[0]) if w != 0.0}
         out[int(i)] = (entries, f_at(i) + corr[0])
     return out
@@ -566,8 +567,8 @@ def star_problem(R, modes, kappa, seeded, center=(0.0, 0.0)):
     return ProblemSpec(
         name="star", domain=((-1.0, 1.0), (-1.0, 1.0)),
         f=lambda x, y, side: np.where(np.asarray(side) < 0, 4.0, 1.0 + x),
-        boundary=lambda x, y: 0.0 * x, kappa_minus=kappa[0],
-        kappa_plus=kappa[1], jumps=JumpData(w=0.5, v=1.0, fjump=-1.0),
+        boundary=lambda x, y, side: 0.0 * x, kappa_minus=kappa[0],
+        kappa_plus=kappa[1], jumps=JumpData(w=0.5, v=1.0),
         interface=ls)
 
 
@@ -697,14 +698,15 @@ def test_widened_fits_match_single_node_calls():
     ring = np.where(nbrs >= 0, g.side[nbrs], 0)
     nodes = IrregularNodes(x=g.x[irr], y=g.y[irr], h_f=g.h_f, ring_side=ring)
     weights, corr = iim_discontinuous_stencil_2d(
-        nodes, g.ls, prob.kappa_minus, prob.kappa_plus, prob.jumps)
+        nodes, g.ls, prob.kappa_minus, prob.kappa_plus, prob.jumps, prob.f)
     outer = [c for c, (dx, dy) in enumerate(_RING2) if max(abs(dx), abs(dy)) > 1]
     assert (weights[:, outer] != 0.0).any(axis=1).sum() == 4
     for k, i in enumerate(irr):
         node = IrregularNodes(x=g.x[[i]], y=g.y[[i]], h_f=g.h_f,
                               ring_side=ring[[k]])
         w1, c1 = iim_discontinuous_stencil_2d(node, g.ls, prob.kappa_minus,
-                                              prob.kappa_plus, prob.jumps)
+                                              prob.kappa_plus, prob.jumps,
+                                              prob.f)
         assert w1.tobytes() == weights[k].tobytes()
         assert c1.tobytes() == corr[[k]].tobytes()
 
@@ -731,7 +733,7 @@ def test_large_stages_split_into_programs_of_at_most_512_nodes(
 
     def fit():
         return iim_discontinuous_stencil_2d(
-            nodes, g.ls, prob.kappa_minus, prob.kappa_plus, prob.jumps)
+            nodes, g.ls, prob.kappa_minus, prob.kappa_plus, prob.jumps, prob.f)
 
     monkeypatch.setattr(scipy.optimize, "linprog", counted)
     weights, corr = fit()

@@ -22,6 +22,27 @@ def circle_ls(R=0.5):
     return LevelSet(phi=lambda x, y: np.hypot(x, y) - R)
 
 
+def source(minus, plus):
+    """A side-aware source, ``minus`` on the minus side, else ``plus``."""
+    return lambda x, y, side: np.where(np.asarray(side) < 0, minus,
+                                       plus) + 0.0 * x
+
+
+no_source = source(0.0, 0.0)
+
+
+def piecewise_quadratic(al, minus, plus):
+    """``u(x, y)`` that is the quadratic with coefficients ``minus`` at
+    ``x <= al`` and ``plus`` elsewhere, each over the monomials
+    ``(1, X, y, X**2, X y, y**2)`` of ``X = x - al``."""
+    def u(x, y):
+        c = minus if x <= al else plus
+        X = x - al
+        return (c[0] + c[1] * X + c[2] * y + c[3] * X * X + c[4] * X * y
+                + c[5] * y * y)
+    return u
+
+
 def node_at(x, y, h_f, side, ls, available=ALL_NEIGHBORS):
     """The batch of one node at ``(x, y)``; the grid has its neighbors at
     the offsets ``available``, on the sides that ``phi`` gives them."""
@@ -189,7 +210,7 @@ def test_field_jumps_need_their_tangential_derivatives():
     # scalar jumps have zero tangential derivatives
     ls = circle_ls()
     js = iim.jump_scalars(iim.JumpData(w=0.3, v=1.0),
-                          project_to_interface(ls, [(0.5, 0.0)]))
+                          project_to_interface(ls, [(0.5, 0.0)]), no_source)
     assert tuple(js[k][0] for k in ("w", "v", "wp", "wpp", "vp")) == (
         0.3, 1.0, 0.0, 0.0, 0.0)
 
@@ -200,7 +221,7 @@ def test_jump_scalars_prefers_supplied_derivatives():
     jd = iim.JumpData(w=lambda x, y: x, v=lambda x, y: y,
                       wp=lambda x, y: 11.0, wpp=lambda x, y: 12.0,
                       vp=lambda x, y: 13.0)
-    js = iim.jump_scalars(jd, frame)
+    js = iim.jump_scalars(jd, frame, no_source)
     assert tuple(js[k][0] for k in ("wp", "wpp", "vp")) == (11.0, 12.0, 13.0)
 
 
@@ -213,7 +234,8 @@ def test_singular_source_exact_on_piecewise_linear():
     ls = line_ls(al)
     hf = 0.04
     node = node_at(al - 0.3 * hf, 0.5, hf, -1, ls)
-    out = iim.singular_source_stencil_2d(node, ls, 1.0, iim.JumpData(v=1.0))
+    out = iim.singular_source_stencil_2d(node, ls, 1.0, iim.JumpData(v=1.0),
+                                         no_source)
 
     def u(x, y):
         return x * (al - 1.0) if x <= al else al * (x - 1.0)
@@ -223,14 +245,30 @@ def test_singular_source_exact_on_piecewise_linear():
     assert weight(out, (1, 0)) == pytest.approx(1.0 / hf**2)
 
 
+@pytest.mark.parametrize("side", [-1, 1])
+def test_singular_source_exact_when_f_jumps(side):
+    # equal kappas, [u] = 1/2 and [kappa u_x] = 1 along the line, and a
+    # kappa Lap u that jumps from 3 to 9: the correction must carry [f]
+    al, kappa, hf = 33.0 / 70.0, 2.0, 0.04
+    ls = line_ls(al)
+    minus = (0.3, 1.0, 3.0, 1.0, 0.5, -0.25)
+    plus = (0.8, 1.5, 3.0, 2.5, 0.5, -0.25)
+    f = source(3.0, 9.0)
+    u = piecewise_quadratic(al, minus, plus)
+    node = node_at(al + side * 0.3 * hf, 0.5, hf, side, ls)
+    out = iim.singular_source_stencil_2d(node, ls, kappa,
+                                         iim.JumpData(w=0.5, v=1.0), f)
+    assert abs(residual_2d(out, node, u, f(node.x, node.y, side)[0])) < 1e-9
+
+
 def test_singular_source_correction_is_linear_in_jumps():
     al = 33.0 / 70.0
     ls = line_ls(al)
     node = node_at(al - 0.01, 0.5, 0.04, -1, ls)
     base_w, base_c = iim.singular_source_stencil_2d(
-        node, ls, 1.0, iim.JumpData(w=0.3, v=1.0))
+        node, ls, 1.0, iim.JumpData(w=0.3, v=1.0), no_source)
     double_w, double_c = iim.singular_source_stencil_2d(
-        node, ls, 1.0, iim.JumpData(w=0.6, v=2.0))
+        node, ls, 1.0, iim.JumpData(w=0.6, v=2.0), no_source)
     assert double_c[0] == pytest.approx(2.0 * base_c[0], rel=1e-12)
     assert (double_w == base_w).all()
 
@@ -252,7 +290,7 @@ def test_singular_source_consistency_order_on_circle():
         cx = (R + 0.3 * h) * np.cos(th)
         cy = (R + 0.3 * h) * np.sin(th)
         node = node_at(cx, cy, h, +1, ls)
-        out = iim.singular_source_stencil_2d(node, ls, 1.0, jumps)
+        out = iim.singular_source_stencil_2d(node, ls, 1.0, jumps, no_source)
         errs.append(abs(residual_2d(out, node, u, 0.0)))
     assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
     assert lsq_slope(hs, errs) >= 0.8
@@ -269,11 +307,13 @@ def test_arm_side_override_controls_crossing_detection():
     east = iim._RING2.index((1, 0))
     assert node.ring_side[0, east] == -1
     _, corr_plain = iim.singular_source_stencil_2d(node, ls, 1.0,
-                                                   iim.JumpData(w=1.0))
+                                                   iim.JumpData(w=1.0),
+                                                   no_source)
     assert corr_plain[0] == 0.0
     node.ring_side[0, east] = +1
     _, corr_forced = iim.singular_source_stencil_2d(node, ls, 1.0,
-                                                    iim.JumpData(w=1.0))
+                                                    iim.JumpData(w=1.0),
+                                                    no_source)
     assert corr_forced[0] != 0.0
 
 
@@ -283,7 +323,8 @@ def test_double_crossing_arm_is_rejected():
     ls = LevelSet(phi=lambda x, y: (x - 0.5) ** 2 - 0.01)
     node = node_at(0.3, 0.5, 0.4, +1, ls, available={(1, 0)})
     with pytest.raises(MultipleCrossings):
-        iim.singular_source_stencil_2d(node, ls, 1.0, iim.JumpData())
+        iim.singular_source_stencil_2d(node, ls, 1.0, iim.JumpData(),
+                                       no_source)
 
 
 @pytest.mark.parametrize("arm", sorted(iim._CROSS))
@@ -292,7 +333,8 @@ def test_singular_source_needs_every_five_point_arm(arm):
     node = node_at(0.48, 0.5, 0.04, -1, ls, available=ALL_NEIGHBORS - {arm})
     with pytest.raises(MissingNeighbor,
                        match=r"node \(0\.48,0\.5\) lacks a five-point arm"):
-        iim.singular_source_stencil_2d(node, ls, 1.0, iim.JumpData(v=1.0))
+        iim.singular_source_stencil_2d(node, ls, 1.0, iim.JumpData(v=1.0),
+                                       no_source)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +352,25 @@ def test_discontinuous_exact_on_piecewise_quadratic():
         base = (x - al) + (x - al) ** 2
         return (base if x <= al else km / kp * base) + 3.0 * y
 
-    out = iim.iim_discontinuous_stencil_2d(node, ls, km, kp, iim.JumpData())
+    out = iim.iim_discontinuous_stencil_2d(node, ls, km, kp, iim.JumpData(),
+                                           source(2.0 * km, 2.0 * km))
     assert abs(residual_2d(out, node, u, 2.0 * km)) < 1e-9
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+def test_discontinuous_exact_when_f_jumps(side):
+    # kappa 2 | 5, [u] = 1/2 and [kappa u_x] = 1 along the line, and a
+    # kappa Lap u that jumps from 3 to 17.5: the fitted row must carry [f]
+    al, km, kp, hf = 33.0 / 70.0, 2.0, 5.0, 0.04
+    ls = line_ls(al)
+    minus = (0.3, 1.0, 3.0, 1.0, 0.5, -0.25)
+    plus = (0.8, 0.6, 3.0, 2.0, 0.2, -0.25)
+    f = source(3.0, 17.5)
+    u = piecewise_quadratic(al, minus, plus)
+    node = node_at(al + side * 0.3 * hf, 0.5, hf, side, ls)
+    out = iim.iim_discontinuous_stencil_2d(node, ls, km, kp,
+                                           iim.JumpData(w=0.5, v=1.0), f)
+    assert abs(residual_2d(out, node, u, f(node.x, node.y, side)[0])) < 1e-9
 
 
 def test_discontinuous_monotone_sign_pattern_and_zero_row_sum():
@@ -319,7 +378,7 @@ def test_discontinuous_monotone_sign_pattern_and_zero_row_sum():
     ls = line_ls(al)
     node = node_at(al - 0.012, 0.5, 0.04, -1, ls)
     weights, _ = iim.iim_discontinuous_stencil_2d(node, ls, 2.0, 5.0,
-                                                  iim.JumpData())
+                                                  iim.JumpData(), no_source)
     center = iim._RING2.index((0, 0))
     assert weights[0, center] < 0
     assert (np.delete(weights[0], center) >= 0).all()
@@ -332,7 +391,8 @@ def test_discontinuous_equal_kappa_matches_smooth_quadratic():
     al = 33.0 / 70.0
     ls = line_ls(al)
     node = node_at(al - 0.012, 0.5, 0.04, -1, ls)
-    out = iim.iim_discontinuous_stencil_2d(node, ls, 3.0, 3.0, iim.JumpData())
+    out = iim.iim_discontinuous_stencil_2d(node, ls, 3.0, 3.0, iim.JumpData(),
+                                           source(-6.0, -6.0))
 
     def u(x, y):
         return x**2 + x * y - 2.0 * y**2 + x - y + 1.0
@@ -357,7 +417,8 @@ def test_discontinuous_consistency_order_on_flower():
                 side = -1 if float(ls.phi(cx, cy)) <= 0.0 else +1
                 node = node_at(cx, cy, h, side, ls)
                 out = iim.iim_discontinuous_stencil_2d(
-                    node, ls, prob.kappa_minus, prob.kappa_plus, prob.jumps)
+                    node, ls, prob.kappa_minus, prob.kappa_plus, prob.jumps,
+                    prob.f)
 
                 def u(x, y):
                     s = -1 if float(ls.phi(x, y)) <= 0.0 else +1

@@ -59,6 +59,38 @@ def test_alpha_spec_needs_jumps(name):
                              boundary=prob.boundary, alpha=prob.alpha)
 
 
+def zero_field(x, y):
+    return 0.0 * x
+
+
+# jump data that the point and line schemes would never read
+UNREAD_JUMPS = {
+    "wp": JumpData(w=0.1, wp=zero_field),
+    "wpp": JumpData(w=0.1, wpp=zero_field),
+    "vp": JumpData(v=1.0, vp=zero_field),
+    "field-w": JumpData(w=zero_field, wp=zero_field, wpp=zero_field),
+    "field-v": JumpData(v=zero_field, vp=zero_field),
+}
+
+
+@pytest.mark.parametrize("jumps", UNREAD_JUMPS.values(), ids=UNREAD_JUMPS)
+@pytest.mark.parametrize("name", ["piecewise_kappa_1d", "line_interface_2d"])
+def test_alpha_spec_rejects_jumps_it_would_not_read(name, jumps):
+    # the fitted pair takes scalar w and v only: a derivative would be
+    # ignored, and a field would fail only inside assembly
+    with pytest.raises(BadParams, match=f"{name}: an alpha interface takes "
+                       "scalar jumps w and v, without wp, wpp or vp"):
+        replace(problems.make_problem(name), jumps=jumps)
+
+
+@pytest.mark.parametrize("name", problems.problem_names())
+def test_dirichlet_trace_is_the_exact_solution(name):
+    # the trace takes the node's side like f and exact, so no problem
+    # restates the grid's side rule
+    prob = problems.make_problem(name)
+    assert prob.boundary is prob.exact
+
+
 def test_jumps_need_an_interface():
     prob = problems.make_problem("boundary_layer_1d", {})
     with pytest.raises(BadParams, match="jumps need an interface"):

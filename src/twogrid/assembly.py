@@ -113,26 +113,46 @@ def _neighbors(grid, rows, offsets) -> np.ndarray:
 
 
 def _emit(b, grid, rows, offsets, alphas, betas, scale, fv,
-          correction=0.0) -> None:
+          correction=0.0, target=0.0) -> None:
     """Add the equations of ``rows``, which share one stencil, to ``b``.
 
     ``offsets`` maps every key of ``alphas`` and ``betas`` to its code
     delta. Each row gets ``alpha * scale`` in the column of the node at
-    that delta and the right side ``correction + sum beta * fv`` over the
-    same nodes, summed in key order; ``fv`` is the source at every node.
-    Every weight, ``scale`` and
-    ``correction`` is a scalar or one value per row.
+    that delta, rounded by :func:`_exact_rows` to sum to ``target``, and
+    the right side ``correction + sum beta * fv`` over the same nodes,
+    summed in key order; ``fv`` is the source at every node. Every weight,
+    ``scale`` and ``correction`` is a scalar or one value per row.
     """
     if not len(rows):
         return
     col = dict(zip(offsets, _neighbors(grid, rows, offsets).T))
-    for k, a in alphas.items():
-        b.add(rows, col[k],
-              np.broadcast_to(np.asarray(a, dtype=float) * scale, rows.shape))
+    w = np.stack([np.broadcast_to(np.asarray(a, dtype=float) * scale,
+                                  rows.shape) for a in alphas.values()], 1)
+    _exact_rows(w, [offsets[k] for k in alphas].index(0), target)
+    for k, wk in zip(alphas, w.T):
+        b.add(rows, col[k], wk)
     acc = np.array(np.broadcast_to(correction, rows.shape), dtype=float)
     for k, bw in betas.items():
         acc += np.asarray(bw, dtype=float) * fv[col[k]]
     b.rhs[rows] = acc
+
+
+def _exact_rows(w, centre: int, target=0.0) -> None:
+    """Round the rows ``w`` of stencil weights, one equation each, in place
+    to the values that are stored.
+
+    Each off-diagonal weight is rounded to a power-of-two grid of its row,
+    twice the spacing of the row's sum of off-diagonal magnitudes, so that
+    their float sum is exact; the diagonal, in column ``centre``, becomes
+    ``target`` minus that sum. The given diagonal is never read. A
+    consistent row of ``kappa Lap u + K u`` sums to ``K``, which is 0 in 2D,
+    and the stored row sums to it exactly wherever ``K`` lies on the row's
+    grid, as 0 always does.
+    """
+    w[:, centre] = 0.0
+    q = 2 * np.spacing(np.abs(w).sum(axis=1, keepdims=True))
+    w[:] = np.round(w / q) * q
+    w[:, centre] = target - w.sum(axis=1)
 
 
 def _interface_pair(grid: Grid1D, problem, nodes):
@@ -160,7 +180,7 @@ def _assemble_1d(b, grid: Grid1D, problem, kap, fv) -> None:
 
     def emit(rows, st):
         _emit(b, grid, rows, _STEPS, st.alphas, st.betas, 1.0, fv,
-              st.correction)
+              st.correction, target=K)
 
     if problem.jumps is None:
         rows = np.nonzero(grid.tags != NodeTag.BOUNDARY)[0]
@@ -175,12 +195,12 @@ def _assemble_1d(b, grid: Grid1D, problem, kap, fv) -> None:
     rows = tagged(grid.tags, NodeTag.FINE_REGULAR)
     k = kap[rows]
     emit(rows, stencils.Stencil(
-        alphas={-1: k / h_f**2, 0: -2.0 * k / h_f**2 + K, 1: k / h_f**2},
+        alphas={-1: k / h_f**2, 0: -2.0 * k / h_f**2, 1: k / h_f**2},
         betas={0: 1.0}))
     rows = tagged(grid.tags, NodeTag.FINE_IRREGULAR)
     if len(rows):
         (gm, g0, gp), corr = _interface_pair(grid, problem, rows)
-        emit(rows, stencils.Stencil(alphas={-1: gm, 0: g0 + K, 1: gp},
+        emit(rows, stencils.Stencil(alphas={-1: gm, 0: g0, 1: gp},
                                     betas={0: 1.0}, correction=corr))
 
 
@@ -275,6 +295,7 @@ def _assemble_tube(b, grid: Grid2DTube, problem, kap, fv) -> None:
         weights, corr = iim_discontinuous_stencil_2d(nodes, grid.ls, km, kp,
                                                      problem.jumps, problem.f)
     nz = weights != 0.0
+    _exact_rows(weights, _RING2.index((0, 0)))
     b.add(np.broadcast_to(irr[:, None], nz.shape)[nz], nbrs[nz], weights[nz])
     b.rhs[irr] = fv[irr] + corr
 

@@ -18,6 +18,11 @@ transition ("hanging") stencils that tie fine tube nodes to the coarse
 lattice, are exact rationals for every refinement ratio and for rational
 spacings, with a general ``kappa`` and reaction term folded in where the
 scheme allows.
+
+Assembly owns the rounding of the rows it stores: it rounds each row's
+off-diagonal weights and writes the diagonal as the row's target minus
+their sum. So a closed form here is written for its rationals, not for the
+bits of its floats, and no generator's diagonal reaches the matrix.
 """
 from __future__ import annotations
 
@@ -148,35 +153,26 @@ def border_coeffs_2d(h1: float, h2: float, h_y: float) -> Stencil:
     and center, f-weights 8/12 at the center and 1/12 per edge. Derived by
     matching all monomials through total degree four. Arithmetic is
     type-preserving: Fraction spacings give exact rational coefficients.
-
-    Each weight is its nine-point value times ``1 + t``, with ``t`` built
-    from differences that vanish at equal spacings, in floats too, and the
-    f-weights keep the nine-point summation order. So equal float spacings
-    give the nine-point row bit for bit as ``w / (6 h**2)`` rounds it: the
-    circle's coarse error at N=640, r=8 moves by 0.16 % when the coarse
-    rows of the tube round otherwise.
     """
     if np.any(h1 <= 0) or np.any(h2 <= 0) or h_y <= 0:
         raise BadParams("spacings must be positive")
-    s, d, hy2 = h1 + h2, h1 - h2, h_y * h_y
-    u1, u2, u12 = hy2 - h1 * h1, hy2 - h2 * h2, hy2 - h1 * h2
-    six = 6 * h_y * h_y
-    corner, edge = 1 / six, 4 / six
+    s = h1 + h2
+    hy2 = h_y * h_y
     alphas = {
-        (-1, 0): edge * (1 + (3 * u1 + 3 * u12 - u2) / (2 * h1 * s)),
-        (0, 0): -20 / six * (1 + (d * d + 5 * u12) / (10 * h1 * h2)),
-        (1, 0): edge * (1 + (3 * u2 + 3 * u12 - u1) / (2 * h2 * s)),
+        (-1, 0): (-h1 * h1 - h1 * h2 + h2 * h2 + 5 * hy2) / (3 * h1 * hy2 * s),
+        (0, 0): -(h1 * h1 + 3 * h1 * h2 + h2 * h2 + 5 * hy2) / (3 * h1 * h2 * hy2),
+        (1, 0): (h1 * h1 - h1 * h2 - h2 * h2 + 5 * hy2) / (3 * h2 * hy2 * s),
     }
     for dj in (-1, 1):
-        alphas[(-1, dj)] = corner * (1 + u2 / (h1 * s))
-        alphas[(0, dj)] = edge * (1 + (d * d - u12) / (4 * h1 * h2))
-        alphas[(1, dj)] = corner * (1 + u1 / (h2 * s))
+        alphas[(-1, dj)] = (h1 * h1 + h1 * h2 - h2 * h2 + hy2) / (6 * h1 * hy2 * s)
+        alphas[(0, dj)] = (h1 * h1 + 3 * h1 * h2 + h2 * h2 - hy2) / (6 * h1 * h2 * hy2)
+        alphas[(1, dj)] = (-h1 * h1 + h1 * h2 + h2 * h2 + hy2) / (6 * h2 * hy2 * s)
     betas = {
-        (0, 0): (1 + d * d / (4 * h1 * h2)) * 8 / 12,
-        (1, 0): (1 - d * (h2 + 2 * h1) / (h2 * s)) / 12,
-        (-1, 0): (1 + d * (h1 + 2 * h2) / (h1 * s)) / 12,
-        (0, 1): Fraction(1, 12),
+        (-1, 0): (h1 * h1 + h1 * h2 - h2 * h2) / (6 * h1 * s),
+        (0, 0): s * s / (6 * h1 * h2),
+        (1, 0): (-h1 * h1 + h1 * h2 + h2 * h2) / (6 * h2 * s),
         (0, -1): Fraction(1, 12),
+        (0, 1): Fraction(1, 12),
     }
     return Stencil(alphas=alphas, betas=betas)
 

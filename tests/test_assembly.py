@@ -1,5 +1,7 @@
 """Assembly: row contents against the stencil generators, invariants."""
+import math
 from dataclasses import replace
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -270,6 +272,18 @@ def reference_pair(cols, prob):
         cols.h_f, prob.jumps, float(cols.x[j + 1]))))
 
 
+def exact_row(entries, centre, target=0.0):
+    """The row ``{column: value}`` as assembly stores it, rounded one row
+    at a time: every off-diagonal on the power-of-two grid of twice the
+    spacing of their magnitude sum, and the diagonal, at column
+    ``centre``, ``target`` minus their sum, which is then exact."""
+    q = 2 * math.ulp(math.fsum(abs(v) for c, v in entries.items()
+                               if c != centre))
+    out = {c: round(v / q) * q for c, v in entries.items() if c != centre}
+    out[centre] = target - math.fsum(out.values())
+    return out
+
+
 def reference_1d_rows(g, prob):
     """Interior rows built node by node, one scalar ``f`` call per right-side
     weight: ``{row: (entries, rhs)}`` with ``entries`` as ``{column:
@@ -296,14 +310,12 @@ def reference_1d_rows(g, prob):
         elif t == NodeTag.FINE_REGULAR:
             k = kappa_of(side[i])
             st = stencils.Stencil(
-                alphas={-1: k / h_f**2, 0: -2.0 * k / h_f**2 + prob.K,
-                        1: k / h_f**2},
+                alphas={-1: k / h_f**2, 0: -2.0 * k / h_f**2, 1: k / h_f**2},
                 betas={0: 1.0})
         else:  # FINE_IRREGULAR
             st = pair_st[i]
-            if prob.K:
-                st.alphas[0] += prob.K
-        entries = {i + off: float(a) for off, a in st.alphas.items()}
+        entries = exact_row(
+            {i + off: float(a) for off, a in st.alphas.items()}, i, prob.K)
         acc = st.correction
         for off, bw in st.betas.items():
             j = i + off
@@ -342,9 +354,10 @@ def reference_strip_rows(g, prob):
                                       g.y[(jr + dy) * ncol],
                                       int(side_col[c + dx]))
         for k, row in enumerate(jr):
-            out[int(row * ncol + c)] = (
-                {int((row + dy) * ncol + c + dx): float(w)
-                 for (dx, dy), w in st.alphas.items()}, acc[k])
+            i = int(row * ncol + c)
+            out[i] = (exact_row({int((row + dy) * ncol + c + dx): float(w)
+                                 for (dx, dy), w in st.alphas.items()}, i),
+                      acc[k])
     return out
 
 
@@ -394,6 +407,79 @@ def test_small_rows_match_per_node_reference(name):
     ref = (reference_strip_rows if isinstance(g, Grid2DLine)
            else reference_1d_rows)(g, prob)
     assert_rows_are_reference(assemble(g, prob), ref)
+
+
+def grid_and_problem(name, N, r, lam=2.0, hf_mode="ratio", **params):
+    prob = problems.make_problem(name, params)
+    return build_grid(prob, N, r, lam, hf_mode), prob
+
+
+ROW_WRITER_CELLS = {
+    "piecewise 10/8": lambda: grid_and_problem("piecewise_kappa_1d", 10, 8),
+    "stub 10/4 K": SMALL_SYSTEMS["stub 10/4 K"],
+    "layer 10/2": lambda: grid_and_problem("boundary_layer_1d", 10, 2),
+    "line h2 12/2": lambda: grid_and_problem("line_interface_2d", 12, 2,
+                                             hf_mode="h2"),
+    "peskin 40/4": lambda: grid_and_problem("peskin_circle", 40, 4),
+    "flower (50,1) 40/2": lambda: grid_and_problem(
+        "flower", 40, 2, kappa_minus=50.0, kappa_plus=1.0),
+    "internal_layer 40/2": lambda: grid_and_problem("internal_layer", 40, 2,
+                                                    lam=4.0),
+}
+
+
+@pytest.mark.parametrize("name", list(ROW_WRITER_CELLS))
+def test_interior_rows_sum_exactly_to_K(name):
+    # a consistent row of kappa Lap u + K u sums to K (0 in 2D); the stored
+    # floats do so exactly on every row writer, fitted rows included
+    g, prob = ROW_WRITER_CELLS[name]()
+    sys_ = assemble(g, prob)
+    A = sys_.matrix
+    sums = {math.fsum(A.data[A.indptr[i]:A.indptr[i + 1]].tolist())
+            for i in np.flatnonzero(~sys_.boundary)}
+    assert sums == {prob.K}
+
+
+def border_coeffs_2d_one_plus_t(h1, h2, h_y):
+    """:func:`stencils.border_coeffs_2d` written as each nine-point weight
+    times ``1 + t``, with ``t`` vanishing at equal spacings: the same
+    rationals, other floats."""
+    s, d, hy2 = h1 + h2, h1 - h2, h_y * h_y
+    u1, u2, u12 = hy2 - h1 * h1, hy2 - h2 * h2, hy2 - h1 * h2
+    six = 6 * h_y * h_y
+    corner, edge = 1 / six, 4 / six
+    alphas = {
+        (-1, 0): edge * (1 + (3 * u1 + 3 * u12 - u2) / (2 * h1 * s)),
+        (0, 0): -20 / six * (1 + (d * d + 5 * u12) / (10 * h1 * h2)),
+        (1, 0): edge * (1 + (3 * u2 + 3 * u12 - u1) / (2 * h2 * s)),
+    }
+    for dj in (-1, 1):
+        alphas[(-1, dj)] = corner * (1 + u2 / (h1 * s))
+        alphas[(0, dj)] = edge * (1 + (d * d - u12) / (4 * h1 * h2))
+        alphas[(1, dj)] = corner * (1 + u1 / (h2 * s))
+    betas = {
+        (0, 0): (1 + d * d / (4 * h1 * h2)) * 8 / 12,
+        (1, 0): (1 - d * (h2 + 2 * h1) / (h2 * s)) / 12,
+        (-1, 0): (1 + d * (h1 + 2 * h2) / (h1 * s)) / 12,
+        (0, 1): Fraction(1, 12),
+        (0, -1): Fraction(1, 12),
+    }
+    return stencils.Stencil(alphas=alphas, betas=betas)
+
+
+def test_stored_rows_do_not_depend_on_how_a_weight_is_written(monkeypatch):
+    g, prob = grid_and_problem("peskin_circle", 80, 8)
+    h = Fraction(1, 7)
+    assert (border_coeffs_2d_one_plus_t(h, 2 * h, 3 * h).alphas
+            == stencils.border_coeffs_2d(h, 2 * h, 3 * h).alphas)
+    assert (border_coeffs_2d_one_plus_t(g.h, g.h, g.h).alphas
+            != stencils.border_coeffs_2d(g.h, g.h, g.h).alphas)
+    plain = assemble(g, prob)
+    monkeypatch.setattr(stencils, "border_coeffs_2d",
+                        border_coeffs_2d_one_plus_t)
+    other = assemble(g, prob)
+    assert other.matrix.data.tobytes() == plain.matrix.data.tobytes()
+    assert other.rhs.tobytes() == plain.rhs.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -485,7 +571,7 @@ def reference_tube_rows(g, prob):
         for (kx, ky), bw in st.betas.items():
             dx, dy = (ky, kx) if flip else (kx, ky)
             acc += float(bw) * f_at(nbr(i, dx, dy))
-        out[int(i)] = (entries, acc)
+        out[int(i)] = (exact_row(entries, int(i)), acc)
     for i in np.nonzero(g.tags == NodeTag.FINE_IRREGULAR)[0]:
         ids = [nbr(i, dx, dy) for dx, dy in _RING2]
         node = IrregularNodes(
@@ -498,7 +584,7 @@ def reference_tube_rows(g, prob):
             weights, corr = iim_discontinuous_stencil_2d(node, g.ls, km, kp,
                                                          prob.jumps, prob.f)
         entries = {j: float(w) for j, w in zip(ids, weights[0]) if w != 0.0}
-        out[int(i)] = (entries, f_at(i) + corr[0])
+        out[int(i)] = (exact_row(entries, int(i)), f_at(i) + corr[0])
     return out
 
 

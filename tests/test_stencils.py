@@ -289,17 +289,6 @@ def test_border2d_uniform_limit_is_nine_point():
         assert st.betas == {(0, 0): Fraction(8, 12), (1, 0): Fraction(1, 12),
                             (-1, 0): Fraction(1, 12), (0, 1): Fraction(1, 12),
                             (0, -1): Fraction(1, 12)}
-    # float spacings: the nine-point row bit for bit as w / (6 h**2) rounds
-    # it, f-weights in the same summation order
-    for h in (0.25, 2 / 640, 1 / 3, 0.1, 7.3e-5):
-        st = stencils.border_coeffs_2d(h, h, h)
-        want = {(di, dj): (1 if di and dj else 4) / (6 * h * h)
-                for di in (-1, 0, 1) for dj in (-1, 0, 1)}
-        want[(0, 0)] = -20 / (6 * h * h)
-        assert st.alphas == want
-        assert [(k, float(b)) for k, b in st.betas.items()] == [
-            ((0, 0), 8 / 12), ((1, 0), 1 / 12), ((-1, 0), 1 / 12),
-            ((0, 1), 1 / 12), ((0, -1), 1 / 12)]
 
 
 def test_border2d_beta_sum_one():

@@ -8,7 +8,6 @@ the right side, and the grid's row writer adds the interior node classes.
 """
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,12 +52,6 @@ class _Builder:
 
 def assemble(grid, problem) -> SparseSystem:
     """The system of ``problem`` on ``grid``, Dirichlet rows included."""
-    system = _system(grid, problem)
-    _release_free_heap()
-    return system
-
-
-def _system(grid, problem) -> SparseSystem:
     write = _ROW_WRITERS.get(type(grid))
     if write is None:
         raise BadParams(f"unknown grid type {type(grid).__name__}")
@@ -75,23 +68,12 @@ def _system(grid, problem) -> SparseSystem:
     boundary = grid.tags == NodeTag.BOUNDARY
     rhs[boundary] = problem.boundary(grid.x[boundary], grid.y[boundary],
                                      side[boundary].astype(int))
+    bad = np.flatnonzero(~np.isfinite(rhs))
+    if len(bad):
+        i = bad[0]
+        raise BadParams(f"{problem.name}: the right side is not finite at "
+                        f"node {i} (x={grid.x[i]:.6g}, y={grid.y[i]:.6g})")
     return SparseSystem(matrix=matrix, rhs=rhs, boundary=boundary)
-
-
-def _release_free_heap() -> None:
-    """Return the C heap's free pages to the operating system.
-
-    Assembly frees MB of scratch, much of it the fitted stencils' linear
-    programs inside HiGHS, which glibc keeps mapped. The LU factorisation
-    that follows maps its large arrays afresh, so without this the peak
-    memory of a solve carries both: flower_jump peaks at about 187 MB
-    without the trim and 176 MB with it, even with programs of at most
-    512 nodes. Does nothing where the C library has no ``malloc_trim``.
-    """
-    try:
-        ctypes.CDLL(None).malloc_trim(0)
-    except (AttributeError, OSError, TypeError):
-        pass
 
 
 def _deltas(keys, W: int, step: int = 1, flip: bool = False) -> dict:

@@ -1,5 +1,6 @@
 """Assembly: row contents against the stencil generators, invariants."""
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -11,7 +12,7 @@ from hypothesis import strategies as hs
 from scipy.optimize import brentq
 
 from derivation import eliminate_hanging
-from twogrid import iim, problems, stencils
+from twogrid import iim, linsolve, problems, stencils
 from twogrid.assembly import _Builder, assemble
 from twogrid.errors import (BadParams, MissingNeighbor, MultipleCrossings,
                             NonConvergence, SignViolation, TubeTooWide,
@@ -213,6 +214,28 @@ def test_tube_rejects_reaction_term():
 def test_assemble_rejects_an_unknown_grid_type():
     with pytest.raises(BadParams, match="unknown grid type SimpleNamespace"):
         assemble(SimpleNamespace(n=3), problems.make_problem("peskin_circle"))
+
+
+@pytest.mark.parametrize("eps", [1e-300, 1e-150])
+def test_assemble_rejects_a_non_finite_right_side(monkeypatch, eps):
+    # at these eps the layer's source overflows to inf or NaN at most
+    # nodes; assembly names the first such node before anything is factored
+    def no_factor(*args, **kwargs):
+        raise AssertionError("a system with a non-finite right side was "
+                             "factored")
+
+    monkeypatch.setattr(linsolve.spla, "splu", no_factor)
+    prob = problems.make_problem("internal_layer", {"eps": eps})
+    g = build_grid(prob, 20, 2)
+    with np.errstate(all="ignore"), pytest.raises(BadParams) as info:
+        run_case(prob, 20, 2)
+    msg = str(info.value)
+    m = re.fullmatch(r"internal_layer: the right side is not finite at "
+                     r"node (\d+) \(x=(\S+), y=(\S+)\)", msg)
+    assert m, msg
+    i = int(m.group(1))
+    assert (float(m.group(2)), float(m.group(3))) == pytest.approx(
+        (g.x[i], g.y[i]), abs=1e-6)
 
 
 def test_strip_rejects_oblong_coarse_cells():

@@ -259,6 +259,18 @@ def test_to_json_counts_every_offender():
     assert row["m_matrix"]["offender_count"] == 398 + 399
 
 
+def test_boundary_layer_converges_in_h2_mode():
+    # with h_f = h**2 the layer zone resolves eps = 1e-3 from N = 20: the
+    # fine error falls 0.387 -> 0.0243 -> 1.50e-3, second order in h_f,
+    # and the coarse error stays at or below 1.1e-9
+    reports = convergence_study(make_problem("boundary_layer_1d"),
+                                [(20, 20), (40, 40), (80, 80)],
+                                hf_mode="h2")
+    assert [rep.r for rep in reports] == [20, 40, 80]
+    assert all(rep.order_fine >= 1.9 for rep in reports[1:])
+    assert all(rep.err_coarse < 1e-8 for rep in reports)
+
+
 def test_empty_node_class_reports_nan():
     # a tube wider than the interval leaves no coarse interior node; its
     # error is missing, not zero

@@ -75,15 +75,18 @@ def test_solve_reports_unattainable_contract():
         solve(sys_)
 
 
+def cyclic_shift(n):
+    rows = np.arange(n)
+    shift = sp.csr_matrix((np.ones(n), (rows, (rows + 1) % n)), shape=(n, n))
+    return shift + 1e-12 * sp.eye(n)
+
+
 @pytest.mark.parametrize("n", [8, 40])
 def test_solve_falls_back_to_partial_pivoting(n):
     # a cyclic shift with a tiny diagonal: the unpivoted symmetric-mode
     # factor misses the contract (residual 3e25 at n=8) or is non-finite
     # (n=40); COLAMD with partial pivoting solves it exactly
-    rows = np.arange(n)
-    shift = sp.csr_matrix((np.ones(n), (rows, (rows + 1) % n)), shape=(n, n))
-    sys_ = SimpleNamespace(matrix=shift + 1e-12 * sp.eye(n),
-                           rhs=np.arange(1.0, n + 1))
+    sys_ = SimpleNamespace(matrix=cyclic_shift(n), rhs=np.arange(1.0, n + 1))
     u = solve(sys_)
     assert u.dtype == np.float64
     res = np.linalg.norm(sys_.matrix @ u - sys_.rhs)
@@ -193,6 +196,70 @@ def test_solve_leaves_the_system_untouched():
                                   matrix.indptr, rhs)] == before
 
 
+def non_canonical(dense):
+    """``dense`` as a CSR matrix whose row 1 stores its columns in reverse
+    order and its diagonal as two halves, one of them last."""
+    indices, data, indptr = [], [], [0]
+    for i, line in enumerate(dense):
+        cols = np.flatnonzero(line)
+        vals = line[cols]
+        if i == 1:
+            vals = np.where(cols == i, vals / 2, vals)
+            cols, vals = np.r_[cols[::-1], i], np.r_[vals[::-1], line[i] / 2]
+        indices += list(cols)
+        data += list(vals)
+        indptr.append(len(indices))
+    return sp.csr_matrix((np.array(data), np.array(indices, dtype=np.int32),
+                          np.array(indptr, dtype=np.int32)),
+                         shape=dense.shape)
+
+
+@pytest.mark.parametrize("dense, path", [
+    (np.diag([4.0, 5.0, 6.0, 7.0]) + np.diag([1.0] * 3, 1)
+     + np.diag([1.0] * 3, -1), [np.float32]),
+    (cyclic_shift(8).toarray(), [np.float32, np.float64]),
+], ids=["single", "fallback"])
+def test_solve_leaves_a_non_canonical_matrix_untouched(splu_calls, dense,
+                                                       path):
+    # SuperLU sums the duplicates of its input in place, so solve must not
+    # hand it the arrays of a matrix that has any
+    matrix = non_canonical(dense)
+    assert not matrix.has_canonical_format
+    assert (matrix.toarray() == dense).all()
+    before = [a.tobytes() for a in (matrix.data, matrix.indices,
+                                    matrix.indptr)]
+    rhs = np.arange(1.0, len(dense) + 1)
+    u = solve(SimpleNamespace(matrix=matrix, rhs=rhs))
+    assert [dtype for dtype, _ in splu_calls] == path
+    assert [a.tobytes() for a in (matrix.data, matrix.indices,
+                                  matrix.indptr)] == before
+    res = np.linalg.norm(dense @ np.asarray(u, dtype=float) - rhs)
+    assert res <= 1e-12 * np.linalg.norm(rhs)
+
+
+def test_every_factor_reads_the_callers_index_arrays(monkeypatch):
+    # the CSR's arrays read as CSC are A^T: each factor's input shares the
+    # caller's index arrays, and the float64 fallback its values as well
+    n = 100
+    off = np.ones(n - 1)
+    A = sp.diags([off, np.full(n, -2.0 * np.cos(np.pi / (n + 1)) - 1e-9),
+                  off], [-1, 0, 1], format="csr")
+    splu = linsolve.spla.splu
+    inputs = []
+
+    def recording_splu(M, **kwargs):
+        inputs.append((M.format, M.dtype, np.shares_memory(M.indices,
+                                                           A.indices),
+                       np.shares_memory(M.indptr, A.indptr),
+                       np.shares_memory(M.data, A.data)))
+        return splu(M, **kwargs)
+
+    monkeypatch.setattr(linsolve.spla, "splu", recording_splu)
+    solve(SimpleNamespace(matrix=A, rhs=A @ np.ones(n)))
+    assert inputs == [("csc", np.float32, True, True, False),
+                      ("csc", np.float64, True, True, True)]
+
+
 def test_longdouble_solutions_are_byte_reproducible():
     # a longdouble carries 6 padding bytes per entry on x86-64; a cast copy
     # leaves them uninitialized, so only a zeroed buffer updated in place
@@ -204,16 +271,13 @@ def test_longdouble_solutions_are_byte_reproducible():
 
 
 def test_solve_allocates_less_than_a_float64_copy_of_the_matrix():
-    # the float32 factor input is cast from the CSR's values over its own
-    # index arrays, and the residuals use the CSR itself, so the arrays
-    # solve allocates stay below one float64 copy of A plus that input (the
+    # the factor's input is the CSR's own index arrays, read as A^T, with
+    # values cast to float32, and the residuals use the CSR itself, so the
+    # arrays solve allocates stay below the CSR's float64 values (the
     # factor's own memory is SuperLU's and is not traced)
     prob = problems.make_problem("peskin_circle", {})
     sys_ = assemble(build_grid(prob, 80, 4), prob)
     A = sys_.matrix
-    index_bytes = A.indices.nbytes + A.indptr.nbytes
-    float64_copy = A.data.nbytes + index_bytes
-    float32_input = A.data.nbytes // 2 + index_bytes
     solve(sys_)     # imports and first-call caches stay out of the count
     tracemalloc.start()
     try:
@@ -221,7 +285,7 @@ def test_solve_allocates_less_than_a_float64_copy_of_the_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < float64_copy + float32_input
+    assert peak < A.data.nbytes
 
 
 def test_every_factor_keeps_relaxation_within_its_panel(monkeypatch):

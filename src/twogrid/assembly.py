@@ -76,45 +76,34 @@ def assemble(grid, problem) -> SparseSystem:
     return SparseSystem(matrix=matrix, rhs=rhs, boundary=boundary)
 
 
-def _deltas(keys, W: int, step: int = 1, flip: bool = False) -> dict:
-    """Lattice code delta of each ``(dx, dy)`` stencil key, whose unit is
-    ``step`` lattice steps, on a lattice of row stride ``W``; ``flip``
-    swaps the axes."""
-    return {(kx, ky): ((kx * W + ky) if flip else (ky * W + kx)) * step
-            for kx, ky in keys}
+def _emit(b, grid, rows, st, scale, fv, target=0.0, step=1,
+          flip=False) -> None:
+    """Add the equations of ``rows``, which share the stencil ``st``, to ``b``.
 
-
-def _neighbors(grid, rows, offsets) -> np.ndarray:
-    """``(len(rows), len(offsets))`` ids of the nodes at the code deltas
-    ``offsets`` from each row's node; -1 where the grid has no node. The 1D
-    and strip grids number their nodes by their lattice codes."""
-    deltas = np.array(list(offsets.values()))
-    if isinstance(grid, Grid2DTube):
-        return grid.id_of(grid.codes[rows][:, None] + deltas)
-    return rows[:, None] + deltas
-
-
-def _emit(b, grid, rows, offsets, alphas, betas, scale, fv,
-          correction=0.0, target=0.0) -> None:
-    """Add the equations of ``rows``, which share one stencil, to ``b``.
-
-    ``offsets`` maps every key of ``alphas`` and ``betas`` to its code
-    delta. Each row gets ``alpha * scale`` in the column of the node at
-    that delta, rounded by :func:`_exact_rows` to sum to ``target``, and
-    the right side ``correction + sum beta * fv`` over the same nodes,
-    summed in key order; ``fv`` is the source at every node. Every weight,
-    ``scale`` and ``correction`` is a scalar or one value per row.
+    This is the one writer of interior rows. Each key of ``st`` is a lattice
+    offset in units of ``step`` steps, with its axes swapped if ``flip``;
+    ``grid.neighbors`` finds the node there. Each row gets ``alpha * scale``
+    in that node's column wherever that weight is not exactly 0.0, rounded
+    by :func:`_exact_rows` to sum to ``target``, and the right side
+    ``st.correction + sum beta * fv`` over the same nodes, summed in key
+    order; ``fv`` is the source at every node. Every weight, ``scale`` and
+    the correction is a scalar or one value per row.
     """
     if not len(rows):
         return
-    col = dict(zip(offsets, _neighbors(grid, rows, offsets).T))
+    keys = list({**st.alphas, **st.betas})
+    offs = [np.multiply(k[::-1] if flip else k, step) for k in keys]
+    col = dict(zip(keys, grid.neighbors(rows, offs).T))
     w = np.stack([np.broadcast_to(np.asarray(a, dtype=float) * scale,
-                                  rows.shape) for a in alphas.values()], 1)
-    _exact_rows(w, [offsets[k] for k in alphas].index(0), target)
-    for k, wk in zip(alphas, w.T):
-        b.add(rows, col[k], wk)
-    acc = np.array(np.broadcast_to(correction, rows.shape), dtype=float)
-    for k, bw in betas.items():
+                                  rows.shape) for a in st.alphas.values()], 1)
+    nz = w != 0.0
+    # the centre key is 0 in 1D and (0, 0) in 2D
+    _exact_rows(w, [not np.any(k) for k in st.alphas].index(True), target)
+    for k, wk, keep in zip(st.alphas, w.T, nz.T):
+        keep = slice(None) if keep.all() else keep     # a view, not a copy
+        b.add(rows[keep], col[k][keep], wk[keep])
+    acc = np.array(np.broadcast_to(st.correction, rows.shape), dtype=float)
+    for k, bw in st.betas.items():
         acc += np.asarray(bw, dtype=float) * fv[col[k]]
     b.rhs[rows] = acc
 
@@ -137,43 +126,45 @@ def _exact_rows(w, centre: int, target=0.0) -> None:
     w[:, centre] = target - w.sum(axis=1)
 
 
-def _interface_pair(grid: Grid1D, problem, nodes):
-    """Fitted three-point weights ``(3, len(nodes))`` and right-side
-    corrections of ``nodes``, each one of the pair ``j``, ``j + 1`` of 1D
-    nodes that flank the interface point."""
+def _interface_pair(grid: Grid1D, problem, side):
+    """Fitted three-point weights ``(3, len(side))`` and right-side
+    corrections of the nodes of the 1D pair that flanks the interface
+    point, the left one where ``side`` is -1 and the right one where +1."""
     j = int(np.searchsorted(grid.x, grid.alpha, "right")) - 1
     pair = iim_1d_irregular(
         problem.kappa_minus, problem.kappa_plus, grid.alpha,
         float(grid.x[j]), grid.h_f, problem.jumps, float(grid.x[j + 1]))
-    m = nodes - j
+    m = (side > 0).astype(int)
     weights = np.array([[st.alphas[k] for st in pair] for k in (-1, 0, 1)])
     return weights[:, m], np.array([st.correction for st in pair])[m]
+
+
+def _spacings(grid, rows, left, right):
+    """x-distances from ``rows`` to their neighbours at offsets ``left`` and
+    ``right``."""
+    lo, hi = grid.neighbors(rows, [left, right]).T
+    return grid.x[rows] - grid.x[lo], grid.x[hi] - grid.x[rows]
 
 
 # ---------------------------------------------------------------------------
 # 1D
 # ---------------------------------------------------------------------------
 
-_STEPS = {-1: -1, 0: 0, 1: 1}
-
-
 def _assemble_1d(b, grid: Grid1D, problem, kap, fv) -> None:
-    x, K, h_f = grid.x, problem.K, grid.h_f
+    K, h_f = problem.K, grid.h_f
 
     def emit(rows, st):
-        _emit(b, grid, rows, _STEPS, st.alphas, st.betas, 1.0, fv,
-              st.correction, target=K)
+        _emit(b, grid, rows, st, 1.0, fv, target=K)
 
     if problem.jumps is None:
         rows = np.nonzero(grid.tags != NodeTag.BOUNDARY)[0]
         emit(rows, stencils.centered_nonuniform_1d(
-            kap[rows], problem.conv, K,
-            x[rows] - x[rows - 1], x[rows + 1] - x[rows]))
+            kap[rows], problem.conv, K, *_spacings(grid, rows, -1, 1)))
         return
 
     rows = tagged(grid.tags, NodeTag.COARSE_REGULAR, NodeTag.BORDER)
-    emit(rows, stencils.border_coeffs_1d(
-        x[rows] - x[rows - 1], x[rows + 1] - x[rows], kap[rows], K))
+    emit(rows, stencils.border_coeffs_1d(*_spacings(grid, rows, -1, 1),
+                                         kap[rows], K))
     rows = tagged(grid.tags, NodeTag.FINE_REGULAR)
     k = kap[rows]
     emit(rows, stencils.Stencil(
@@ -181,7 +172,7 @@ def _assemble_1d(b, grid: Grid1D, problem, kap, fv) -> None:
         betas={0: 1.0}))
     rows = tagged(grid.tags, NodeTag.FINE_IRREGULAR)
     if len(rows):
-        (gm, g0, gp), corr = _interface_pair(grid, problem, rows)
+        (gm, g0, gp), corr = _interface_pair(grid, problem, grid.side[rows])
         emit(rows, stencils.Stencil(alphas={-1: gm, 0: g0, 1: gp},
                                     betas={0: 1.0}, correction=corr))
 
@@ -191,48 +182,40 @@ def _assemble_1d(b, grid: Grid1D, problem, kap, fv) -> None:
 # ---------------------------------------------------------------------------
 
 def _assemble_line(b, grid: Grid2DLine, problem, kap, fv) -> None:
-    cols, ncol, h_y = grid.cols, grid.ncol, grid.h_y
-    offs = _deltas([(dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1)], ncol)
-
-    def emit(rows, st, scale=1.0):
-        _emit(b, grid, rows, offs, st.alphas, st.betas, scale, fv,
-              st.correction)
-
+    h_y = grid.h_y
     rows = tagged(grid.tags, NodeTag.COARSE_REGULAR)
     if len(rows) and abs(h_y - grid.h) > 1e-12 * grid.h:
         raise BadParams("coarse strip columns need square cells")
     rows = tagged(grid.tags, NodeTag.COARSE_REGULAR, NodeTag.BORDER)
-    c = rows % ncol
-    emit(rows, stencils.border_coeffs_2d(cols.x[c] - cols.x[c - 1],
-                                         cols.x[c + 1] - cols.x[c], h_y),
-         kap[rows])
+    _emit(b, grid, rows, stencils.border_coeffs_2d(
+        *_spacings(grid, rows, (-1, 0), (1, 0)), h_y), kap[rows], fv)
     rows = tagged(grid.tags, NodeTag.FINE_REGULAR)
-    emit(rows, stencils.strip_mixed_order_2d(grid.h_f, h_y, kappa=kap[rows]))
+    _emit(b, grid, rows,
+          stencils.strip_mixed_order_2d(grid.h_f, h_y, kappa=kap[rows]),
+          1.0, fv)
     rows = tagged(grid.tags, NodeTag.FINE_IRREGULAR)
     if len(rows):
-        xgamma, corr = _interface_pair(cols, problem, rows % ncol)
-        emit(rows, stencils.strip_mixed_order_2d(
-            grid.h_f, h_y, xgamma=xgamma, correction=corr, kappa=kap[rows]))
+        xgamma, corr = _interface_pair(grid.cols, problem, grid.side[rows])
+        _emit(b, grid, rows, stencils.strip_mixed_order_2d(
+            grid.h_f, h_y, xgamma=xgamma, correction=corr, kappa=kap[rows]),
+            1.0, fv)
 
 
 # ---------------------------------------------------------------------------
 # 2D tube around a level-set interface
 # ---------------------------------------------------------------------------
 
-_FIVE_POINT = {(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0, (0, -1): 1.0,
-               (0, 0): -4.0}
+_FIVE_POINT = stencils.Stencil({(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0,
+                                 (0, -1): 1.0, (0, 0): -4.0}, {(0, 0): 1.0})
 
 
 def _assemble_tube(b, grid: Grid2DTube, problem, kap, fv) -> None:
-    tags = grid.tags
     km, kp = problem.kappa_minus, problem.kappa_plus
-    W, r = grid.W, grid.r
-    h, h_f = grid.h, grid.h_f
+    r, h, h_f = grid.r, grid.h, grid.h_f
 
     coarse = tagged(grid.tags, NodeTag.COARSE_REGULAR)
-    proto = stencils.border_coeffs_2d(h, h, h)
-    _emit(b, grid, coarse, _deltas(proto.alphas, W, r), proto.alphas,
-          proto.betas, kap[coarse], fv)
+    _emit(b, grid, coarse, stencils.border_coeffs_2d(h, h, h), kap[coarse],
+          fv, step=r)
 
     plain = problem.jumps is None
     if plain:
@@ -243,31 +226,26 @@ def _assemble_tube(b, grid: Grid2DTube, problem, kap, fv) -> None:
         # the patch union can lack one diagonal neighbour; those nodes keep
         # the five point scheme.
         fine = tagged(grid.tags, NodeTag.FINE_REGULAR, NodeTag.FINE_IRREGULAR)
-        proto = stencils.border_coeffs_2d(h_f, h_f, h_f)
-        offs = _deltas(proto.alphas, W)
-        ok = (_neighbors(grid, fine, offs) >= 0).all(axis=1)
-        _emit(b, grid, fine[ok], offs, proto.alphas, proto.betas,
-              kap[fine[ok]], fv)
+        st = stencils.border_coeffs_2d(h_f, h_f, h_f)
+        ok = (grid.neighbors(fine, list(st.alphas)) >= 0).all(axis=1)
+        _emit(b, grid, fine[ok], st, kap[fine[ok]], fv)
         fine = fine[~ok]
     else:
         fine = tagged(grid.tags, NodeTag.FINE_REGULAR)
-    _emit(b, grid, fine, _deltas(_FIVE_POINT, W), _FIVE_POINT, {(0, 0): 1.0},
-          kap[fine] / h_f**2, fv)
+    _emit(b, grid, fine, _FIVE_POINT, kap[fine] / h_f**2, fv)
 
-    hanging = tags == NodeTag.HANGING
+    hanging = grid.tags == NodeTag.HANGING
     for j in np.unique(grid.hang_j[hanging]):
         st = stencils.hanging_coeffs(r, int(j))
         for axis in (0, 1):
             rows = np.nonzero(hanging & (grid.hang_j == j)
                               & (grid.hang_axis == axis))[0]
-            offs = _deltas({**st.alphas, **st.betas}, W, flip=axis == 1)
-            _emit(b, grid, rows, offs, st.alphas, st.betas, kap[rows] / h**2,
-                  fv)
+            _emit(b, grid, rows, st, kap[rows] / h**2, fv, flip=axis == 1)
 
     irr = tagged(grid.tags, NodeTag.FINE_IRREGULAR)
     if plain or not len(irr):
         return
-    nbrs = _neighbors(grid, irr, _deltas(_RING2, W))
+    nbrs = grid.neighbors(irr, _RING2)
     nodes = IrregularNodes(x=grid.x[irr], y=grid.y[irr], h_f=h_f,
                            ring_side=np.where(nbrs >= 0, grid.side[nbrs], 0))
     if km == kp:
@@ -276,10 +254,8 @@ def _assemble_tube(b, grid: Grid2DTube, problem, kap, fv) -> None:
     else:
         weights, corr = iim_discontinuous_stencil_2d(nodes, grid.ls, km, kp,
                                                      problem.jumps, problem.f)
-    nz = weights != 0.0
-    _exact_rows(weights, _RING2.index((0, 0)))
-    b.add(np.broadcast_to(irr[:, None], nz.shape)[nz], nbrs[nz], weights[nz])
-    b.rhs[irr] = fv[irr] + corr
+    _emit(b, grid, irr, stencils.Stencil(dict(zip(_RING2, weights.T)),
+                                         {(0, 0): 1.0}, corr), 1.0, fv)
 
 
 # each grid's row writer: adds the equations of its interior node classes

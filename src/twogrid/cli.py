@@ -218,8 +218,10 @@ def _cmd_run(args) -> int:
     _emit_reports([res.report], args)
     mm = res.report.m_matrix
     if mm is not None and not mm["sign_ok"]:
-        print("M-matrix sign check failed; offending rows: "
-              f"{[o['row'] for o in mm['offenders'][:8]]}", file=sys.stderr)
+        rows = sorted({o["row"] for o in mm["offenders"]
+                       if o["kind"] != "row_sum"})
+        print(f"M-matrix sign check failed; offending rows: {rows[:8]}",
+              file=sys.stderr)
         return 2
     return 0
 

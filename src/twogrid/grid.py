@@ -13,7 +13,8 @@ Three constructions share one node taxonomy:
   with the coarse lattice hang between two coarse neighbors.
 
 Node ids are deterministic: sorted by x in 1D and row-major (y, then x)
-in 2D.
+in 2D. Only this module knows that numbering: each grid's ``neighbors``
+turns a lattice offset from a node into the id of the node there.
 """
 from __future__ import annotations
 
@@ -116,6 +117,12 @@ class Grid1D:
     def y(self) -> np.ndarray:
         return np.zeros_like(self.x)
 
+    def neighbors(self, ids, offsets) -> np.ndarray:
+        """``(len(ids), len(offsets))`` ids of the nodes ``d`` nodes right
+        of each of ``ids`` (left for ``d < 0``), for each ``d`` in
+        ``offsets``; ids run along x."""
+        return ids[:, None] + np.asarray(offsets)
+
 
 def build_two_grid_1d(params: GridParams, alpha: Optional[float]) -> Grid1D:
     """One-dimensional composite grid.
@@ -204,6 +211,12 @@ class Grid2DLine:
     def h_f(self) -> float:
         return self.cols.h_f
 
+    def neighbors(self, ids, offsets) -> np.ndarray:
+        """``(len(ids), len(offsets))`` ids of the nodes ``dx`` columns
+        right and ``dy`` rows up of each of ``ids``, for each ``(dx, dy)``
+        in ``offsets``."""
+        return ids[:, None] + np.asarray(offsets) @ (1, self.ncol)
+
 
 def build_line_two_grid_2d(params: GridParams, alpha: float) -> Grid2DLine:
     """Strip grid for a straight interface ``x = alpha``: columns from the 1D
@@ -263,6 +276,13 @@ class Grid2DTube:
         hit = (kept >> 63).astype(bool) & (c < self.W * self.W)
         ids = self.rank.take(word, mode="clip") + np.bitwise_count(kept)
         return np.where(hit, ids - 1, -1).astype(np.int64)
+
+    def neighbors(self, ids, offsets) -> np.ndarray:
+        """``(len(ids), len(offsets))`` ids of the nodes ``dx`` fine steps
+        right and ``dy`` up of each of ``ids``, for each ``(dx, dy)`` in
+        ``offsets``; -1 where the grid has no node there."""
+        deltas = np.asarray(offsets) @ (1, self.W)
+        return self.id_of(self.codes[ids][:, None] + deltas)
 
 
 def build_tube_two_grid_2d(params: GridParams, ls: LevelSet) -> Grid2DTube:

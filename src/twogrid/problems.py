@@ -297,6 +297,13 @@ def _internal_layer(params) -> ProblemSpec:
     def phi(x, y):
         return np.sqrt(sigma(x, y)) - 1.0
 
+    # s and |grad s|**2 peak at the corners, so f is finite on the domain
+    # where it is finite there; it overflows for eps below about 1.75e-103
+    with np.errstate(all="ignore"):
+        corner = f(1.0, 1.0, 1)
+    if not np.isfinite(corner):
+        raise BadParams(f"eps={eps} is too small: the source overflows")
+
     ts = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
     samples = 0.5 * np.column_stack([np.cos(ts), np.sin(ts)])
 

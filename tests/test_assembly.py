@@ -216,6 +216,20 @@ def test_assemble_rejects_an_unknown_grid_type():
         assemble(SimpleNamespace(n=3), problems.make_problem("peskin_circle"))
 
 
+def layer_with_source_at(eps):
+    """The internal layer problem with its closed-form source written out
+    at ``eps``, which ``make_problem`` rejects once that source overflows."""
+    def f(x, y, side):
+        sg = x * x + y * y + 0.75
+        r2 = sg - 0.75
+        s = (np.sqrt(sg) - 1.0) / eps
+        lap_s = (2.0 / np.sqrt(sg) - r2 / sg**1.5) / eps
+        grad_s2 = r2 / (eps * eps * sg)
+        return lap_s / (1.0 + s * s) - 2.0 * s * grad_s2 / (1.0 + s * s) ** 2
+
+    return replace(problems.make_problem("internal_layer"), f=f)
+
+
 @pytest.mark.parametrize("eps", [1e-300, 1e-150])
 def test_assemble_rejects_a_non_finite_right_side(monkeypatch, eps):
     # at these eps the layer's source overflows to inf or NaN at most
@@ -225,7 +239,7 @@ def test_assemble_rejects_a_non_finite_right_side(monkeypatch, eps):
                              "factored")
 
     monkeypatch.setattr(linsolve.spla, "splu", no_factor)
-    prob = problems.make_problem("internal_layer", {"eps": eps})
+    prob = layer_with_source_at(eps)
     g = build_grid(prob, 20, 2)
     with np.errstate(all="ignore"), pytest.raises(BadParams) as info:
         run_case(prob, 20, 2)
@@ -461,6 +475,39 @@ def test_interior_rows_sum_exactly_to_K(name):
     sums = {math.fsum(A.data[A.indptr[i]:A.indptr[i + 1]].tolist())
             for i in np.flatnonzero(~sys_.boundary)}
     assert sums == {prob.K}
+
+
+STORED_PATTERN_CELLS = {
+    **ROW_WRITER_CELLS,
+    "layer 500/2": lambda: grid_and_problem("boundary_layer_1d", 500, 2),
+    "flower (50,1) 80/8": lambda: grid_and_problem(
+        "flower", 80, 8, kappa_minus=50.0, kappa_plus=1.0),
+    "peskin 320/8": lambda: grid_and_problem("peskin_circle", 320, 8),
+    "internal_layer 160/8": lambda: grid_and_problem("internal_layer", 160,
+                                                     8, lam=4.0),
+}
+
+
+@pytest.mark.parametrize("name", list(STORED_PATTERN_CELLS))
+def test_no_exact_zero_weight_is_stored(name):
+    # the acceptance cells of every row writer, the large benchmark cells
+    # and the 1D layer at h = 0.002, where the centred scheme's right
+    # weight is exactly 0.0 on some rows
+    g, prob = STORED_PATTERN_CELLS[name]()
+    assert np.count_nonzero(assemble(g, prob).matrix.data == 0.0) == 0
+
+
+def test_dropped_zero_weights_leave_the_layer_report_unchanged():
+    # boundary_layer_1d 500/2 stored 1,505 entries, 8 of them 0.0; without
+    # those the audit and both errors are what they were
+    res = run_case(problems.make_problem("boundary_layer_1d"), 500, 2,
+                   detail=True)
+    assert res.system.matrix.nnz == 1497
+    mm = res.report.m_matrix
+    assert (mm["sign_ok"], mm["row_sum_ok"], mm["offender_count"]) == (
+        True, False, 499)
+    assert (res.report.err_coarse, res.report.err_fine) == pytest.approx(
+        (0.03677824373756966, 0.08593013997282872), rel=1e-12)
 
 
 def border_coeffs_2d_one_plus_t(h1, h2, h_y):

@@ -51,12 +51,19 @@ def test_run_no_check_skips_operator_audit(tmp_path, capsys):
 
 
 def test_run_exit_2_when_sign_pattern_fails(capsys):
-    # the convection term of the layer operator breaks the sign pattern
-    rc, out, err = run_cli(capsys, "run", "--problem", "boundary_layer_1d",
-                           "--N", "10", "--r", "2")
-    assert rc == 2
-    assert "M-matrix sign check failed" in err
-    assert out.splitlines()[0] == CSV_HEADER
+    # the convection term of the layer operator and the mixed-order strip
+    # in h2 mode break the sign pattern; each row is named once, ascending,
+    # and row-sum offenders are not named
+    for argv, rows in (
+            (("boundary_layer_1d", "--N", "10", "--r", "2"), range(1, 9)),
+            (("boundary_layer_1d", "--N", "4", "--r", "2"), range(1, 6)),
+            (("line_interface_2d", "--N", "4", "--hf-mode", "h2"),
+             range(18, 26))):
+        rc, out, err = run_cli(capsys, "run", "--problem", *argv)
+        assert rc == 2
+        assert err == ("M-matrix sign check failed; offending rows: "
+                       f"{list(rows)}\n")
+        assert out.splitlines()[0] == CSV_HEADER
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from twogrid import stencils
 from twogrid.errors import (BadParams, EmptyTube, MissingNeighbor,
                             TubeTooWide, TwoGridError)
 from twogrid.geometry import LevelSet
@@ -14,6 +15,7 @@ from twogrid.grid import (TAG_NAMES, GridParams, NodeTag,
                           build_line_two_grid_2d, build_tube_two_grid_2d,
                           build_two_grid_1d, dump_grid_json)
 from twogrid.harness import build_grid, run_case
+from twogrid.iim import _RING2
 from twogrid.problems import make_problem
 
 
@@ -491,3 +493,65 @@ def test_dump_grid_json_roundtrip(tmp_path):
     assert np.array_equal([row["x"] for row in rows], g.x)
     assert np.array_equal([row["y"] for row in rows], g.y)
     assert {row["tag"] for row in rows} >= {"hanging", "fine_irregular"}
+
+
+# ---------------------------------------------------------------------------
+# neighbour lookup
+# ---------------------------------------------------------------------------
+
+BLOCK = [(dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
+
+
+def interior(grid):
+    return np.flatnonzero(grid.tags != NodeTag.BOUNDARY)
+
+
+def x_after_steps(cols, x, d):
+    """x of ``d`` steps from ``x`` on the 1D grid ``cols``: ``h_f`` within
+    the fine zone between its two border nodes, ``h`` outside it."""
+    lo, hi = cols.x[cols.tags == NodeTag.BORDER]
+    fine = x + d * cols.h_f
+    inside = (fine > lo - 1e-12) & (fine < hi + 1e-12)
+    return np.where(inside, fine, x + d * cols.h)
+
+
+def test_1d_lookup_steps_along_x():
+    g = build_two_grid_1d(GridParams(N=10, r=4, lam=2.0), alpha=0.55)
+    ids = interior(g)
+    nb = g.neighbors(ids, [-1, 0, 1])
+    for k, d in enumerate((-1, 0, 1)):
+        assert np.allclose(g.x[nb[:, k]], x_after_steps(g, g.x[ids], d),
+                           rtol=0, atol=1e-12)
+
+
+def test_strip_lookup_steps_by_columns_and_rows():
+    g = build_line_two_grid_2d(GridParams(N=12, r=4, lam=2.0), 33.0 / 70.0)
+    ids = interior(g)
+    nb = g.neighbors(ids, BLOCK)
+    for k, (dx, dy) in enumerate(BLOCK):
+        assert np.allclose(g.x[nb[:, k]], x_after_steps(g.cols, g.x[ids], dx),
+                           rtol=0, atol=1e-12)
+        assert np.allclose(g.y[nb[:, k]], g.y[ids] + dy * g.h_y,
+                           rtol=0, atol=1e-12)
+
+
+def test_tube_lookup_steps_on_the_fine_lattice():
+    # every offset the tube's row writers look up: the coarse rows' block in
+    # steps of r, the fitted ring (which holds the fine block and the five
+    # point star) and the hanging rows' offsets in both orientations
+    g = build_tube_two_grid_2d(
+        GridParams(N=16, r=4, lam=2.0, domain=(-1.0, 1.0)), ls=circle_ls())
+    r = g.r
+    hanging = [k for j in range(1, r)
+               for k in stencils.hanging_coeffs(r, j).alphas]
+    offsets = ([(r * dx, r * dy) for dx, dy in BLOCK] + list(_RING2)
+               + hanging + [(dy, dx) for dx, dy in hanging])
+    px = np.rint((g.x + 1.0) / g.h_f).astype(int).tolist()
+    py = np.rint((g.y + 1.0) / g.h_f).astype(int).tolist()
+    at = {xy: i for i, xy in enumerate(zip(px, py))}
+    ids = interior(g)
+    want = [[at.get((px[i] + dx, py[i] + dy), -1) for dx, dy in offsets]
+            for i in ids]
+    nb = g.neighbors(ids, offsets)
+    assert nb.tolist() == want
+    assert (nb == -1).any() and (nb >= 0).any()

@@ -218,6 +218,22 @@ def test_non_finite_parameters_are_rejected(name, param, value):
         problems.make_problem(name, {param: value})
 
 
+@pytest.mark.parametrize("eps", [1e-103, 1e-150, 1e-300])
+def test_internal_layer_rejects_an_eps_whose_source_overflows(eps):
+    with pytest.raises(BadParams, match="source overflows"):
+        problems.make_problem("internal_layer", {"eps": eps})
+
+
+def test_internal_layer_source_is_finite_at_eps_1e_102():
+    prob = problems.make_problem("internal_layer", {"eps": 1e-102})
+    g = build_grid(prob, 20, 2)
+    assert g.n == 1245
+    # (1 + s*s)**2 overflows at the outer nodes, where f stays finite
+    with np.errstate(over="ignore"):
+        fv = prob.f(g.x, g.y, g.side.astype(int))
+    assert np.isfinite(fv).all()
+
+
 def test_piecewise_exact_satisfies_jump_conditions():
     prob = problems.make_problem("piecewise_kappa_1d", {})
     a = prob.alpha

@@ -224,10 +224,11 @@ _CROSS_COLS = np.array([_RING2.index(off) for off in _CROSS])
 _STAGES = tuple(np.array([_RING2.index(off) for off in offsets])
                 for offsets in (_BLOCK3, _BLOCK3 + _EXTENDED, _RING2))
 _REWARD = 1e6       # see _constrained_fit
-# nodes per HiGHS program. HiGHS's memory grows with the program: the
-# 2,684-node stage of flower_jump grew the process by 63 MB as one program
-# and by at most 17 MB in blocks of 512, which gave the same supports
-_BLOCK_NODES = 512
+# nodes per HiGHS program. HiGHS's memory grows with the program: fitting
+# the 2,684-node stage of flower_jump raised the process peak by 76 MB as one
+# program, 28 MB in blocks of 512 and 21 MB in blocks of 128, which gave the
+# same supports in the same time; 64 nodes saved under 1 MB more
+_BLOCK_NODES = 128
 
 
 @dataclass
@@ -453,7 +454,8 @@ def iim_discontinuous_stencil_2d(nodes: IrregularNodes, ls: LevelSet,
     total off-center weight. Nodes with no sign-feasible stencil on the 3x3
     block go on together to the distance-2 arm points and then to the full
     5x5 ring before giving up; every stage fits its nodes in
-    block-diagonal linear programs of at most ``_BLOCK_NODES`` (512) nodes;
+    block-diagonal linear programs of at most ``_BLOCK_NODES`` (128) nodes,
+    since HiGHS's memory grows with the program;
     ``f`` is read only for ``[f]`` at the feet.
 
     Returns ``(weights, correction)`` for the batch of ``m`` nodes: the

@@ -297,12 +297,15 @@ def _internal_layer(params) -> ProblemSpec:
     def phi(x, y):
         return np.sqrt(sigma(x, y)) - 1.0
 
-    # s and |grad s|**2 peak at the corners, so f is finite on the domain
-    # where it is finite there; it overflows for eps below about 1.75e-103
-    with np.errstate(all="ignore"):
-        corner = f(1.0, 1.0, 1)
-    if not np.isfinite(corner):
-        raise BadParams(f"eps={eps} is too small: the source overflows")
+    # |s| and |grad s|**2 peak at the corners, so no term of f overflows on
+    # the domain where none overflows there. (1 + s*s)**2 is the first to,
+    # for eps below about 5.7e-78, and f then drops its second term
+    try:
+        with np.errstate(over="raise", divide="raise"):
+            f(1.0, 1.0, 1)
+    except FloatingPointError:
+        raise BadParams(f"eps={eps} is too small: the source overflows"
+                        ) from None
 
     ts = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
     samples = 0.5 * np.column_stack([np.cos(ts), np.sin(ts)])

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 from scipy.optimize import brentq
 
@@ -313,12 +313,13 @@ def exact_row(entries, centre, target=0.0):
     """The row ``{column: value}`` as assembly stores it, rounded one row
     at a time: every off-diagonal on the power-of-two grid of twice the
     spacing of their magnitude sum, and the diagonal, at column
-    ``centre``, ``target`` minus their sum, which is then exact."""
+    ``centre``, ``target`` minus their sum, which is then exact. An entry
+    whose given value is exactly 0.0 is not stored."""
     q = 2 * math.ulp(math.fsum(abs(v) for c, v in entries.items()
                                if c != centre))
     out = {c: round(v / q) * q for c, v in entries.items() if c != centre}
     out[centre] = target - math.fsum(out.values())
-    return out
+    return {c: v for c, v in out.items() if entries[c] != 0.0}
 
 
 def reference_1d_rows(g, prob):
@@ -558,6 +559,9 @@ def test_stored_rows_do_not_depend_on_how_a_weight_is_written(monkeypatch):
        h2=hs.booleans(), strip=hs.booleans(),
        kappa=hs.sampled_from([(1.0, 1.0), (2.0, 1.0), (1.5, 3.0)]),
        K=hs.sampled_from([0.0, -2.0, 1.5]))
+# a fitted strip row whose y-weights g0/12 + kappa/h_y**2 cancel to 0.0
+@example(alpha=0.5, N=4, r=2, lam=1.0, h2=False, strip=True,
+         kappa=(1.5, 3.0), K=0.0)
 def test_1d_and_strip_rows_match_per_node_reference(alpha, N, r, lam, h2,
                                                      strip, kappa, K):
     # kappa ratios within 2 keep the fitted pair's denominators clear of
@@ -819,12 +823,13 @@ def flower_nodes(km, kp, N, r):
     return prob, g
 
 
-def test_fitted_stencils_take_one_linear_program(monkeypatch):
-    # each candidate stage fits all its nodes in one block-diagonal program,
-    # six rows per node, one column per candidate and one scale column per
-    # node; on the (1, 10) tube four nodes have no sign-feasible stencil on
-    # the 3x3 block or the 13-point set, and each wider stage takes one more
-    # program, never a retry
+def test_fitted_stencils_take_one_program_per_block(monkeypatch):
+    # each candidate stage fits its nodes in block-diagonal programs of at
+    # most 128 nodes, six rows per node, one column per candidate and one
+    # scale column per node: the 332 nodes of the 3x3 stage take programs
+    # of 128, 128 and 76 nodes; on the (1, 10) tube four nodes have no
+    # sign-feasible stencil on the 3x3 block or the 13-point set, and each
+    # wider stage takes one more program, never a retry
     import scipy.optimize
     calls = []
     linprog = scipy.optimize.linprog
@@ -838,8 +843,8 @@ def test_fitted_stencils_take_one_linear_program(monkeypatch):
         calls.clear()
         prob, g = flower_nodes(km, kp, 40, 2)
         assemble(g, prob)
-        n_irr = int((g.tags == NodeTag.FINE_IRREGULAR).sum())
-        assert calls == ([(6 * n_irr, 10 * n_irr)]
+        assert int((g.tags == NodeTag.FINE_IRREGULAR).sum()) == 332
+        assert calls == ([(6 * n, 10 * n) for n in (128, 128, 76)]
                          + [(6 * 4, (size + 1) * 4) for size in wider])
 
 
@@ -867,10 +872,10 @@ def test_widened_fits_match_single_node_calls():
         assert c1.tobytes() == corr[[k]].tobytes()
 
 
-def test_large_stages_split_into_programs_of_at_most_512_nodes(
+def test_large_stages_split_into_programs_of_at_most_128_nodes(
         monkeypatch):
-    # the 3x3 stage of this tube fits 668 nodes: two programs of at most
-    # 512 nodes each, and the least-squares re-solve on each node's
+    # the 3x3 stage of this tube fits 668 nodes: six programs of at most
+    # 128 nodes each, and the least-squares re-solve on each node's
     # support gives the bits of one program over the whole stage
     import scipy.optimize
     prob, g = flower_nodes(50.0, 1.0, 80, 2)
@@ -893,10 +898,10 @@ def test_large_stages_split_into_programs_of_at_most_512_nodes(
 
     monkeypatch.setattr(scipy.optimize, "linprog", counted)
     weights, corr = fit()
-    assert rows == [6 * 512, 6 * 156]
+    assert rows == [6 * 128] * 5 + [6 * 28]
     monkeypatch.setattr(iim, "_BLOCK_NODES", len(irr))
     whole_w, whole_c = fit()
-    assert rows[2:] == [6 * 668]
+    assert rows[6:] == [6 * 668]
     assert weights.tobytes() == whole_w.tobytes()
     assert corr.tobytes() == whole_c.tobytes()
 

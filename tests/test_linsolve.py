@@ -270,6 +270,28 @@ def test_longdouble_solutions_are_byte_reproducible():
     assert first.tobytes() == second.tobytes()
 
 
+def no_c_library(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+@pytest.mark.parametrize("cdll", [no_c_library, lambda name: object()],
+                         ids=["no-library", "no-malloc-trim"])
+def test_solve_runs_where_the_c_library_has_no_malloc_trim(monkeypatch,
+                                                           cdll):
+    # the heap trim before each factorization is skipped, and nothing else
+    sys_ = assembled_1d()
+    plain = solve(sys_)
+    calls = []
+
+    def counted(name):
+        calls.append(name)
+        return cdll(name)
+
+    monkeypatch.setattr(linsolve.ctypes, "CDLL", counted)
+    assert solve(sys_).tobytes() == plain.tobytes()
+    assert calls == [None]
+
+
 def test_solve_allocates_less_than_a_float64_copy_of_the_matrix():
     # the factor's input is the CSR's own index arrays, read as A^T, with
     # values cast to float32, and the residuals use the CSR itself, so the

@@ -224,14 +224,24 @@ def test_internal_layer_rejects_an_eps_whose_source_overflows(eps):
         problems.make_problem("internal_layer", {"eps": eps})
 
 
-def test_internal_layer_source_is_finite_at_eps_1e_102():
-    prob = problems.make_problem("internal_layer", {"eps": 1e-102})
-    g = build_grid(prob, 20, 2)
-    assert g.n == 1245
-    # (1 + s*s)**2 overflows at the outer nodes, where f stays finite
-    with np.errstate(over="ignore"):
-        fv = prob.f(g.x, g.y, g.side.astype(int))
-    assert np.isfinite(fv).all()
+@pytest.mark.parametrize("eps", [1e-78, 1e-102])
+def test_internal_layer_rejects_an_eps_whose_corner_term_overflows(eps):
+    # f stays finite at these eps, but (1 + s*s)**2 overflows at the corner
+    # and f loses its second term there
+    with pytest.raises(BadParams, match="source overflows"):
+        problems.make_problem("internal_layer", {"eps": eps})
+
+
+@pytest.mark.parametrize("eps", [1e-77, 0.01])
+def test_internal_layer_source_matches_a_50_digit_laplacian_at_the_corner(
+        eps):
+    x, y = sympy.symbols("x y", real=True)
+    e = sympy.Float(eps, 50)
+    u = sympy.atan((sympy.sqrt(x**2 + y**2 + sympy.Rational(3, 4)) - 1) / e)
+    lap = sympy.diff(u, x, 2) + sympy.diff(u, y, 2)
+    ref = float(lap.evalf(50, subs={x: 1, y: 1}))
+    f = problems.make_problem("internal_layer", {"eps": eps}).f
+    assert float(f(1.0, 1.0, 1)) == pytest.approx(ref, rel=1e-12)
 
 
 def test_piecewise_exact_satisfies_jump_conditions():

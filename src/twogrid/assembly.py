@@ -235,11 +235,12 @@ def _assemble_tube(b, grid: Grid2DTube, problem, kap, fv) -> None:
     _emit(b, grid, fine, _FIVE_POINT, kap[fine] / h_f**2, fv)
 
     hanging = grid.tags == NodeTag.HANGING
-    for j in np.unique(grid.hang_j[hanging]):
+    hang_axis, hang_j = grid.hang_axis, grid.hang_j    # computed per read
+    for j in np.unique(hang_j[hanging]):
         st = stencils.hanging_coeffs(r, int(j))
         for axis in (0, 1):
-            rows = np.nonzero(hanging & (grid.hang_j == j)
-                              & (grid.hang_axis == axis))[0]
+            rows = np.nonzero(hanging & (hang_j == j)
+                              & (hang_axis == axis))[0]
             _emit(b, grid, rows, st, kap[rows] / h**2, fv, flip=axis == 1)
 
     irr = tagged(grid.tags, NodeTag.FINE_IRREGULAR)

@@ -10,7 +10,10 @@ Three constructions share one node taxonomy:
 * 2D "tube": a full coarse lattice everywhere; coarse nodes within
   ``lam * h`` of the interface sprout ``(2r+1)`` x ``(2r+1)`` fine patches
   whose union is the tube. Fine nodes on the tube rim that do not coincide
-  with the coarse lattice hang between two coarse neighbors.
+  with the coarse lattice hang between two coarse neighbors. The tube stores
+  each node's fine-lattice code, tag and side, and a bitmap of the codes;
+  it computes coordinates and hanging placement from the codes when they
+  are read.
 
 Node ids are deterministic: sorted by x in 1D and row-major (y, then x)
 in 2D. Only this module knows that numbering: each grid's ``neighbors``
@@ -252,19 +255,52 @@ class Grid2DTube:
     h_f: float
     r: int
     W: int                      # row stride of the global fine lattice
+    ax: float                   # the lattice origin, code 0
+    ay: float
     codes: np.ndarray           # sorted: code = py * W + px
-    x: np.ndarray
-    y: np.ndarray
     tags: np.ndarray
     side: np.ndarray            # -1 where phi <= 0, +1 elsewhere
-    hang_axis: np.ndarray       # 0: between x-neighbors, 1: y; -1 elsewhere
-    hang_j: np.ndarray          # fine offset from the lower/left coarse node
     words: np.ndarray = field(repr=False)   # node bitmap, bit c = code c
     rank: np.ndarray = field(repr=False)    # int32 nodes before each word
+
+    # Coordinates and hanging placement are computed from ``codes`` on each
+    # read and never kept: a kept copy would outlive assembly and sit beside
+    # the factor.
 
     @property
     def n(self) -> int:
         return len(self.codes)
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.ax + self.codes % self.W * self.h_f
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.ay + self.codes // self.W * self.h_f
+
+    @property
+    def hang_axis(self) -> np.ndarray:
+        """0 at hanging nodes between x-neighbors, 1 between y-neighbors,
+        -1 elsewhere."""
+        hx, hy = self._hanging()
+        return np.select([hx, hy], [0, 1], -1).astype(np.int8)
+
+    @property
+    def hang_j(self) -> np.ndarray:
+        """Fine offset of each hanging node from its lower/left coarse
+        neighbor; 0 elsewhere."""
+        hx, hy = self._hanging()
+        return np.select([hx, hy], [self.codes % self.W % self.r,
+                                    self.codes // self.W % self.r],
+                         0).astype(np.int32)
+
+    def _hanging(self):
+        """Masks of the hanging nodes on a coarse x-line and of those on a
+        coarse y-line only."""
+        hanging = self.tags == NodeTag.HANGING
+        hx = hanging & (self.codes // self.W % self.r == 0)
+        return hx, hanging & ~hx & (self.codes % self.W % self.r == 0)
 
     def id_of(self, codes) -> np.ndarray:
         """Node ids for fine-lattice codes; -1 where no node exists."""
@@ -343,10 +379,6 @@ def build_tube_two_grid_2d(params: GridParams, ls: LevelSet) -> Grid2DTube:
     # a patch node missing a 4-neighbour lies on its patch's edge, which is
     # a coarse lattice line
     hanging = inR & ~fine4 & ~(on_xline & on_yline)
-    hx = hanging & on_xline
-    hy = hanging & on_yline & ~on_xline
-    hang_axis = np.select([hx, hy], [0, 1], -1).astype(np.int8)
-    hang_j = np.select([hx, hy], [px % r, py % r], 0).astype(np.int32)
 
     tags = np.full(len(codes), NodeTag.COARSE_REGULAR, dtype=np.int8)
     tags[fine_cls] = NodeTag.FINE_REGULAR
@@ -366,9 +398,9 @@ def build_tube_two_grid_2d(params: GridParams, ls: LevelSet) -> Grid2DTube:
     rank = np.zeros(len(words), dtype=np.int32)
     np.cumsum(np.bitwise_count(words[:-1]), out=rank[1:], dtype=np.int32)
 
-    return Grid2DTube(ls=ls, N=N, h=h, h_f=h_f, r=r, W=W, codes=codes, x=x,
-                      y=y, tags=tags, side=side, hang_axis=hang_axis,
-                      hang_j=hang_j, words=words, rank=rank)
+    return Grid2DTube(ls=ls, N=N, h=h, h_f=h_f, r=r, W=W, ax=ax, ay=ay,
+                      codes=codes, tags=tags, side=side, words=words,
+                      rank=rank)
 
 
 Grid = Union[Grid1D, Grid2DLine, Grid2DTube]

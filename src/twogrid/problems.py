@@ -104,6 +104,8 @@ def _take(params: Optional[dict], defaults: dict, name: str) -> dict:
     out = dict(defaults)
     for key, value in params.items():
         try:
+            if isinstance(value, (bool, np.bool_)):
+                raise TypeError("a flag is not a number")
             out[key] = float(value)
         except (TypeError, ValueError, OverflowError):
             raise BadParams(f"{name}: parameter {key!r} must be a number, "

@@ -359,8 +359,8 @@ def reference_tube_grid(params, ls):
     tags[idx_fine[irr]] = NodeTag.FINE_IRREGULAR
     tags[(px == 0) | (px == N * r) | (py == 0) | (py == N * r)] = \
         NodeTag.BOUNDARY
-    return dict(codes=codes, tags=tags, side=side,
-                hang_axis=hang_axis, hang_j=hang_j)
+    return dict(codes=codes, x=ax + px * h_f, y=ay + py * h_f, tags=tags,
+                side=side, hang_axis=hang_axis, hang_j=hang_j)
 
 
 def assert_matches_reference(params, ls):
@@ -393,6 +393,17 @@ def test_tube_grid_matches_sort_and_search_reference(name, params, lam, r):
     want = reference_tube_grid(gp, prob.interface)
     assert len(want["codes"]) > 0
     assert_matches_reference(gp, prob.interface)
+
+
+@pytest.mark.parametrize("r", [2, 5])
+def test_tube_grid_matches_reference_off_centre(r):
+    # distinct, non-zero origins: a coordinate that drops or swaps them
+    # lands on other values
+    ls = LevelSet(phi=lambda x, y: np.hypot(x - 1.25, y + 0.5) - 0.5)
+    gp = GridParams(N=40, r=r, lam=2.0, domain=((0.25, 2.25), (-1.5, 0.5)))
+    want = reference_tube_grid(gp, ls)
+    assert (want["tags"] == NodeTag.HANGING).any()
+    assert_matches_reference(gp, ls)
 
 
 @settings(max_examples=60, deadline=None)
@@ -452,6 +463,16 @@ def test_tube_lookup_state_is_a_bitmap_not_a_lattice():
     lookup = sum(v.nbytes for v in vars(g).values()
                  if isinstance(v, np.ndarray) and v.shape != (g.n,))
     assert 0 < lookup <= W2 / 8 + W2 / 16 + 64
+
+
+def test_tube_stores_ten_bytes_per_node():
+    # codes (8), tags (1) and side (1); coordinates and hanging placement
+    # are computed from the codes when read
+    g = build_tube_two_grid_2d(
+        GridParams(N=40, r=8, lam=2.0, domain=(-1.0, 1.0)), ls=circle_ls())
+    per_node = sum(v.nbytes for v in vars(g).values()
+                   if isinstance(v, np.ndarray) and v.shape == (g.n,))
+    assert per_node <= 10 * g.n
 
 
 def test_tube_failure_modes():

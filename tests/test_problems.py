@@ -200,9 +200,8 @@ def test_non_numeric_parameters_are_rejected(name, params):
         problems.make_problem(name, params)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
-                         ids=["nan", "inf", "minus-inf"])
-@pytest.mark.parametrize("name, param", [
+# every parameter of every registered problem
+EVERY_PARAMETER = [
     ("boundary_layer_1d", "eps"),
     ("piecewise_kappa_1d", "alpha"),
     ("piecewise_kappa_1d", "kappa_minus"),
@@ -212,10 +211,26 @@ def test_non_numeric_parameters_are_rejected(name, params):
     ("flower", "kappa_minus"),
     ("flower", "kappa_plus"),
     ("internal_layer", "eps"),
-])
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "minus-inf"])
+@pytest.mark.parametrize("name, param", EVERY_PARAMETER)
 def test_non_finite_parameters_are_rejected(name, param, value):
     with pytest.raises(BadParams):
         problems.make_problem(name, {param: value})
+
+
+def test_boolean_parameters_are_rejected():
+    # float(True) is 1.0, which a kappa or internal_layer's eps accepts
+    assert {name for name, _ in EVERY_PARAMETER} == set(
+        problems.problem_names())
+    for name, param in EVERY_PARAMETER:
+        for flag in (True, np.True_):
+            with pytest.raises(BadParams,
+                               match=f"parameter '{param}' must be a number"):
+                problems.make_problem(name, {param: flag})
 
 
 @pytest.mark.parametrize("eps", [1e-103, 1e-150, 1e-300])

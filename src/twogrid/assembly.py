@@ -68,11 +68,16 @@ def assemble(grid, problem) -> SparseSystem:
     boundary = grid.tags == NodeTag.BOUNDARY
     rhs[boundary] = problem.boundary(grid.x[boundary], grid.y[boundary],
                                      side[boundary].astype(int))
-    bad = np.flatnonzero(~np.isfinite(rhs))
-    if len(bad):
-        i = bad[0]
-        raise BadParams(f"{problem.name}: the right side is not finite at "
-                        f"node {i} (x={grid.x[i]:.6g}, y={grid.y[i]:.6g})")
+    # the matrix's data is read in place, with one boolean temporary; its
+    # first bad entry names its row
+    for what, vals, indptr in (("the right side", rhs, None),
+                               ("a matrix entry", matrix.data, matrix.indptr)):
+        ok = np.isfinite(vals)
+        if not ok.all():
+            i = np.argmin(ok)   # the first entry that is not finite
+            i = i if indptr is None else np.searchsorted(indptr, i, "right") - 1
+            raise BadParams(f"{problem.name}: {what} is not finite at node "
+                            f"{i} (x={grid.x[i]:.6g}, y={grid.y[i]:.6g})")
     return SparseSystem(matrix=matrix, rhs=rhs, boundary=boundary)
 
 

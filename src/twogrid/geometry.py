@@ -3,7 +3,10 @@
 Conventions used throughout the package:
 
 * the interface is the zero set of a scalar field ``phi``;
-* ``phi < 0`` is the "minus" side (inside), ``phi > 0`` the "plus" side;
+* ``phi <= 0`` is the "minus" side (inside), ``phi > 0`` the "plus"
+  side: a point with ``phi`` exactly 0 belongs to the minus side, in the
+  grid's node sides, the assembler's crossing checks and the problems'
+  side-aware callables alike;
 * the unit normal points toward ``phi > 0``;
 * the unit tangent is the normal rotated a quarter turn counterclockwise,
   so for a closed curve traversed counterclockwise the minus side is the

@@ -90,31 +90,28 @@ def iim_1d_irregular(kminus: float, kplus: float, alpha: float, xj: float,
         raise BadParams("a point or straight-line interface takes scalar "
                         "jumps w and v")
     dk = kplus - kminus
-    xjm1, xjp1, xjp2 = xj - h_f, xj + h_f, xj + 2 * h_f
-
-    Dj = h_f**2 + dk * (xjm1 - alpha) * (xj - alpha) / (2 * kminus)
-    Djp1 = h_f**2 - dk * (xjp2 - alpha) * (xjp1 - alpha) / (2 * kplus)
-    if abs(Dj) < 1e-3 * h_f**2 or abs(Djp1) < 1e-3 * h_f**2:
+    # per node: the sign s (+1 for the minus node, -1 for the plus node),
+    # its own and the other side's kappa, and its far, own and across
+    # nodes; the far node is at offset -s and the across node at +s
+    pair = ((1, kminus, kplus, xj - h_f, xj, xj + h_f),
+            (-1, kplus, kminus, xj + 2 * h_f, xj + h_f, xj))
+    D = [h_f**2 + s * dk * (xf - alpha) * (xc - alpha) / (2 * ko)
+         for s, ko, _, xf, xc, _ in pair]
+    if any(abs(d) < 1e-3 * h_f**2 for d in D):
         raise DegenerateDenominator(
-            f"fitted-stencil denominator too small: D={Dj:.3e}, {Djp1:.3e}")
+            f"fitted-stencil denominator too small: D={D[0]:.3e}, {D[1]:.3e}")
 
-    gj = ((kminus - dk * (xj - alpha) / h_f) / Dj,
-          (-2 * kminus + dk * (xjm1 - alpha) / h_f) / Dj,
-          kplus / Dj)
-    gjp1 = (kminus / Djp1,
-            (-2 * kplus + dk * (xjp2 - alpha) / h_f) / Djp1,
-            (kplus - dk * (xjp1 - alpha) / h_f) / Djp1)
-
-    # corrections: jump polynomial of the one arm that lands across the
-    # interface, written from the center node's side
-    corr_j = gj[2] * (jumps.w + (xjp1 - alpha) * jumps.v / kplus)
-    corr_jp1 = -gjp1[0] * (jumps.w + (xj - alpha) * jumps.v / kminus)
-
-    st_j = Stencil(alphas={-1: gj[0], 0: gj[1], 1: gj[2]},
-                   betas={0: 1.0}, correction=corr_j)
-    st_jp1 = Stencil(alphas={-1: gjp1[0], 0: gjp1[1], 1: gjp1[2]},
-                     betas={0: 1.0}, correction=corr_jp1)
-    return st_j, st_jp1
+    rows = []
+    for (s, ko, kt, xf, xc, xa), d in zip(pair, D):
+        g = ((ko - dk * (xc - alpha) / h_f) / d,
+             (-2 * ko + dk * (xf - alpha) / h_f) / d,
+             kt / d)
+        # correction: jump polynomial of the one arm that lands across the
+        # interface, written from the center node's side
+        corr = s * g[2] * (jumps.w + (xa - alpha) * jumps.v / kt)
+        rows.append(Stencil(alphas=dict(zip((-1, 0, 1), g[::s])),
+                            betas={0: 1.0}, correction=corr))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -145,17 +142,24 @@ def jump_scalars(jumps: JumpData, frame: InterfaceFrame, f: Callable) -> dict:
 # Taylor-data transfer across the interface
 # ---------------------------------------------------------------------------
 
-def transfer_minus_to_plus(km, kp, chi, js: dict):
-    """Affine map from minus-side to plus-side Taylor data at a foot point.
+def transfer_from_side(side, km: float, kp: float, chi, js: dict):
+    """Affine map of Taylor data at a foot point away from ``side``: from
+    the minus to the plus side where ``side`` is -1, from the plus to the
+    minus side where it is +1.
 
     Component order ``(u, u_xi, u_eta, u_xixi, u_xieta, u_etaeta)``. Returns
-    ``(M, J0, jf)`` with ``T_plus = M @ T_minus + J0 + jf * f_plus``; the
-    ``u_xixi`` component is produced by the plus-side PDE, so the map never
-    reads ``u_xixi`` of the minus side. The arguments broadcast: arrays of
-    shape ``S`` give ``M``, ``J0`` and ``jf`` of shapes ``S + (6, 6)``,
-    ``S + (6,)`` and ``S + (6,)``.
+    ``(M, J0, jf)`` with ``T_other = M @ T_side + J0 + jf * f_other``; the
+    ``u_xixi`` component is produced by the other side's PDE, so the map
+    never reads ``u_xixi`` of ``side``. The reverse map is the forward one
+    with the roles of the two kappas swapped and the jump data negated; the
+    frame (and ``chi``) is unchanged. The arguments broadcast: ``side`` and
+    the rest as arrays of shape ``S`` give ``M``, ``J0`` and ``jf`` of
+    shapes ``S + (6, 6)``, ``S + (6,)`` and ``S + (6,)``.
     """
-    w, wp, wpp, v, vp = js["w"], js["wp"], js["wpp"], js["v"], js["vp"]
+    minus = np.asarray(side) < 0
+    sgn = np.where(minus, 1.0, -1.0)
+    w, wp, wpp, v, vp = (sgn * js[k] for k in ("w", "wp", "wpp", "v", "vp"))
+    km, kp = np.where(minus, km, kp), np.where(minus, kp, km)
     shape = np.broadcast(km, kp, chi, w, wp, wpp, v, vp).shape
     q = km / kp
     M = np.zeros(shape + (6, 6))
@@ -181,20 +185,6 @@ def transfer_minus_to_plus(km, kp, chi, js: dict):
     return M, J0, jf
 
 
-def transfer_from_side(side, km: float, kp: float, chi, js: dict):
-    """Transfer away from ``side`` (-1: minus->plus, +1: plus->minus).
-
-    The reverse map is the forward one with the roles of the two sides
-    swapped and the jump data negated; the frame (and ``chi``) is unchanged.
-    ``side`` may be an array, one side per foot.
-    """
-    minus = np.asarray(side) < 0
-    sgn = np.where(minus, 1.0, -1.0)
-    return transfer_minus_to_plus(
-        np.where(minus, km, kp), np.where(minus, kp, km), chi,
-        {k: sgn * js[k] for k in ("w", "wp", "wpp", "v", "vp")})
-
-
 def _basis_row(dx, dy, frame: InterfaceFrame) -> np.ndarray:
     """Taylor monomials ``(1, xi, eta, xi^2/2, xi eta, eta^2/2)`` of the
     offsets ``(dx, dy)`` in each foot's frame, stacked on a new first axis;
@@ -206,9 +196,10 @@ def _basis_row(dx, dy, frame: InterfaceFrame) -> np.ndarray:
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot product of two ``(m, n)`` arrays, summed in column
-    order, so a row's value never depends on the other rows."""
-    return sum(a[:, c] * b[:, c] for c in range(a.shape[1]))
+    """Per row of ``a``, its dot product with the stack ``b``: the sum of
+    ``a[:, i] * b[i]`` in column order, so a row's value never depends on
+    the other rows; ``b[i]`` broadcasts against ``a[:, i]``."""
+    return sum(a[:, i] * b[i] for i in range(len(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +308,14 @@ def singular_source_stencil_2d(nodes: IrregularNodes, ls: LevelSet,
 
     frame = project_to_interface(ls, Xc)
     js = jump_scalars(jumps, frame, f)
-    _, J0, jf = transfer_minus_to_plus(kappa, kappa, -frame.curvature, js)
+    _, J0, jf = transfer_from_side(-1, kappa, kappa, -frame.curvature, js)
     jtaylor = J0 + jf * js["fj"][:, None]   # T_plus - T_minus
     b = _basis_row(ex - frame.foot[:, 0], ey - frame.foot[:, 1], frame)
-    jpoly = sum(jtaylor[:, i] * b[i] for i in range(6))
+    jpoly = _rowdot(jtaylor, b)
     sgn = np.where(side[k] < 0, 1.0, -1.0)
     term = sgn * (kappa / h**2) * jpoly
     corr = np.zeros(len(side))
-    for arm in range(len(_CROSS)):   # at most one term per node and arm
-        sel = a == arm
-        corr[k[sel]] += term[sel]
+    np.add.at(corr, k, term)   # each node's arms in order, one term each
     return weights, corr
 
 
@@ -342,15 +331,15 @@ def _candidate_rows(nodes: IrregularNodes, frame: InterfaceFrame, kc, M, J0,
     Basis: ``(u, u_xi, u_eta, u_xieta, u_etaeta)`` of the center side plus
     carriers for f on each side; ``u_xixi`` is eliminated through the PDE.
     Returns the ``(m, 6, 25)`` constraint matrices, whose last row carries
-    f, and the ``(m, 25)`` constant and other-side-f terms.
+    f, and the ``(25, m)`` constant and other-side-f terms.
     """
     h = nodes.h_f
     dx = nodes.x + _DI[:, None] * h - frame.foot[:, 0]   # (25, m)
     dy = nodes.y + _DJ[:, None] * h - frame.foot[:, 1]
     b = _basis_row(dx, dy, frame)
-    c = [sum(M[:, i, j] * b[i] for i in range(6)) for j in range(6)]  # M^T b
-    const = sum(J0[:, i] * b[i] for i in range(6))
-    fother = sum(jf[:, i] * b[i] for i in range(6))
+    c = [_rowdot(M[:, :, j], b) for j in range(6)]   # M^T b
+    const = _rowdot(J0, b)
+    fother = _rowdot(jf, b)
     same = nodes.ring_side.T == nodes.side
     A = np.stack([np.where(same, b[0], c[0]),
                   np.where(same, b[1], c[1]),
@@ -358,8 +347,8 @@ def _candidate_rows(nodes: IrregularNodes, frame: InterfaceFrame, kc, M, J0,
                   np.where(same, b[4], c[4]),
                   np.where(same, b[5] - b[3], c[5]),
                   np.where(same, b[3] / kc, fother)])
-    return (A.transpose(2, 0, 1), np.where(same, 0.0, const).T,
-            np.where(same, 0.0, fother).T)
+    return (A.transpose(2, 0, 1), np.where(same, 0.0, const),
+            np.where(same, 0.0, fother))
 
 
 def _block_program(An: np.ndarray, last: np.ndarray, cand: np.ndarray,

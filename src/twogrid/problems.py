@@ -104,12 +104,19 @@ def _take(params: Optional[dict], defaults: dict, name: str) -> dict:
     out = dict(defaults)
     for key, value in params.items():
         try:
-            if isinstance(value, (bool, np.bool_)):
-                raise TypeError("a flag is not a number")
+            # float() would read a flag as 0 or 1 and drop an imaginary part
+            if isinstance(value, (bool, np.bool_)) or np.iscomplexobj(value):
+                raise TypeError("not a real number")
             out[key] = float(value)
         except (TypeError, ValueError, OverflowError):
             raise BadParams(f"{name}: parameter {key!r} must be a number, "
                             f"got {value!r}") from None
+        # a subnormal value has lost precision, and the reciprocals that
+        # the problems take (1/R, 1/eps, 1/kappa) overflow or nearly so;
+        # reject it before any arithmetic
+        if 0.0 < abs(out[key]) < np.finfo(float).smallest_normal:
+            raise BadParams(f"{name}: parameter {key!r} is subnormal, got "
+                            f"{value!r}")
     return out
 
 
@@ -351,50 +358,41 @@ _FD_D1 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
 _FD_D2 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
 
 
-def _fd_axis(fn, x, y, side, hd: float, weights, order: int, axis: int):
+def _fd(fn, x, y, side, step, weights, order: int, hd: float):
+    """Difference of ``fn`` at ``(x, y)`` along the unit ``step``."""
     acc = 0.0
     for off, wgt in zip(_FD_OFFSETS, weights):
-        if axis == 0:
-            acc = acc + wgt * np.asarray(fn(x + off * hd, y, side), float)
-        else:
-            acc = acc + wgt * np.asarray(fn(x, y + off * hd, side), float)
+        acc = acc + wgt * np.asarray(
+            fn(x + off * hd * step[0], y + off * hd * step[1], side), float)
     return acc / hd**order
 
 
 def _sample_off_interface(problem: ProblemSpec, rng, n: int, pad: float,
                           margin: float):
-    """Uniform points in the domain, clear of boundaries and of the
-    interface or layer by ``margin``. Returns (x, y, side)."""
-    if problem.dim == 1:
-        a, b = problem.domain
-        hi = b - pad - (margin if problem.alpha is None else 0.0)
-        xs = np.empty(0)
-        while len(xs) < n:
-            cand = rng.uniform(a + pad, hi, size=2 * n)
-            if problem.alpha is not None:
-                cand = cand[np.abs(cand - problem.alpha) >= margin]
-            xs = np.concatenate([xs, cand])[:n]
-        ys = np.zeros_like(xs)
-    else:
-        (ax, bx), (ay, by) = problem.domain
-        xs = np.empty(0)
-        ys = np.empty(0)
-        while len(xs) < n:
-            cx = rng.uniform(ax + pad, bx - pad, size=4 * n)
-            cy = rng.uniform(ay + pad, by - pad, size=4 * n)
-            if problem.alpha is not None:
-                keep = np.abs(cx - problem.alpha) >= margin
-            else:
-                keep = np.abs(problem.interface.phi(cx, cy)) >= margin
-            xs = np.concatenate([xs, cx[keep]])[:n]
-            ys = np.concatenate([ys, cy[keep]])[:n]
-    if problem.alpha is not None:
-        side = np.where(xs <= problem.alpha, -1, 1)
-    elif problem.interface is not None:
-        side = np.where(problem.interface.phi(xs, ys) <= 0, -1, 1)
-    else:
-        side = np.ones(len(xs), dtype=int)
-    return xs, ys, side
+    """Uniform points in the domain, clear of boundaries by ``pad`` and of
+    the interface or layer by ``margin``. Returns ``(n, 2)`` points, with
+    y = 0 in 1D, and their sides.
+
+    One signed level gives both the clearance and the side (-1 where it is
+    <= 0): ``x - alpha``, ``phi``, or ``b - x`` for the 1D layer at its
+    right end ``b``.
+    """
+    box = np.reshape(np.asarray(problem.domain, dtype=float), (-1, 2))
+
+    def level(p):
+        if problem.alpha is not None:
+            return p[:, 0] - problem.alpha
+        if problem.interface is not None:
+            return problem.interface.phi(p[:, 0], p[:, 1])
+        return box[0, 1] - p[:, 0]
+
+    pts = np.empty((0, 2))
+    while len(pts) < n:
+        cand = np.zeros((4 * n, 2))
+        cand[:, :len(box)] = rng.uniform(box[:, 0] + pad, box[:, 1] - pad,
+                                         size=(4 * n, len(box)))
+        pts = np.concatenate([pts, cand[np.abs(level(cand)) >= margin]])[:n]
+    return pts, np.where(level(pts) <= 0, -1, 1)
 
 
 def selfcheck(problem: ProblemSpec) -> dict:
@@ -414,12 +412,12 @@ def selfcheck(problem: ProblemSpec) -> dict:
     rng = np.random.default_rng(0)
     hd = 1e-3
     margin = 0.05
-    x, y, side = _sample_off_interface(problem, rng, 100, 4 * hd, margin)
+    pts, side = _sample_off_interface(problem, rng, 100, 4 * hd, margin)
+    x, y = pts.T
 
-    lap = _fd_axis(problem.exact, x, y, side, hd, _FD_D2, 2, 0)
-    if problem.dim == 2:
-        lap = lap + _fd_axis(problem.exact, x, y, side, hd, _FD_D2, 2, 1)
-    ux = _fd_axis(problem.exact, x, y, side, hd, _FD_D1, 1, 0)
+    lap = sum(_fd(problem.exact, x, y, side, step, _FD_D2, 2, hd)
+              for step in np.eye(2)[:problem.dim])
+    ux = _fd(problem.exact, x, y, side, (1.0, 0.0), _FD_D1, 1, hd)
     kap = np.where(side < 0, problem.kappa_minus, problem.kappa_plus)
     lhs = (kap * lap + problem.conv * ux
            + problem.K * np.asarray(problem.exact(x, y, side), float))
@@ -445,12 +443,11 @@ def selfcheck(problem: ProblemSpec) -> dict:
             tangent=np.tile([0.0, 1.0], (8, 1)), curvature=np.zeros(8))
     js = jump_scalars(problem.jumps, frame, problem.f)
     px, py = frame.foot.T
-    nx, ny = frame.normal.T
-    line = lambda t, _, s: problem.exact(px + t * nx, py + t * ny, s)
     du = problem.exact(px, py, 1) - problem.exact(px, py, -1)
-    flux = (problem.kappa_plus * _fd_axis(line, 0.0, 0.0, 1, hd, _FD_D1, 1, 0)
-            - problem.kappa_minus * _fd_axis(line, 0.0, 0.0, -1, hd, _FD_D1,
-                                             1, 0))
+    flux = (problem.kappa_plus * _fd(problem.exact, px, py, 1,
+                                     frame.normal.T, _FD_D1, 1, hd)
+            - problem.kappa_minus * _fd(problem.exact, px, py, -1,
+                                        frame.normal.T, _FD_D1, 1, hd))
     worst = max(np.abs(du - js["w"]).max(),
                 (np.abs(flux - js["v"])
                  / np.maximum(1.0, np.abs(js["v"]))).max())

@@ -18,7 +18,7 @@ from derivation import eliminate_hanging
 from twogrid import stencils
 from twogrid.assembly import assemble
 from twogrid.harness import build_grid, run_case
-from twogrid.iim import JumpData, iim_1d_irregular, transfer_minus_to_plus
+from twogrid.iim import JumpData, iim_1d_irregular, transfer_from_side
 from twogrid.linsolve import solve
 from twogrid.problems import exact_error, make_problem, problem_names, selfcheck
 
@@ -313,7 +313,7 @@ def test_criterion_8():
     # flat-interface jump transfer, hand-derived expectation
     kmf, kpf = 2.0, 5.0
     js = {"w": 0.7, "wp": 0.0, "wpp": 0.0, "v": -1.3, "vp": 0.0}
-    M, J0, jf = transfer_minus_to_plus(kmf, kpf, 0.0, js)
+    M, J0, jf = transfer_from_side(-1, kmf, kpf, 0.0, js)
     Tm = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     fplus = 4.0
     got = M @ Tm + J0 + jf * fplus

@@ -252,6 +252,38 @@ def test_assemble_rejects_a_non_finite_right_side(monkeypatch, eps):
         (g.x[i], g.y[i]), abs=1e-6)
 
 
+@pytest.mark.parametrize("params, what", [
+    ({"kappa_minus": 1e308}, "a matrix entry"),
+    ({"kappa_plus": 1e308}, "a matrix entry"),
+    ({"kappa_minus": 1e308, "kappa_plus": 1e308}, "the right side"),
+], ids=["minus", "plus", "both"])
+def test_assemble_rejects_a_non_finite_matrix_entry(monkeypatch, params,
+                                                    what):
+    # a kappa of 1e308 overflows its side's weights to inf, which once
+    # ended in a singular factor; assembly names the first row that holds
+    # one (with both kappas that large the interface correction is NaN
+    # first) before anything is factored
+    def no_factor(*args, **kwargs):
+        raise AssertionError("a system with a non-finite entry was factored")
+
+    monkeypatch.setattr(linsolve.spla, "splu", no_factor)
+    prob = problems.make_problem("piecewise_kappa_1d", params)
+    g = build_grid(prob, 10, 8)
+    with np.errstate(all="ignore"), pytest.raises(BadParams) as info:
+        run_case(prob, 10, 8)
+    msg = str(info.value)
+    m = re.fullmatch(rf"piecewise_kappa_1d: {what} is not finite at node "
+                     r"(\d+) \(x=(\S+), y=0\)", msg)
+    assert m, msg
+    i = int(m.group(1))
+    assert float(m.group(2)) == pytest.approx(g.x[i], abs=1e-6)
+    if len(params) == 1:
+        # every interior row on the large kappa's side is inf; the first
+        side = -1 if "kappa_minus" in params else 1
+        assert i == np.flatnonzero((g.tags != NodeTag.BOUNDARY)
+                                   & (g.side == side)).min()
+
+
 def test_strip_rejects_oblong_coarse_cells():
     prob = replace(problems.make_problem("line_interface_2d"),
                    domain=((0.0, 1.0), (0.0, 2.0)))

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from twogrid import iim, problems
 from twogrid.errors import (BadParams, DegenerateDenominator,
                             MissingNeighbor, MultipleCrossings)
 from twogrid.geometry import LevelSet, project_to_interface
+from twogrid.harness import run_case
 
 ALL_NEIGHBORS = {(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)
                  if (di, dj) != (0, 0)}
@@ -68,6 +70,59 @@ def residual_2d(out, node, u_of, f_center):
 
 def lsq_slope(hs, errs):
     return float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
+
+
+def star_problem(kappa=(1.0, 1.0)):
+    """The star ``rho(theta) = 1/2 + 3/50 sin(5 theta + 3/10)``, with
+    ``phi = r - rho(theta)``, ``u = e^x cos y`` inside and
+    ``u = x^2 y - sin(x + 2 y) + 1`` outside, and ``f = kappa Lap u`` on
+    each side. Every jump is differentiated along the curve by sympy, as
+    ``tests/test_problems.py::_flower_jumps_sympy`` does, so ``wp``,
+    ``wpp`` and ``vp`` are all non-zero."""
+    th, X, Y = sympy.symbols("theta x y", real=True)
+    rho = (sympy.Rational(1, 2)
+           + sympy.Rational(3, 50) * sympy.sin(5 * th + sympy.Rational(3, 10)))
+    Tx = sympy.diff(rho * sympy.cos(th), th)
+    Ty = sympy.diff(rho * sympy.sin(th), th)
+    speed = sympy.sqrt(Tx**2 + Ty**2)
+    on = {X: rho * sympy.cos(th), Y: rho * sympy.sin(th)}
+    sides = [(kappa[0], sympy.exp(X) * sympy.cos(Y)),
+             (kappa[1], X**2 * Y - sympy.sin(X + 2 * Y) + 1)]
+
+    def flux(k, u):   # along the outward normal (Ty, -Tx) / speed
+        return k * (sympy.diff(u, X) * Ty - sympy.diff(u, Y) * Tx) / speed
+
+    w = (sides[1][1] - sides[0][1]).subs(on)
+    v = (flux(*sides[1]) - flux(*sides[0])).subs(on)
+    wp = sympy.diff(w, th) / speed
+    jumps = {"w": w, "v": v, "wp": wp, "wpp": sympy.diff(wp, th) / speed,
+             "vp": sympy.diff(v, th) / speed}
+
+    def on_curve(expr):
+        fn = sympy.lambdify(th, expr, "numpy")
+        return lambda x, y: fn(np.arctan2(y, x))
+
+    def by_side(exprs):
+        fns = [sympy.lambdify((X, Y), e, "numpy") for e in exprs]
+        return lambda x, y, side: np.where(
+            np.asarray(side) < 0, fns[0](x, y) + 0.0 * x, fns[1](x, y))
+
+    def phi(x, y):
+        return np.hypot(x, y) - (0.5 + 0.06 * np.sin(5.0 * np.arctan2(y, x)
+                                                     + 0.3))
+
+    ts = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+    rs = 0.5 + 0.06 * np.sin(5.0 * ts + 0.3)
+    exact = by_side([u for _, u in sides])
+    return problems.ProblemSpec(
+        name="star", domain=((-1.0, 1.0), (-1.0, 1.0)),
+        f=by_side([k * (sympy.diff(u, X, 2) + sympy.diff(u, Y, 2))
+                   for k, u in sides]),
+        boundary=exact, exact=exact, kappa_minus=kappa[0],
+        kappa_plus=kappa[1],
+        jumps=iim.JumpData(**{k: on_curve(e) for k, e in jumps.items()}),
+        interface=LevelSet(phi=phi, samples=np.column_stack(
+            [rs * np.cos(ts), rs * np.sin(ts)])))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +230,7 @@ def test_transfer_matches_hand_derived_jump_relations():
     fm = km * (Tm[3] + Tm[5])
     fp = fm + fj
     js = {"w": w, "v": v, "wp": 0.0, "wpp": 0.0, "vp": 0.0}
-    M, J0, jf = iim.transfer_minus_to_plus(km, kp, 0.0, js)
+    M, J0, jf = iim.transfer_from_side(-1, km, kp, 0.0, js)
     got = M @ Tm + J0 + jf * fp
     expect = np.array([
         Tm[0] + w,
@@ -194,7 +249,7 @@ def test_transfer_from_plus_side_swaps_roles():
     Mf, J0f, _ = iim.transfer_from_side(-1, km, kp, 0.4, js)
     Mr, J0r, _ = iim.transfer_from_side(+1, km, kp, 0.4, js)
     neg = {k: -val for k, val in js.items()}
-    Mr2, J0r2, _ = iim.transfer_minus_to_plus(kp, km, 0.4, neg)
+    Mr2, J0r2, _ = iim.transfer_from_side(-1, kp, km, 0.4, neg)
     assert Mr == pytest.approx(Mr2)
     assert J0r == pytest.approx(J0r2)
     assert not np.allclose(Mf, Mr)
@@ -294,6 +349,17 @@ def test_singular_source_consistency_order_on_circle():
         errs.append(abs(residual_2d(out, node, u, 0.0)))
     assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
     assert lsq_slope(hs, errs) >= 0.8
+
+
+def test_singular_source_accuracy_on_a_star():
+    # equal kappa on a curved interface whose jumps all vary along it: the
+    # corrected five-point rows read w, v, wp, wpp and vp. The coarse
+    # error is 1.11e-5; with wp, wpp or vp zeroed it is 1.22e-3, 9.47e-4
+    # or 5.46e-5
+    prob = star_problem()
+    assert problems.selfcheck(prob)["jump_max_rel"] < 1e-9
+    rep = run_case(prob, 80, 2, lam=2.0, check_operator=False)
+    assert rep.err_coarse < 2.5e-5, rep
 
 
 def test_arm_side_override_controls_crossing_detection():

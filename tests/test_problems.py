@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -187,12 +188,17 @@ def test_parameter_overrides_and_validation():
         problems.make_problem("flower", {"petals": 9})
 
 
+# float() of a NumPy complex drops the imaginary part with only a
+# ComplexWarning, which is an error here
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name, params", [
     ("boundary_layer_1d", {"eps": "abc"}),
     ("peskin_circle", {"radius": None}),
     ("flower", {"kappa_plus": 1j}),
     ("piecewise_kappa_1d", {"alpha": [0.5]}),
     ("piecewise_kappa_1d", {"kappa_minus": 10**400}),
+    ("flower", {"kappa_minus": np.complex128(2 + 3j)}),
+    ("peskin_circle", {"radius": np.complex64(0.5)}),
 ])
 def test_non_numeric_parameters_are_rejected(name, params):
     key, = params
@@ -231,6 +237,20 @@ def test_boolean_parameters_are_rejected():
             with pytest.raises(BadParams,
                                match=f"parameter '{param}' must be a number"):
                 problems.make_problem(name, {param: flag})
+
+
+@pytest.mark.parametrize("value", [1e-320, -1e-320, 1e-308])
+@pytest.mark.parametrize("name, param", EVERY_PARAMETER)
+def test_subnormal_parameters_are_rejected_before_any_warning(name, param,
+                                                              value):
+    # a subnormal radius, eps or kappa has lost precision, and its
+    # reciprocal overflows or nearly so; make_problem names it before any
+    # arithmetic can warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadParams, match=f"parameter '{param}' is "
+                           "subnormal"):
+            problems.make_problem(name, {param: value})
 
 
 @pytest.mark.parametrize("eps", [1e-103, 1e-150, 1e-300])

@@ -11,7 +11,8 @@ class NonConvergence(TwoGridError):
 
 
 class EmptyTube(TwoGridError):
-    """No coarse node fell inside the refinement tube."""
+    """No coarse node fell inside the refinement tube, or one side of the
+    interface holds none of its regular fine nodes."""
 
 
 class TubeTooWide(TwoGridError):

@@ -13,7 +13,7 @@ Three constructions share one node taxonomy:
   with the coarse lattice hang between two coarse neighbors. The tube stores
   each node's fine-lattice code, tag and side, and a bitmap of the codes;
   it computes coordinates and hanging placement from the codes when they
-  are read.
+  are read, and a nested-dissection order of its nodes for the factor.
 
 Node ids are deterministic: sorted by x in 1D and row-major (y, then x)
 in 2D. Only this module knows that numbering: each grid's ``neighbors``
@@ -320,6 +320,49 @@ class Grid2DTube:
         deltas = np.asarray(offsets) @ (1, self.W)
         return self.id_of(self.codes[ids][:, None] + deltas)
 
+    def dissection_order(self) -> np.ndarray:
+        """A nested-dissection order of the node ids (George, SIAM J. Numer.
+        Anal. 10, 1973): entry ``i`` is the node eliminated ``i``-th.
+
+        The lattice is cut alternately along x and y, with each axis cut as
+        :func:`_bisection` does. A node's x line is cut at depth ``dx`` and
+        its y line at ``dy``, so it lies on a separator of level
+        ``min(2 dx, 2 dy + 1)``. Its key holds the interleaved x and y path
+        bits above that level and ones from there down, which puts every
+        separator after both of its halves; among equal keys the deeper
+        level goes first.
+        """
+        depth, bits = _bisection(self.W, self.r)
+        px, py = self.codes % self.W, self.codes // self.W
+        level = np.minimum(2 * depth[px], 2 * depth[py] + 1)
+        key = (bits[px] << 1) | bits[py] | ((1 << (2 * _DEPTH - level)) - 1)
+        return np.lexsort((-level, key))
+
+
+_DEPTH = 31     # bisection depths a key can hold; 62 bits in all
+
+
+def _bisection(W: int, r: int):
+    """Recursive bisection of the fine lattice lines ``0 .. W - 1`` of one
+    axis: the depth at which each line is cut, and its path of left (0) and
+    right (1) turns above that depth, the turn at depth ``d`` at bit
+    ``2 (_DEPTH - 1 - d)``. An interval of more than ``2 r`` steps is cut
+    on the coarse line nearest its midpoint, a shorter one on its midpoint
+    line."""
+    depth = np.zeros(W, dtype=np.int64)
+    bits = np.zeros(W, dtype=np.int64)
+    stack = [(0, W - 1, 0, 0)]
+    while stack:
+        lo, hi, d, path = stack.pop()
+        if lo > hi:
+            continue
+        cut = ((lo + hi + r) // (2 * r) * r if hi - lo > 2 * r
+               else (lo + hi) // 2)
+        depth[cut], bits[cut] = d, path
+        turn = 1 << (2 * (_DEPTH - 1 - d))
+        stack += [(lo, cut - 1, d + 1, path), (cut + 1, hi, d + 1, path | turn)]
+    return depth, bits
+
 
 def build_tube_two_grid_2d(params: GridParams, ls: LevelSet) -> Grid2DTube:
     """Tube-refined grid around the zero set of ``ls``.
@@ -390,6 +433,14 @@ def build_tube_two_grid_2d(params: GridParams, ls: LevelSet) -> Grid2DTube:
     fc = codes[fine_cls]
     irr = np.any([side_at[fc + d] != side_at[fc] for d in arms], axis=0)
     tags[np.flatnonzero(fine_cls)[irr]] = NodeTag.FINE_IRREGULAR
+
+    # a side without a regular fine node is thinner than the fine lattice
+    # resolves: a circle of radius below h_f solved to errors of up to 879
+    for sgn, name in ((-1, "minus (phi <= 0)"), (1, "plus (phi > 0)")):
+        if not np.any(tags[side == sgn] == NodeTag.FINE_REGULAR):
+            raise EmptyTube(f"the tube holds no fine-regular node on the "
+                            f"{name} side of the interface; refine so the "
+                            "fine spacing resolves it")
 
     on_boundary = (px == 0) | (px == N * r) | (py == 0) | (py == N * r)
     tags[on_boundary] = NodeTag.BOUNDARY

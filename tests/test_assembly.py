@@ -284,6 +284,39 @@ def test_assemble_rejects_a_non_finite_matrix_entry(monkeypatch, params,
                                    & (g.side == side)).min()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("params", [
+    {"kappa_minus": 1e308}, {"kappa_plus": 1e308},
+    {"kappa_minus": 1e308, "kappa_plus": 1e308},
+], ids=["minus", "plus", "both"])
+def test_an_overflowing_kappa_is_bad_params_without_a_warning(params):
+    # with warnings as errors and numpy's default error state, the
+    # overflow inside the row writers once ended in a RuntimeWarning
+    prob = problems.make_problem("piecewise_kappa_1d", params)
+    with pytest.raises(BadParams, match="is not finite at node"):
+        run_case(prob, 10, 8)
+
+
+@pytest.mark.parametrize("name, params, N, r, lam, hf_mode, ordered", [
+    ("internal_layer", {}, 40, 3, 4.0, "ratio", True),
+    ("peskin_circle", {}, 40, 4, 2.0, "ratio", False),
+    ("flower", {"kappa_minus": 50.0, "kappa_plus": 1.0}, 40, 2, 2.0,
+     "ratio", False),
+    ("line_interface_2d", {}, 12, 2, 2.0, "h2", False),
+    ("piecewise_kappa_1d", {}, 10, 8, 2.0, "ratio", False),
+    ("boundary_layer_1d", {}, 10, 2, 2.0, "ratio", False),
+])
+def test_only_tubes_without_jumps_carry_a_dissection_order(
+        name, params, N, r, lam, hf_mode, ordered):
+    prob = problems.make_problem(name, params)
+    grid = build_grid(prob, N, r, lam, hf_mode)
+    system = assemble(grid, prob)
+    if ordered:
+        assert np.array_equal(system.order, grid.dissection_order())
+    else:
+        assert system.order is None
+
+
 def test_strip_rejects_oblong_coarse_cells():
     prob = replace(problems.make_problem("line_interface_2d"),
                    domain=((0.0, 1.0), (0.0, 2.0)))

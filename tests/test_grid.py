@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
 from twogrid import stencils
@@ -357,6 +357,9 @@ def reference_tube_grid(params, ls):
     for d in (1, -1, W, -W):
         irr |= side[search_ids(codes, codes[idx_fine] + d)] != side[idx_fine]
     tags[idx_fine[irr]] = NodeTag.FINE_IRREGULAR
+    for sgn in (-1, 1):
+        if not (tags[side == sgn] == NodeTag.FINE_REGULAR).any():
+            raise EmptyTube("no fine-regular node on one side")
     tags[(px == 0) | (px == N * r) | (py == 0) | (py == N * r)] = \
         NodeTag.BOUNDARY
     return dict(codes=codes, x=ax + px * h_f, y=ay + py * h_f, tags=tags,
@@ -488,6 +491,61 @@ def test_tube_failure_modes():
         build_tube_two_grid_2d(
             GridParams(N=10, r=2, lam=2.0,
                        domain=((0.0, 1.0), (0.0, 2.0))), ls=circle_ls())
+
+
+@pytest.mark.parametrize("radius", [0.02, 0.01, 1e-3])
+def test_tube_without_a_regular_fine_node_on_one_side_names_it(radius):
+    # at N=20, r=2 (h_f = 0.05) these circles hold at most one node, which
+    # takes a fitted row; the cases solved to coarse errors of 0.26 to 879
+    prob = make_problem("peskin_circle", {"radius": radius})
+    with pytest.raises(EmptyTube, match=r"minus \(phi <= 0\) side"):
+        run_case(prob, 20, 2)
+    with pytest.raises(EmptyTube, match="plus"):
+        build_tube_two_grid_2d(
+            GridParams(N=20, r=2, lam=2.0, domain=(-1.0, 1.0)),
+            LevelSet(phi=lambda x, y: radius - np.hypot(x, y)))
+
+
+# ---------------------------------------------------------------------------
+# nested-dissection order
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(N=hs.integers(10, 80), r=hs.integers(2, 8), lam=hs.floats(1.0, 6.0))
+def test_tube_dissection_order_is_a_permutation(N, r, lam):
+    prob = make_problem("internal_layer")
+    try:
+        g = build_tube_two_grid_2d(
+            GridParams(N=N, r=r, lam=lam, domain=prob.domain),
+            prob.interface)
+    except TubeTooWide:
+        assume(False)
+    order = g.dissection_order()
+    assert order.dtype.kind == "i"
+    assert np.array_equal(np.sort(order), np.arange(g.n))
+
+
+@pytest.mark.parametrize("r", [2, 5, 8])
+def test_tube_dissection_eliminates_the_first_cut_last(r):
+    # the first cut is the coarse x line nearest the middle, then each half
+    # is cut along y on the coarse line nearest its middle, and so on
+    prob = make_problem("internal_layer")
+    g = build_tube_two_grid_2d(
+        GridParams(N=40, r=r, lam=4.0, domain=prob.domain), prob.interface)
+    px, py = g.codes % g.W, g.codes // g.W
+    order = g.dissection_order()
+    mid = 20 * r
+    first = np.flatnonzero(px == mid)
+    assert set(order[-len(first):]) == set(first)
+    rest = order[:-len(first)]
+    left = rest[px[rest] < mid]
+    right = rest[px[rest] > mid]
+    # the left half is eliminated first, then the right one
+    assert np.array_equal(rest, np.concatenate([left, right]))
+    for half in (left, right):
+        cut = half[py[half] == mid]
+        assert len(cut) > 0
+        assert set(half[-len(cut):]) == set(cut)
 
 
 def test_dump_grid_json_roundtrip(tmp_path):

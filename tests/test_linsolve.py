@@ -11,9 +11,9 @@ from hypothesis import strategies as hs
 
 from twogrid import linsolve, problems
 from twogrid.assembly import assemble
-from twogrid.errors import NonConvergence, SingularMatrix
+from twogrid.errors import NonConvergence, SingularMatrix, TwoGridError
 from twogrid.grid import GridParams, build_two_grid_1d
-from twogrid.harness import build_grid
+from twogrid.harness import build_grid, run_case
 from twogrid.linsolve import solve, verify_m_matrix
 
 
@@ -371,6 +371,150 @@ def test_longdouble_stage_allocates_less_than_a_longdouble_copy_of_a():
     finally:
         tracemalloc.stop()
     assert peak < np.dtype(np.longdouble).itemsize * A.nnz
+
+
+@pytest.mark.filterwarnings("error")
+def test_contract_norms_do_not_overflow():
+    # |b|_2 squared is about 1e404: the norms are taken of vectors scaled
+    # by a power of two at or above max|b|, so the bound stays finite and
+    # is met, and nothing overflows
+    sys_ = assembled_1d()
+    sys_.rhs *= 1e200
+    u = solve(sys_)
+    s = np.max(np.abs(sys_.rhs))
+    res = np.linalg.norm((sys_.matrix @ u - sys_.rhs) / s)
+    assert res <= 1e-12 * np.linalg.norm(sys_.rhs / s)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, params, N, r", [
+    ("piecewise_kappa_1d", {"kappa_minus": 1e-200}, 10, 2),
+    ("peskin_circle", {"radius": 1e-200}, 20, 2),
+])
+def test_extreme_scales_meet_a_finite_bound_or_raise(name, params, N, r):
+    prob = problems.make_problem(name, params)
+    try:
+        res = run_case(prob, N, r, detail=True)
+    except TwoGridError:
+        return
+    A, b, u = res.system.matrix, res.system.rhs, res.solution
+    s = np.max(np.abs(b))
+    resid = np.asarray(A.astype(np.longdouble) @ u - b, dtype=float) / s
+    assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(b / s)
+
+
+# ---------------------------------------------------------------------------
+# the nested-dissection path of plain tubes
+# ---------------------------------------------------------------------------
+
+def plain_tube(N=40, r=2):
+    prob = problems.make_problem("internal_layer", {})
+    return assemble(build_grid(prob, N, r, 4.0), prob)
+
+
+@pytest.mark.parametrize("name, params, N, r, lam, hf_mode, ordering", [
+    ("internal_layer", {}, 40, 2, 4.0, "ratio", "NATURAL"),
+    ("internal_layer", {}, 30, 5, 4.0, "ratio", "NATURAL"),
+    ("peskin_circle", {}, 40, 4, 2.0, "ratio", "MMD_AT_PLUS_A"),
+    ("flower", {"kappa_minus": 1.0, "kappa_plus": 10.0}, 40, 2, 2.0,
+     "ratio", "MMD_AT_PLUS_A"),
+    ("line_interface_2d", {}, 12, 2, 2.0, "h2", "MMD_AT_PLUS_A"),
+    ("piecewise_kappa_1d", {}, 10, 8, 2.0, "ratio", "MMD_AT_PLUS_A"),
+    ("boundary_layer_1d", {}, 10, 2, 2.0, "ratio", "MMD_AT_PLUS_A"),
+])
+def test_only_plain_tubes_are_factored_in_their_own_order(
+        splu_calls, name, params, N, r, lam, hf_mode, ordering):
+    prob = problems.make_problem(name, params)
+    sys_ = assemble(build_grid(prob, N, r, lam, hf_mode), prob)
+    u = solve(sys_)
+    assert splu_calls == [(np.float32, ordering)]
+    res = np.linalg.norm(np.asarray(
+        sys_.matrix.astype(np.longdouble) @ u - sys_.rhs, dtype=float))
+    assert res <= 1e-12 * np.linalg.norm(sys_.rhs)
+
+
+@pytest.mark.parametrize("N, r", [(40, 3), (60, 5), (80, 6), (70, 7),
+                                  (80, 8)])
+def test_dissection_fill_is_at_most_minimum_degree(monkeypatch, N, r):
+    sys_ = plain_tube(N, r)
+    splu = linsolve.spla.splu
+    factors = []
+
+    def recording_splu(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(linsolve.spla, "splu", recording_splu)
+    solve(sys_)
+    assert len(factors) == 1
+    A = sys_.matrix
+    mmd = splu(sp.csc_matrix((A.data.astype(np.float32), A.indices,
+                              A.indptr), shape=A.shape),
+               permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+               panel_size=4, relax=4, options={"SymmetricMode": True})
+    assert factors[0].nnz <= mmd.nnz
+
+
+def dense_rows_matrix(n=60, seed=5):
+    """A CSR matrix with rows of 1 to ``n`` entries and a full diagonal."""
+    rng = np.random.default_rng(seed)
+    dense = np.where(rng.random((n, n)) < rng.random((n, 1)),
+                     rng.uniform(-1.0, 1.0, (n, n)), 0.0)
+    dense[np.arange(n), np.arange(n)] = 4.0 + np.arange(n)
+    dense[7] = rng.uniform(-1.0, 1.0, n)     # one full row
+    return sp.csr_matrix(dense)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 1024])
+@pytest.mark.parametrize("which", ["plain_tube", "dense_rows"])
+def test_permuted_copy_is_the_sorted_symmetric_permutation(monkeypatch,
+                                                            rows, which):
+    # SuperLU reads a column's row indices in order: with the rows left
+    # unsorted, the first residual of internal_layer 40/2 was 0.057
+    # against a bound of 1.7e-8
+    monkeypatch.setattr(linsolve, "_PERM_ROWS", rows)
+    if which == "plain_tube":
+        sys_ = plain_tube()
+        A, order = sys_.matrix, sys_.order
+    else:
+        A = dense_rows_matrix()
+        order = np.random.default_rng(1).permutation(A.shape[0])
+    want = A[order][:, order].tocsr()
+    want.sort_indices()
+    got = linsolve._permuted(A, order)
+    assert got.data.dtype == np.float32
+    assert got.indices.dtype == got.indptr.dtype == np.int32
+    assert got.has_sorted_indices
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data.astype(np.float32))
+
+
+def test_an_ordered_system_solves_to_the_contract():
+    # an order attached to a system that is not a tube: corrections are
+    # permuted into the factor's order and back out of it
+    A = dense_rows_matrix()
+    order = np.random.default_rng(2).permutation(A.shape[0])
+    b = A @ np.linspace(1.0, 2.0, A.shape[0])
+    sys_ = SimpleNamespace(matrix=A, rhs=b, order=order)
+    u = solve(sys_)
+    assert np.linalg.norm(A @ u - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_ordered_solve_allocates_less_than_the_matrix_arrays():
+    # the permuted copy holds float32 values and int32 indices and is built
+    # 1024 rows at a time; it is freed once factored, before refinement
+    sys_ = plain_tube(80, 6)
+    A = sys_.matrix
+    assert sys_.order is not None
+    solve(sys_)     # imports and first-call caches stay out of the count
+    tracemalloc.start()
+    try:
+        solve(sys_)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < A.data.nbytes + A.indices.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,13 @@ The assembled matrix is full-size with identity rows at Dirichlet nodes, so
 node ids and matrix rows coincide and structural checks can look at
 interior rows without reindexing. :func:`assemble` builds every system:
 it writes the Dirichlet rows, an identity entry and ``problem.boundary`` on
-the right side, and the grid's row writer adds the interior node classes.
-A tube without interface jumps also gets the grid's nested-dissection
-order, which :func:`twogrid.linsolve.solve` factors in.
+the right side, and the grid's row writer adds the interior node classes,
+one block of rows per class and stencil. The builder writes each block
+straight into the CSR arrays: every grid numbers its nodes in the order
+of their lattice offsets, so each row's columns already ascend and no
+triplet is sorted or summed. A tube without interface jumps also gets the
+grid's nested-dissection order, which :func:`twogrid.linsolve.solve`
+factors in.
 """
 from __future__ import annotations
 
@@ -32,26 +36,48 @@ class SparseSystem:
 
 
 class _Builder:
+    """A system's rows, one block per node class, which :meth:`finish`
+    writes straight into the CSR arrays."""
+
     def __init__(self, n: int):
         self.n = n
-        self.rows = []
-        self.cols = []
-        self.vals = []
+        self.blocks = []
         self.rhs = np.zeros(n)
 
-    def add(self, row, col, val) -> None:
-        self.rows.append(np.atleast_1d(np.asarray(row, dtype=np.int64)))
-        self.cols.append(np.atleast_1d(np.asarray(col, dtype=np.int64)))
-        self.vals.append(np.atleast_1d(np.asarray(val, dtype=float)))
+    def add(self, rows, cols, vals, keep=None) -> None:
+        """Add ``rows`` with their ``(m, k)`` columns, ascending along each
+        row, the values there and the mask of those stored (None: all)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        self.blocks.append((rows, np.reshape(cols, (len(rows), -1)),
+                            np.reshape(vals, (len(rows), -1)), keep))
 
     def finish(self) -> sp.csr_matrix:
-        rows = np.concatenate(self.rows)
-        cols = np.concatenate(self.cols)
-        if rows.min() < 0 or cols.min() < 0:
+        """The CSR matrix, with int32 indices while its size and entry count
+        stay below 2**31, as scipy would pick."""
+        n, count = self.n, np.zeros(self.n, dtype=np.int64)
+        written = np.zeros(n, dtype=bool)
+        for rows, cols, _, keep in self.blocks:
+            written[rows] = True
+            count[rows] = cols.shape[1] if keep is None else keep.sum(axis=1)
+        if np.count_nonzero(written) < sum(len(b[0]) for b in self.blocks):
+            raise ValueError("two blocks write the same row")
+        nnz = int(count.sum())
+        dtype = np.int32 if max(nnz, n) <= np.iinfo(np.int32).max else np.int64
+        indptr = np.zeros(n + 1, dtype=dtype)
+        np.cumsum(count, out=indptr[1:])
+        indices, data = np.empty(nnz, dtype=dtype), np.empty(nnz)
+        while self.blocks:      # each block is freed once it is written
+            rows, cols, vals, keep = self.blocks.pop()
+            first = indptr[rows][:, None]
+            if keep is None:
+                slots = first + np.arange(cols.shape[1], dtype=dtype)
+            else:
+                slots = (first + np.cumsum(keep, axis=1, dtype=dtype) - 1)[keep]
+                cols, vals = cols[keep], vals[keep]
+            indices[slots], data[slots] = cols, vals
+        if nnz and indices.min() < 0:
             raise MissingNeighbor("stencil referenced a node outside the grid")
-        vals = np.concatenate(self.vals)
-        return sp.coo_matrix((vals, (rows, cols)),
-                             shape=(self.n, self.n)).tocsr()
+        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def assemble(grid, problem) -> SparseSystem:
@@ -71,7 +97,6 @@ def assemble(grid, problem) -> SparseSystem:
     with np.errstate(over="ignore", invalid="ignore"):
         write(b, grid, problem, kap, fv)
     matrix, rhs = b.finish(), b.rhs
-    del b   # free the COO pieces before the boundary arrays: peak RSS
     boundary = grid.tags == NodeTag.BOUNDARY
     rhs[boundary] = problem.boundary(grid.x[boundary], grid.y[boundary],
                                      side[boundary].astype(int))
@@ -95,36 +120,58 @@ def assemble(grid, problem) -> SparseSystem:
                         order=order)
 
 
-def _emit(b, grid, rows, st, scale, fv, target=0.0, step=1,
-          flip=False) -> None:
-    """Add the equations of ``rows``, which share the stencil ``st``, to ``b``.
+def _emit(b, grid, rows, st, scale, fv, target=0.0, step=1, flip=False,
+          nbrs=None) -> None:
+    """Add the equations of ``rows``, which share the stencil ``st``, to
+    ``b`` as one block.
 
     This is the one writer of interior rows. Each key of ``st`` is a lattice
     offset in units of ``step`` steps, with its axes swapped if ``flip``;
-    ``grid.neighbors`` finds the node there. Each row gets ``alpha * scale``
-    in that node's column wherever that weight is not exactly 0.0, rounded
-    by :func:`_exact_rows` to sum to ``target``, and the right side
-    ``st.correction + sum beta * fv`` over the same nodes, summed in key
-    order; ``fv`` is the source at every node. Every weight, ``scale`` and
-    the correction is a scalar or one value per row.
+    ``grid.neighbors`` finds the node there, unless ``nbrs`` holds those
+    ids in the key order of :func:`_lattice_keys`, which every grid's node
+    numbering follows, so each row's columns ascend. Each row gets
+    ``alpha * scale`` in that node's column wherever that weight is not
+    exactly 0.0, rounded by :func:`_exact_rows` to sum to ``target``, and
+    the right side ``st.correction + sum beta * fv`` over the same nodes,
+    summed in key order; ``fv`` is the source at every node. Every weight,
+    ``scale`` and the correction is a scalar or one value per row.
     """
     if not len(rows):
         return
-    keys = list({**st.alphas, **st.betas})
-    offs = [np.multiply(k[::-1] if flip else k, step) for k in keys]
-    col = dict(zip(keys, grid.neighbors(rows, offs).T))
-    w = np.stack([np.broadcast_to(np.asarray(a, dtype=float) * scale,
-                                  rows.shape) for a in st.alphas.values()], 1)
+    keys, offs = _lattice_keys(st, step, flip)
+    if nbrs is None:
+        nbrs = grid.neighbors(rows, offs)
+    alphas = [np.asarray(a, dtype=float) for a in st.alphas.values()]
+    scale, inv = np.broadcast_to(np.asarray(scale, dtype=float),
+                                 rows.shape), slice(None)
+    if all(a.ndim == 0 for a in alphas):
+        # rows differ only by scale: one row per distinct scale is rounded,
+        # told apart by its bits so that -0.0 and NaNs never merge
+        bits, inv = np.unique(scale.view(np.int64), return_inverse=True)
+        scale = bits.view(float)
+    w = np.stack([np.broadcast_to(a * scale, scale.shape) for a in alphas], 1)
     nz = w != 0.0
     # the centre key is 0 in 1D and (0, 0) in 2D
     _exact_rows(w, [not np.any(k) for k in st.alphas].index(True), target)
-    for k, wk, keep in zip(st.alphas, w.T, nz.T):
-        keep = slice(None) if keep.all() else keep     # a view, not a copy
-        b.add(rows[keep], col[k][keep], wk[keep])
-    acc = np.array(np.broadcast_to(st.correction, rows.shape), dtype=float)
+    at = [list(st.alphas).index(k) for k in keys[:len(st.alphas)]]
+    b.add(rows, nbrs[:, :len(at)], w[:, at][inv],
+          None if nz.all() else nz[:, at][inv])
+    col = dict(zip(keys, nbrs.T))
+    acc = np.array(np.broadcast_to(np.asarray(st.correction, dtype=float),
+                                   rows.shape))
     for k, bw in st.betas.items():
         acc += np.asarray(bw, dtype=float) * fv[col[k]]
     b.rhs[rows] = acc
+
+
+def _lattice_keys(st, step=1, flip=False):
+    """The keys of ``st``, its alpha keys first, each group in the
+    ``(dy, dx)`` order of their lattice offsets, and those offsets."""
+    offs = {k: np.multiply(k[::-1] if flip else k, step)
+            for k in {**st.alphas, **st.betas}}
+    keys = sorted(offs, key=lambda k: (k not in st.alphas,
+                                       *np.atleast_1d(offs[k])[::-1]))
+    return keys, [offs[k] for k in keys]
 
 
 def _exact_rows(w, centre: int, target=0.0) -> None:
@@ -246,21 +293,22 @@ def _assemble_tube(b, grid: Grid2DTube, problem, kap, fv) -> None:
         # the five point scheme.
         fine = tagged(grid.tags, NodeTag.FINE_REGULAR, NodeTag.FINE_IRREGULAR)
         st = stencils.border_coeffs_2d(h_f, h_f, h_f)
-        ok = (grid.neighbors(fine, list(st.alphas)) >= 0).all(axis=1)
-        _emit(b, grid, fine[ok], st, kap[fine[ok]], fv)
+        nbrs = grid.neighbors(fine, _lattice_keys(st)[1])
+        ok = (nbrs >= 0).all(axis=1)
+        _emit(b, grid, fine[ok], st, kap[fine[ok]], fv, nbrs=nbrs[ok])
         fine = fine[~ok]
     else:
         fine = tagged(grid.tags, NodeTag.FINE_REGULAR)
     _emit(b, grid, fine, _FIVE_POINT, kap[fine] / h_f**2, fv)
 
-    hanging = grid.tags == NodeTag.HANGING
-    hang_axis, hang_j = grid.hang_axis, grid.hang_j    # computed per read
-    for j in np.unique(hang_j[hanging]):
-        st = stencils.hanging_coeffs(r, int(j))
-        for axis in (0, 1):
-            rows = np.nonzero(hanging & (hang_j == j)
-                              & (hang_axis == axis))[0]
-            _emit(b, grid, rows, st, kap[rows] / h**2, fv, flip=axis == 1)
+    hang, axis, j = grid._hanging()
+    sts = {jj: stencils.hanging_coeffs(r, jj) for jj in np.unique(j).tolist()}
+    key = 2 * j + axis
+    order = np.argsort(key, kind="stable")  # by (j, axis), ids ascending
+    for g in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        rows = hang[g]
+        _emit(b, grid, rows, sts[int(j[g[0]])], kap[rows] / h**2, fv,
+              flip=axis[g[0]] == 1)
 
     irr = tagged(grid.tags, NodeTag.FINE_IRREGULAR)
     if plain or not len(irr):

@@ -283,24 +283,29 @@ class Grid2DTube:
     def hang_axis(self) -> np.ndarray:
         """0 at hanging nodes between x-neighbors, 1 between y-neighbors,
         -1 elsewhere."""
-        hx, hy = self._hanging()
-        return np.select([hx, hy], [0, 1], -1).astype(np.int8)
+        hang, axis, _ = self._hanging()
+        out = np.full(self.n, -1, dtype=np.int8)
+        out[hang] = axis
+        return out
 
     @property
     def hang_j(self) -> np.ndarray:
         """Fine offset of each hanging node from its lower/left coarse
         neighbor; 0 elsewhere."""
-        hx, hy = self._hanging()
-        return np.select([hx, hy], [self.codes % self.W % self.r,
-                                    self.codes // self.W % self.r],
-                         0).astype(np.int32)
+        hang, _, j = self._hanging()
+        out = np.zeros(self.n, dtype=np.int32)
+        out[hang] = j
+        return out
 
     def _hanging(self):
-        """Masks of the hanging nodes on a coarse x-line and of those on a
-        coarse y-line only."""
-        hanging = self.tags == NodeTag.HANGING
-        hx = hanging & (self.codes // self.W % self.r == 0)
-        return hx, hanging & ~hx & (self.codes % self.W % self.r == 0)
+        """The ids of the hanging nodes, ascending, and of each its axis (0
+        on a coarse x-line, else 1: every one lies on a coarse line) and
+        its ``hang_j``."""
+        hang = tagged(self.tags, NodeTag.HANGING)
+        c = self.codes[hang]
+        jx, jy = c % self.W % self.r, c // self.W % self.r
+        return (hang, (jy != 0).astype(np.int8),
+                np.where(jy == 0, jx, jy).astype(np.int32))
 
     def id_of(self, codes) -> np.ndarray:
         """Node ids for fine-lattice codes; -1 where no node exists."""

@@ -7,13 +7,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 from scipy.optimize import brentq
 
 from derivation import eliminate_hanging
-from twogrid import iim, linsolve, problems, stencils
-from twogrid.assembly import _Builder, assemble
+from twogrid import assembly, iim, linsolve, problems, stencils
+from twogrid.assembly import _Builder, _emit, assemble
 from twogrid.errors import (BadParams, MissingNeighbor, MultipleCrossings,
                             NonConvergence, SignViolation, TubeTooWide,
                             TwoGridError)
@@ -574,6 +575,129 @@ def test_dropped_zero_weights_leave_the_layer_report_unchanged():
         True, False, 499)
     assert (res.report.err_coarse, res.report.err_fine) == pytest.approx(
         (0.03677824373756966, 0.08593013997282872), rel=1e-12)
+
+
+class TripletBuilder(_Builder):
+    """The reference builder: each stored entry as a COO triplet, with
+    duplicates summed and columns sorted by ``tocsr``."""
+
+    def finish(self):
+        rows, cols, vals = [], [], []
+        for r, c, v, keep in self.blocks:
+            keep = np.ones(c.shape, dtype=bool) if keep is None else keep
+            rows.append(np.broadcast_to(r[:, None], c.shape)[keep])
+            cols.append(c[keep])
+            vals.append(v[keep])
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        if rows.min() < 0 or cols.min() < 0:
+            raise MissingNeighbor("stencil referenced a node outside the grid")
+        return sp.coo_matrix((np.concatenate(vals), (rows, cols)),
+                             shape=(self.n, self.n)).tocsr()
+
+
+CSR_CELLS = {
+    **ROW_WRITER_CELLS,
+    # the centred scheme's right weight is exactly 0.0 on some rows
+    "layer 500/2": STORED_PATTERN_CELLS["layer 500/2"],
+    "line 12/2": lambda: grid_and_problem("line_interface_2d", 12, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(CSR_CELLS))
+def test_csr_arrays_match_the_triplet_builder(monkeypatch, name):
+    g, prob = CSR_CELLS[name]()
+    sys_ = assemble(g, prob)
+    monkeypatch.setattr(assembly, "_Builder", TripletBuilder)
+    ref = assemble(g, prob)
+    for a, b in ((sys_.matrix.data, ref.matrix.data),
+                 (sys_.matrix.indices, ref.matrix.indices),
+                 (sys_.matrix.indptr, ref.matrix.indptr),
+                 (sys_.rhs, ref.rhs)):
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+def test_the_oracle_cells_store_exact_zero_weights_and_corner_rows():
+    # the cells above include a row that drops an exact-zero weight and
+    # plain-tube rows that fall back to the five-point scheme
+    g, prob = CSR_CELLS["layer 500/2"]()
+    A = assemble(g, prob).matrix
+    assert (np.diff(A.indptr)[~(g.tags == NodeTag.BOUNDARY)] < 3).any()
+    g, prob = CSR_CELLS["internal_layer 40/2"]()
+    lens = np.diff(assemble(g, prob).matrix.indptr)
+    fine = (g.tags == NodeTag.FINE_REGULAR) | (g.tags == NodeTag.FINE_IRREGULAR)
+    assert np.count_nonzero(lens[fine] == 5) == 36
+
+
+@pytest.mark.parametrize("name", list(CSR_CELLS))
+def test_every_row_of_the_assembled_csr_has_ascending_columns(name):
+    # read from the arrays, not from scipy's cached format flags
+    g, prob = CSR_CELLS[name]()
+    A = assemble(g, prob).matrix
+    row = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    same_row = np.diff(row) == 0
+    assert (np.diff(A.indices)[same_row] > 0).all()
+
+
+@pytest.mark.parametrize("name", ["peskin 40/4", "internal_layer 40/2",
+                                  "line h2 12/2"])
+def test_solve_takes_no_canonicalising_copy_of_an_assembled_matrix(
+        monkeypatch, name):
+    g, prob = CSR_CELLS[name]()
+    sys_ = assemble(g, prob)
+    refine, seen = linsolve._refine, []
+
+    def recording_refine(A, b, factor):
+        seen.append(A is sys_.matrix)
+        return refine(A, b, factor)
+
+    monkeypatch.setattr(linsolve, "_refine", recording_refine)
+    linsolve.solve(sys_)
+    assert seen and all(seen)
+
+
+def test_builder_rejects_a_row_written_by_two_blocks():
+    # a COO builder would sum the two rows; CSR slots would be overwritten
+    b = _Builder(4)
+    b.add([0, 1], [0, 1], [1.0, 1.0])
+    b.add([1, 2], [1, 2], [1.0, 1.0])
+    with pytest.raises(ValueError, match="same row"):
+        b.finish()
+
+
+def test_missing_neighbour_under_an_exact_zero_weight_is_not_stored():
+    # node 0's left neighbour is id -1; its weight there is 0.0
+    g = build_two_grid_1d(GridParams(N=10, r=2, lam=2.0), alpha=None)
+    b = _Builder(g.n)
+    st = stencils.Stencil({-1: np.array([0.0, 1.0]), 0: -2.0, 1: 1.0},
+                          {0: 1.0})
+    _emit(b, g, np.array([0, 1]), st, 1.0, np.ones(g.n))
+    A = b.finish()
+    assert A.indptr[:3].tolist() == [0, 2, 5]
+    assert A.indices[:5].tolist() == [0, 1, 0, 1, 2]
+    assert A.data[:5].tolist() == [-1.0, 1.0, 1.0, -2.0, 1.0]
+
+
+def test_rows_of_a_scalar_stencil_round_as_if_one_at_a_time():
+    # rows whose weights are all scalars are rounded once per distinct
+    # scale; -0.0 and NaN scales stay apart from 0.0 and from each other
+    g = build_two_grid_1d(GridParams(N=10, r=2, lam=2.0), alpha=None)
+    rows = np.arange(1, 9)
+    nan2 = np.frombuffer(np.uint64(0x7FF8000000000002).tobytes())[0]
+    scale = np.array([3.0, 0.1, 3.0, -0.0, 0.0, np.nan, nan2, 0.1])
+    alphas = {-1: 1.0 / 3.0, 0: -0.7, 1: Fraction(2, 7)}
+    stored = []
+    for per_row in (False, True):
+        st = stencils.Stencil(
+            {k: np.full(len(rows), float(a)) if per_row else a
+             for k, a in alphas.items()}, {0: 1.0})
+        b = _Builder(g.n)
+        with np.errstate(invalid="ignore"):
+            _emit(b, g, rows, st, scale, np.ones(g.n), target=0.25)
+            A = b.finish()
+        stored.append((A.data.tobytes(), A.indices.tobytes(),
+                       A.indptr.tobytes()))
+    assert stored[0] == stored[1]
 
 
 def border_coeffs_2d_one_plus_t(h1, h2, h_y):

@@ -88,18 +88,21 @@ def assemble(grid, problem) -> SparseSystem:
     side = grid.side
     kap = np.where(side < 0, problem.kappa_minus,
                    problem.kappa_plus).astype(float)
-    fv = problem.f(grid.x, grid.y, side.astype(int))
+    # a tube computes x and y from its codes on each read: they are read
+    # once, and dropped before the row writers, whose peak they would raise
+    x, y = grid.x, grid.y
+    fv = problem.f(x, y, side.astype(int))
     b = _Builder(grid.n)
     bnd = tagged(grid.tags, NodeTag.BOUNDARY)
+    trace = problem.boundary(x[bnd], y[bnd], side[bnd].astype(int))
+    del x, y
     b.add(bnd, bnd, np.ones(len(bnd)))
     # an entry that overflows is not warned about: the checks below name
     # the first node whose row or right side is not finite
     with np.errstate(over="ignore", invalid="ignore"):
         write(b, grid, problem, kap, fv)
     matrix, rhs = b.finish(), b.rhs
-    boundary = grid.tags == NodeTag.BOUNDARY
-    rhs[boundary] = problem.boundary(grid.x[boundary], grid.y[boundary],
-                                     side[boundary].astype(int))
+    rhs[bnd] = trace
     # the matrix's data is read in place, with one boolean temporary; its
     # first bad entry names its row
     for what, vals, indptr in (("the right side", rhs, None),
@@ -116,8 +119,8 @@ def assemble(grid, problem) -> SparseSystem:
     order = (grid.dissection_order()
              if isinstance(grid, Grid2DTube) and problem.jumps is None
              else None)
-    return SparseSystem(matrix=matrix, rhs=rhs, boundary=boundary,
-                        order=order)
+    return SparseSystem(matrix=matrix, rhs=rhs,
+                        boundary=grid.tags == NodeTag.BOUNDARY, order=order)
 
 
 def _emit(b, grid, rows, st, scale, fv, target=0.0, step=1, flip=False,
@@ -301,7 +304,7 @@ def _assemble_tube(b, grid: Grid2DTube, problem, kap, fv) -> None:
         fine = tagged(grid.tags, NodeTag.FINE_REGULAR)
     _emit(b, grid, fine, _FIVE_POINT, kap[fine] / h_f**2, fv)
 
-    hang, axis, j = grid._hanging()
+    hang, axis, j = grid.hanging()
     sts = {jj: stencils.hanging_coeffs(r, jj) for jj in np.unique(j).tolist()}
     key = 2 * j + axis
     order = np.argsort(key, kind="stable")  # by (j, axis), ids ascending

@@ -279,28 +279,11 @@ class Grid2DTube:
     def y(self) -> np.ndarray:
         return self.ay + self.codes // self.W * self.h_f
 
-    @property
-    def hang_axis(self) -> np.ndarray:
-        """0 at hanging nodes between x-neighbors, 1 between y-neighbors,
-        -1 elsewhere."""
-        hang, axis, _ = self._hanging()
-        out = np.full(self.n, -1, dtype=np.int8)
-        out[hang] = axis
-        return out
-
-    @property
-    def hang_j(self) -> np.ndarray:
-        """Fine offset of each hanging node from its lower/left coarse
-        neighbor; 0 elsewhere."""
-        hang, _, j = self._hanging()
-        out = np.zeros(self.n, dtype=np.int32)
-        out[hang] = j
-        return out
-
-    def _hanging(self):
+    def hanging(self):
         """The ids of the hanging nodes, ascending, and of each its axis (0
-        on a coarse x-line, else 1: every one lies on a coarse line) and
-        its ``hang_j``."""
+        on a coarse x-line, between x-neighbours, else 1: every one lies on
+        a coarse line) and its fine offset ``j`` from its lower or left
+        coarse neighbour."""
         hang = tagged(self.tags, NodeTag.HANGING)
         c = self.codes[hang]
         jx, jy = c % self.W % self.r, c // self.W % self.r

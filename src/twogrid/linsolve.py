@@ -37,9 +37,9 @@ def solve(system) -> np.ndarray:
     * a system that carries an ``order`` (a tube without interface jumps,
       whose grid gives a nested dissection of its lattice) is factored in
       that order: the factor's input is a copy of ``A`` permuted
-      symmetrically, with float32 values and int32 indices and each row's
-      columns sorted, made 1024 rows at a time, and SuperLU keeps its order
-      (``permc_spec="NATURAL"``);
+      symmetrically, with float32 values and int32 indices, gathered 1024
+      rows at a time and then sorted row by row in place, and SuperLU keeps
+      its order (``permc_spec="NATURAL"``);
     * every other system (interface tubes, strips, 1D grids) is ordered by
       multiple minimum degree on ``A + A^T``.
 
@@ -118,37 +118,29 @@ def _permuted(A, order) -> sp.csr_matrix:
     ``P A`` is row ``order[i]`` of the canonical CSR matrix ``A``, and each
     row's columns are sorted, as SuperLU needs them.
 
-    The rows are copied ``_PERM_ROWS`` at a time: within a block, one sort
-    of int64 keys (row, new column, slot in the row) orders every row, so
-    no float64 copy and no whole-matrix key is made.
+    The rows are gathered ``_PERM_ROWS`` at a time, with their columns
+    relabelled through the inverse permutation, so no float64 copy and no
+    whole-matrix temporary is made; one ``sort_indices`` then sorts each
+    row of the copy in place.
     """
     n = A.shape[0]
-    lens = np.diff(A.indptr)
-    slot_bits = int(lens.max(initial=1)).bit_length()
-    col_bits = max(n - 1, 1).bit_length()
-    rows = min(_PERM_ROWS, 1 << (63 - col_bits - slot_bits))
     new = np.empty(n, dtype=np.int32)
     new[order] = np.arange(n, dtype=np.int32)
     indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(lens[order], out=indptr[1:])
-    del lens
+    np.cumsum(np.diff(A.indptr)[order], out=indptr[1:])
     data = np.empty(A.nnz, dtype=np.float32)
     indices = np.empty(A.nnz, dtype=np.int32)
-    for i in range(0, n, rows):
-        j = min(i + rows, n)
+    for i in range(0, n, _PERM_ROWS):
+        j = min(i + _PERM_ROWS, n)
         lo, hi = indptr[i], indptr[j]
-        lens = np.diff(indptr[i:j + 1])
-        first = np.repeat(A.indptr[order[i:j]].astype(np.int64), lens)
-        slot = np.arange(lo, hi, dtype=np.int64) - np.repeat(indptr[i:j],
-                                                             lens)
-        key = new[A.indices[first + slot]].astype(np.int64) << slot_bits
-        key |= slot
-        key |= np.repeat(np.arange(j - i, dtype=np.int64)
-                         << (col_bits + slot_bits), lens)
-        key.sort()
-        indices[lo:hi] = (key >> slot_bits) & ((1 << col_bits) - 1)
-        data[lo:hi] = A.data[first + (key & ((1 << slot_bits) - 1))]
-    return sp.csr_matrix((data, indices, indptr), shape=A.shape)
+        # the source of each entry: its row's start in A plus its slot
+        src = np.arange(lo, hi, dtype=np.int64) + np.repeat(
+            A.indptr[order[i:j]] - indptr[i:j], np.diff(indptr[i:j + 1]))
+        indices[lo:hi] = new[A.indices[src]]
+        data[lo:hi] = A.data[src]
+    M = sp.csr_matrix((data, indices, indptr), shape=A.shape)
+    M.sort_indices()
+    return M
 
 
 def _release_free_heap() -> None:
@@ -172,11 +164,9 @@ def _correction(factor, r) -> np.ndarray:
     scale = float(np.max(np.abs(r), initial=0.0))
     if scale == 0.0:
         return np.zeros(len(r))
-    if order is None:
-        return lu.solve((r / scale).astype(dtype),
-                        trans="T").astype(np.float64) * scale
+    p = slice(None) if order is None else order
     d = np.empty(len(r))
-    d[order] = lu.solve((r[order] / scale).astype(dtype), trans="T")
+    d[p] = lu.solve((r[p] / scale).astype(dtype), trans="T")
     return d * scale
 
 

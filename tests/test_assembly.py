@@ -171,12 +171,11 @@ def test_tube_rows_match_generators():
         assert got[j] == pytest.approx(kc / g.h_f**2)
 
     # hanging row: table coefficients scaled by kappa / h^2, axis-mapped
-    hidx = np.nonzero(g.tags == NodeTag.HANGING)[0]
-    for i in hidx[:8]:
-        jj = int(g.hang_j[i])
+    hidx, axis, hang_j = g.hanging()
+    for i, ax, jj in list(zip(hidx, axis.tolist(), hang_j.tolist()))[:8]:
         st = stencils.hanging_coeffs(g.r, jj)
         kc = prob.kappa_minus if g.side[i] < 0 else prob.kappa_plus
-        flip = g.hang_axis[i] == 1
+        flip = ax == 1
         got = row_dict(sys_, int(i))
         for (kx, ky), a in st.alphas.items():
             dx, dy = (ky, kx) if flip else (kx, ky)
@@ -819,13 +818,12 @@ def reference_tube_rows(g, prob):
         return prob.f(float(g.x[j]), float(g.y[j]), int(g.side[j]))
 
     out = {}
-    hanging = np.nonzero(g.tags == NodeTag.HANGING)[0]
+    hanging, axis, hang_j = g.hanging()
     # the elimination engine, independent of the closed form, as the oracle
-    rows = {j: eliminate_hanging(g.r, j)
-            for j in set(g.hang_j[hanging].tolist())}
-    for i in hanging:
-        st = rows[int(g.hang_j[i])]
-        flip = g.hang_axis[i] == 1
+    rows = {j: eliminate_hanging(g.r, j) for j in set(hang_j.tolist())}
+    for i, ax, j in zip(hanging, axis.tolist(), hang_j.tolist()):
+        st = rows[j]
+        flip = ax == 1
         scal = kap[i] / g.h**2
         entries, acc = {}, 0.0
         for (kx, ky), a in st.alphas.items():

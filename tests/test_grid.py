@@ -268,15 +268,15 @@ def test_tube_invariants_on_circle():
     px, py = g.codes % g.W, g.codes // g.W
     assert ((px[coarse] % r == 0) & (py[coarse] % r == 0)).all()
 
-    hang = g.tags == NodeTag.HANGING
-    assert hang.any()
-    assert set(np.unique(g.hang_axis[hang])) <= {0, 1}
-    assert ((g.hang_j[hang] > 0) & (g.hang_j[hang] < r)).all()
+    hang, axis, hang_j = g.hanging()
+    assert len(hang)
+    assert np.array_equal(hang, np.flatnonzero(g.tags == NodeTag.HANGING))
+    assert set(np.unique(axis)) <= {0, 1}
+    assert ((hang_j > 0) & (hang_j < r)).all()
     # every hanging node can reach its seven-point neighborhood: the two
     # flanking coarse columns at -j and r-j in fine steps, on rows 0, +-r
-    for i in np.nonzero(hang)[0]:
-        j = int(g.hang_j[i])
-        if g.hang_axis[i] == 0:
+    for i, a, j in zip(hang.tolist(), axis.tolist(), hang_j.tolist()):
+        if a == 0:
             offs = [(dx, dy) for dx in (-j, r - j) for dy in (-r, 0, r)]
         else:
             offs = [(dx, dy) for dy in (-j, r - j) for dx in (-r, 0, r)]
@@ -374,8 +374,15 @@ def assert_matches_reference(params, ls):
             build_tube_two_grid_2d(params, ls)
         return
     g = build_tube_two_grid_2d(params, ls)
+    hang_axis, hang_j = want.pop("hang_axis"), want.pop("hang_j")
     for name, ref in want.items():
         got = getattr(g, name)
+        assert got.dtype == ref.dtype, name
+        assert np.array_equal(got, ref), name
+    hang, axis, j = g.hanging()
+    assert np.array_equal(hang, np.flatnonzero(hang_axis >= 0))
+    for name, got, ref in (("axis", axis, hang_axis[hang]),
+                           ("j", j, hang_j[hang])):
         assert got.dtype == ref.dtype, name
         assert np.array_equal(got, ref), name
 

@@ -184,8 +184,13 @@ def test_too_ill_conditioned_for_single_precision_falls_back(splu_calls):
     assert res <= 1e-12 * np.linalg.norm(sys_.rhs)
 
 
-def test_solve_leaves_the_system_untouched():
-    sys_ = assembled_1d()
+@pytest.mark.parametrize("ordered", [False, True],
+                         ids=["unordered_1d", "ordered_plain_tube"])
+def test_solve_leaves_the_system_untouched(ordered):
+    # the ordered path sorts its permuted copy in place: the caller's
+    # arrays must not be the ones it sorts
+    sys_ = plain_tube() if ordered else assembled_1d()
+    assert (sys_.order is not None) == ordered
     matrix, rhs = sys_.matrix, sys_.rhs
     before = [a.tobytes() for a in (matrix.data, matrix.indices,
                                     matrix.indptr, rhs)]
